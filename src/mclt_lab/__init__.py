@@ -13,7 +13,6 @@ from .conditions import (
     EXHAUSTIVE,
     ConditionReport,
     SimulatedHistories,
-    certify,
     check_bernstein,
     minimal_delta,
     minimal_epsilon,
@@ -63,7 +62,6 @@ __all__ = [
     "EXHAUSTIVE",
     "ConditionReport",
     "SimulatedHistories",
-    "certify",
     "check_bernstein",
     "minimal_delta",
     "minimal_epsilon",

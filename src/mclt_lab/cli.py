@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, corpus
+from . import __version__, corpus, rng
 from .bounds import (
     LOG_CONVENTION,
     BoundParameterError,
@@ -51,7 +51,6 @@ from .conditions import (
 )
 from .distance import KolmogorovEstimate, exact_kolmogorov_discrete, fit_rate, kolmogorov_distance
 from .kernels import (
-    InvalidKernelError,
     KernelError,
     kernel_from_config,
     sample_paths,
@@ -64,7 +63,14 @@ from .lipschitz import (
     model_from_config,
     variance_sandwich,
 )
-from .transforms import INF_GE_1, SUP_LE_1, pad_collection, padding_ratio_report, restrict_to_v
+from .transforms import (
+    INF_GE_1,
+    SUP_LE_1,
+    check_padding,
+    pad_collection,
+    padding_ratio_report,
+    restrict_to_v,
+)
 
 KINDS = ("rates", "bounds-table", "lemma-suite", "lipschitz", "transforms-check")
 
@@ -144,14 +150,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError("rates grid entries need 'n' and 'M'")
             if int(entry["M"]) < 1000:
                 raise ConfigError("rate experiments require M >= 1000")
-        try:
-            _kernel_for_entry(cfg, cfg.grid[0])
-        except KernelError as exc:
-            raise ConfigError(f"kernel reference invalid: {exc}") from None
+            _kernel_for_entry(cfg, entry)
     if kind == "lipschitz" and cfg.model is None:
         raise ConfigError("lipschitz experiments need a model reference")
-    if kind == "transforms-check" and cfg.kernel is None:
-        raise ConfigError("transforms-check experiments need a kernel reference")
+    if kind == "transforms-check":
+        if cfg.kernel is None:
+            raise ConfigError("transforms-check experiments need a kernel reference")
+        kernel = _kernel_for_entry(cfg, _transforms_entry(cfg))
+        if doc.get("epsilon") is not None:
+            try:
+                check_padding(kernel.n, int(doc.get("count", 1000)), float(doc["epsilon"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"transforms-check padding invalid: {exc}") from None
     return cfg
 
 
@@ -167,11 +177,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _kernel_for_entry(cfg: ExperimentConfig, entry: dict):
+    """The kernel of one grid entry; one that cannot be built or simulated is a config error."""
     params = dict(cfg.kernel.get("params", {}))
     params.update(entry.get("kernel_params", {}))
-    if "n" in entry:
-        params["n"] = int(entry["n"])
-    return kernel_from_config({"name": cfg.kernel["name"], "params": params})
+    try:
+        if "n" in entry:
+            params["n"] = int(entry["n"])
+        kernel = kernel_from_config({"name": cfg.kernel["name"], "params": params})
+    except ValueError as exc:  # KernelError, or a parameter of the wrong form
+        raise ConfigError(f"kernel reference invalid: {exc}") from None
+    if kernel.n >= rng.MAX_DRAWS_PER_PATH:
+        raise ConfigError(f"kernel reference invalid: n={kernel.n} exceeds the per-path draw budget")
+    return kernel
+
+
+def _transforms_entry(cfg: ExperimentConfig) -> dict:
+    if cfg.grid:
+        return cfg.grid[0]
+    if "n" in cfg.raw:
+        return {"n": int(cfg.raw["n"])}
+    raise ConfigError("transforms-check needs a grid entry or a top-level 'n'")
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +456,7 @@ def _run_lemma_suite(cfg: ExperimentConfig, stager: OutputStager) -> dict:
 
 def _run_transforms_check(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dict:
     notes: list[str] = []
-    if cfg.grid:
-        entry = cfg.grid[0]
-    elif "n" in cfg.raw:
-        entry = {"n": int(cfg.raw["n"])}
-    else:
-        raise ConfigError("transforms-check needs a grid entry or a top-level 'n'")
-    kernel = _kernel_for_entry(cfg, entry)
+    kernel = _kernel_for_entry(cfg, _transforms_entry(cfg))
     count = int(cfg.raw.get("count", 1000))
     paths = sample_paths(kernel, cfg.seed, count, threads=threads)
     eps = cfg.raw.get("epsilon")
@@ -711,10 +730,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantViolation, InvalidKernelError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (KernelError, ValueError, RuntimeError) as exc:
+    except (InvariantViolation, KernelError, ValueError, RuntimeError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -38,7 +38,6 @@ __all__ = [
     "EXHAUSTIVE",
     "minimal_epsilon",
     "minimal_delta",
-    "certify",
     "MomentLemmaReport",
     "verify_moment_lemmas",
     "check_bernstein",
@@ -101,7 +100,7 @@ class ConditionReport:
 
 def _checked_law(kernel, step, state) -> StepDistribution:
     dist = kernel.law_from_state(step, state)
-    reason = dist.check()
+    reason = dist._check_cached
     if reason is not None:
         raise InvalidKernelError(step, (), reason)
     if dist.mode != "exact":
@@ -110,7 +109,7 @@ def _checked_law(kernel, step, state) -> StepDistribution:
 
 
 def _ratio(dist: StepDistribution, rho: float) -> float:
-    m2 = dist.moment(2)
+    m2 = dist._m2_cached
     if m2 == 0.0:
         return 0.0  # degenerate step: the condition is vacuous
     value = dist.moment(2.0 + rho) / m2
@@ -119,59 +118,54 @@ def _ratio(dist: StepDistribution, rho: float) -> float:
     return value
 
 
-def _walk_epsilon(kernel: ConditionalKernel, rho: float) -> list[float]:
-    """Worst per-step ratio over all reachable histories (state-deduplicated)."""
-    per_step = [0.0] * kernel.n
-    level = {kernel.state_key(kernel.initial_state()): kernel.initial_state()}
-    nodes = 0
-    for step in range(1, kernel.n + 1):
-        nxt: dict = {}
-        for state in level.values():
-            dist = _checked_law(kernel, step, state)
-            per_step[step - 1] = max(per_step[step - 1], _ratio(dist, rho))
-            if step == kernel.n:
-                continue
-            for value, p in zip(dist.values, dist.probs):
-                if p == 0.0:
-                    continue
-                child = kernel.transition(state, value)
-                key = kernel.state_key(child)
-                if key not in nxt:
-                    nxt[key] = child
-                    nodes += 1
-                    if nodes > NODE_GUARD:
-                        raise WalkGuardExceeded(
-                            f"history walk exceeded {NODE_GUARD} nodes at step {step}"
-                        )
-        if step < kernel.n:
-            level = nxt
-    return per_step
+def _walk(kernel: ConditionalKernel, key, visit=None) -> list[float]:
+    """Breadth-first walk of the reachable history tree, one level per step.
 
-
-def _walk_delta(kernel: ConditionalKernel) -> float:
-    """Sup over reachable histories of |<X>_n - 1| (state+variance dedup)."""
+    Histories whose ``key(state, <X>)`` agree share one node, the first one
+    reached.  ``visit(step, law)`` sees the law at every node; the return
+    value is <X>_n at every node of the terminal level.
+    """
     init = kernel.initial_state()
-    level = {(kernel.state_key(init), 0.0): (init, 0.0)}
+    level = {key(init, 0.0): (init, 0.0)}
     nodes = 0
     for step in range(1, kernel.n + 1):
         nxt: dict = {}
         for state, acc in level.values():
             dist = _checked_law(kernel, step, state)
-            new_acc = acc + dist.moment(2)
+            if visit is not None:
+                visit(step, dist)
+            new_acc = acc + dist._m2_cached
             for value, p in zip(dist.values, dist.probs):
                 if p == 0.0:
                     continue
                 child = kernel.transition(state, value)
-                key = (kernel.state_key(child), round(new_acc, 14))
-                if key not in nxt:
-                    nxt[key] = (child, new_acc)
+                child_key = key(child, new_acc)
+                if child_key not in nxt:
+                    nxt[child_key] = (child, new_acc)
                     nodes += 1
                     if nodes > NODE_GUARD:
                         raise WalkGuardExceeded(
                             f"history walk exceeded {NODE_GUARD} nodes at step {step}"
                         )
         level = nxt
-    return max(abs(acc - 1.0) for _, acc in level.values())
+    return [acc for _, acc in level.values()]
+
+
+def _walk_epsilon(kernel: ConditionalKernel, rho: float) -> list[float]:
+    """Worst per-step ratio over all reachable histories (state-deduplicated)."""
+    per_step = [0.0] * kernel.n
+
+    def visit(step, dist):
+        per_step[step - 1] = max(per_step[step - 1], _ratio(dist, rho))
+
+    _walk(kernel, lambda state, acc: kernel.state_key(state), visit)
+    return per_step
+
+
+def _walk_delta(kernel: ConditionalKernel) -> float:
+    """Sup over reachable histories of |<X>_n - 1| (state+variance dedup)."""
+    terminal = _walk(kernel, lambda state, acc: (kernel.state_key(state), round(acc, 14)))
+    return max(abs(acc - 1.0) for acc in terminal)
 
 
 def _simulated_ratios(kernel, rho, source: SimulatedHistories):
@@ -238,24 +232,6 @@ def minimal_delta(
         notes = notes + (f"delta {delta} exceeds the stated range (0, {RANGE_LIMIT}]",)
     return ConditionReport(
         rho=None, epsilon=None, delta=float(delta), mode=mode, notes=notes,
-    )
-
-
-def certify(
-    kernel: ConditionalKernel,
-    rho: float,
-    histories: str | SimulatedHistories = EXHAUSTIVE,
-) -> ConditionReport:
-    """Joint (epsilon, delta) report from one history source."""
-    eps = minimal_epsilon(kernel, rho, histories)
-    dlt = minimal_delta(kernel, histories)
-    return ConditionReport(
-        rho=eps.rho,
-        epsilon=eps.epsilon,
-        delta=dlt.delta,
-        mode=eps.mode,
-        per_step=eps.per_step,
-        notes=eps.notes + dlt.notes,
     )
 
 

@@ -587,19 +587,19 @@ class TerminalStatistics:
 # simulation engine
 
 
-def _batch_step(kernel, step, batch_state, u):
+def _batch_step(kernel, step, batch_state, u, regimes, regime):
     """Draw one step for a chunk of paths; returns (xi, m2, new_state).
 
-    ``m2`` is a scalar when one regime covers the whole chunk.
+    ``regimes`` and ``regime`` are the kernel's ``step_regimes(step)`` and
+    ``batch_regime(step, batch_state)``.  ``m2`` is a scalar when one regime
+    covers the whole chunk.
     """
-    regimes = kernel.step_regimes(step)
     for k, dist in enumerate(regimes):
         reason = dist._check_cached
         if reason is not None:
             if len(regimes) > 1:
                 reason = f"{reason} (regime {k})"
             raise InvalidKernelError(step, (), reason)
-    regime = kernel.batch_regime(step, batch_state)
     if regime is None or len(regimes) == 1:
         dist = regimes[0]
         xi = dist.sample_from_uniforms(u)
@@ -638,7 +638,7 @@ def _simulate_chunk(kernel, key, start, count, collect, p, moment_orders):
             else:
                 vals = np.array([d.moment(t) for d in regimes])
                 mom_rows[t][:, step - 1] = vals[regime]
-        xi, m2, state = _batch_step(kernel, step, state, u)
+        xi, m2, state = _batch_step(kernel, step, state, u, regimes, regime)
         X += xi
         V += m2
         if inc_rows is not None:

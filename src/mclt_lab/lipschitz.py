@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -180,14 +180,21 @@ class _Enumeration:
     weights: tuple[np.ndarray, ...]
     f_values: np.ndarray  # tensor of f over the product space
     g_tensors: tuple[np.ndarray, ...]  # g_0 (scalar) .. g_n (= f tensor)
-    outcomes: np.ndarray | None = None
+    probs: np.ndarray  # product weight of every outcome, shape dims
+    variance: float  # Var f
 
     @property
     def mean(self) -> float:
         return float(self.g_tensors[0])
 
 
+@lru_cache(maxsize=1)
 def _enumeration(model: LipschitzModel) -> _Enumeration:
+    """Everything exact about a model, from one evaluation of f.
+
+    Cached for the latest model (models are frozen), so a run's calls on one
+    model share the k^n tensor; the shared arrays are read-only.
+    """
     model.validate()
     dims = tuple(len(c.values) for c in model.coords)
     size = 1
@@ -198,9 +205,10 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
                 f"product support size exceeds {ENUM_GUARD}; use the sampled path"
             )
     axes = [np.asarray(c.values, dtype=float) for c in model.coords]
-    grids = np.meshgrid(*axes, indexing="ij")
-    outcomes = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    grids = np.meshgrid(*axes, indexing="ij", copy=False)
+    outcomes = np.stack(grids, axis=-1).reshape(size, model.n)
     f_values = np.asarray(model.f(outcomes), dtype=float).reshape(dims)
+    del grids, outcomes  # n times the size of f_values; freed before the contractions
     if not np.all(np.isfinite(f_values)):
         raise ValueError("functional produced non-finite values")
     weights = tuple(np.asarray(c.probs, dtype=float) for c in model.coords)
@@ -210,12 +218,17 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
         g = np.tensordot(g, weights[k], axes=([k], [0]))
         g_tensors.append(g)
     g_tensors.reverse()  # g_tensors[k] has shape dims[:k]
+    probs = reduce(np.multiply.outer, weights)
+    variance = float(np.sum(probs * (f_values - float(g_tensors[0])) ** 2))
+    for array in (*weights, *g_tensors, probs):
+        array.flags.writeable = False
     return _Enumeration(
         dims=dims,
         weights=weights,
         f_values=f_values,
         g_tensors=tuple(g_tensors),
-        outcomes=outcomes,
+        probs=probs,
+        variance=variance,
     )
 
 
@@ -308,13 +321,14 @@ def doob_decompose_sampled(
 # normalization quantities
 
 
-def _inner_metric_means(coord: CoordinateDistribution, metric: Metric) -> np.ndarray:
-    """E[d(x, eta')] for each support point x (eta' an independent copy)."""
+def _metric_moment(coord: CoordinateDistribution, metric: Metric, power: float) -> float:
+    """E[(E[d(eta, eta') | eta])^power] with eta' an independent copy of eta."""
     vals = coord.values
     probs = coord.probs
-    return np.array(
+    inner = np.array(
         [math.fsum(p * metric(x, y) for y, p in zip(vals, probs)) for x in vals]
     )
+    return float(np.sum(np.asarray(probs) * inner**power))
 
 
 @dataclass(frozen=True)
@@ -328,26 +342,17 @@ class EpsilonDelta:
 def epsilon_delta_n(model: LipschitzModel) -> EpsilonDelta:
     """The normalization pair (eps_n, delta_n) of the model, exact."""
     model.validate()
-    num_terms = []
-    d1_sq_sum = []
-    d2_sq_sum = []
-    for coord, m1, m2 in zip(model.coords, model.d1, model.d2):
-        probs = np.asarray(coord.probs)
-        inner1 = _inner_metric_means(coord, m1)
-        inner2 = _inner_metric_means(coord, m2)
-        num_terms.append(float(np.sum(probs * inner2**model.rho)) ** (1.0 / model.rho))
-        d1_sq_sum.append(float(np.sum(probs * inner1**2)))
-        d2_sq_sum.append(float(np.sum(probs * inner2**2)))
-    denom_sq = math.fsum(d1_sq_sum)
+    numerator = max(
+        _metric_moment(c, d, model.rho) ** (1.0 / model.rho) for c, d in zip(model.coords, model.d2)
+    )
+    denom_sq = math.fsum(_metric_moment(c, d, 2) for c, d in zip(model.coords, model.d1))
     if denom_sq <= 0.0:
         raise DegenerateMetricError("lower metrics are identically zero")
-    epsilon_n = max(num_terms) / math.sqrt(denom_sq)
-    upper_sq = math.fsum(d2_sq_sum)
-    delta_n = abs(upper_sq / denom_sq - 1.0)
+    upper_sq = math.fsum(_metric_moment(c, d, 2) for c, d in zip(model.coords, model.d2))
     return EpsilonDelta(
-        epsilon_n=float(epsilon_n),
-        delta_n=float(delta_n),
-        numerator=float(max(num_terms)),
+        epsilon_n=float(numerator / math.sqrt(denom_sq)),
+        delta_n=float(abs(upper_sq / denom_sq - 1.0)),
+        numerator=float(numerator),
         denominator_sq=float(denom_sq),
     )
 
@@ -364,15 +369,11 @@ class VarianceSandwich:
 def variance_sandwich(model: LipschitzModel) -> VarianceSandwich:
     """Exact Var(f) against the metric sums; the lower bound is a diagnostic."""
     enum = _enumeration(model)
-    centered = enum.f_values - enum.mean
-    probs_tensor = reduce(np.multiply.outer, enum.weights)
-    variance = float(np.sum(probs_tensor * centered**2))
-    lower = 0.0
-    upper = 0.0
+    variance = enum.variance
+    lower = upper = 0.0
     for coord, m1, m2 in zip(model.coords, model.d1, model.d2):
-        probs = np.asarray(coord.probs)
-        lower += float(np.sum(probs * _inner_metric_means(coord, m1) ** 2))
-        upper += float(np.sum(probs * _inner_metric_means(coord, m2) ** 2))
+        lower += _metric_moment(coord, m1, 2)
+        upper += _metric_moment(coord, m2, 2)
     return VarianceSandwich(
         lower=lower,
         variance=variance,
@@ -400,10 +401,7 @@ def verify_a1_lipschitz(model: LipschitzModel) -> list[dict]:
         w = enum.weights[i - 1]
         lhs = np.tensordot(np.abs(xi) ** (2.0 + rho), w, axes=([i - 1], [0]))
         m2 = np.tensordot(xi**2, w, axes=([i - 1], [0]))
-        coord = model.coords[i - 1]
-        factor = float(
-            np.sum(np.asarray(coord.probs) * _inner_metric_means(coord, model.d2[i - 1]) ** rho)
-        )
+        factor = _metric_moment(model.coords[i - 1], model.d2[i - 1], rho)
         rhs = factor * m2
         slack = rhs - lhs
         nontrivial = m2 > 0.0
@@ -426,14 +424,12 @@ def verify_a1_lipschitz(model: LipschitzModel) -> list[dict]:
 def exact_distribution(model: LipschitzModel, normalized: bool = True):
     """Support and probabilities of (f - E f), optionally variance-normalized."""
     enum = _enumeration(model)
-    probs_tensor = reduce(np.multiply.outer, enum.weights).reshape(-1)
     centered = (enum.f_values - enum.mean).reshape(-1)
     if normalized:
-        var = float(np.sum(probs_tensor * centered**2))
-        if var <= 0.0:
+        if enum.variance <= 0.0:
             raise ValueError("degenerate functional: zero variance")
-        centered = centered / math.sqrt(var)
-    return centered, probs_tensor
+        centered = centered / math.sqrt(enum.variance)
+    return centered, enum.probs.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

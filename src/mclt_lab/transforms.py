@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import kernels, rng
 from .kernels import PathBundle, PathCollection
 
 __all__ = [
     "PaddedPath",
+    "check_padding",
     "pad_to_unit_variance",
     "pad_collection",
     "padding_ratio_report",
@@ -122,6 +123,19 @@ def _pad_one(
     )
 
 
+def check_padding(n: int, count: int, epsilon: float) -> None:
+    """Reject padding ``count`` paths of length ``n`` at ``epsilon`` unless
+    eps lies in (0, 1/2], the padded length N = n + floor(1/eps^2) + 1 fits
+    the per-path draw budget, and ``count * N`` fits the bundle memory guard."""
+    if not 0.0 < epsilon <= 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2]")
+    total_length = n + math.floor(1.0 / (epsilon * epsilon)) + 1
+    if total_length >= rng.MAX_DRAWS_PER_PATH:
+        raise ValueError("padded length exceeds the per-path draw budget")
+    if count * total_length > kernels.BUNDLE_CELL_GUARD:
+        raise ValueError(f"{count} padded paths of length {total_length} exceed the memory guard")
+
+
 def pad_to_unit_variance(path: PathBundle, epsilon: float, seed: int, path_index: int = 0) -> PaddedPath:
     """Pad one path to terminal conditional variance exactly 1.
 
@@ -130,18 +144,14 @@ def pad_to_unit_variance(path: PathBundle, epsilon: float, seed: int, path_index
     steps outside the padded ratio guarantee, which the ratio report will
     surface.
     """
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2]")
-    if path.n + math.floor(1.0 / (epsilon * epsilon)) + 1 >= rng.MAX_DRAWS_PER_PATH:
-        raise ValueError("padded length exceeds the per-path draw budget")
+    check_padding(path.n, 1, epsilon)
     key = rng.stream_key(seed, rng.STREAM_PADDING)
     return _pad_one(path.increments, path.variances, epsilon, key, path_index)
 
 
 def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> list[PaddedPath]:
     """Pad every path of a collection; path i uses padding stream i."""
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2]")
+    check_padding(paths.increments.shape[1], len(paths), epsilon)
     key = rng.stream_key(seed, rng.STREAM_PADDING)
     return [
         _pad_one(paths.increments[i], paths.variances[i], epsilon, key, i)
@@ -181,6 +191,22 @@ def padding_ratio_report(padded: PaddedPath, rho: float) -> dict:
     }
 
 
+def _stop_indices(variances: np.ndarray, variant: str) -> np.ndarray:
+    """Stopping index of every row of a (count, n+1) variance matrix."""
+    if np.any(np.diff(variances, axis=1) < -1e-12):
+        raise ValueError("variance path must be non-decreasing")
+    n = variances.shape[1] - 1
+    if variant == SUP_LE_1:
+        # the last index, not a count of entries: dips of up to 1e-12 are
+        # accepted, so entries <= 1 need not form a prefix
+        le = variances[:, ::-1] <= 1.0
+        return np.where(le.any(axis=1), n - np.argmax(le, axis=1), 0)
+    if variant == INF_GE_1:
+        ge = variances >= 1.0
+        return np.where(ge.any(axis=1), np.argmax(ge, axis=1), n)
+    raise ValueError(f"unknown stopping variant {variant!r}")
+
+
 def stop_time_v(variance_path, variant: str) -> int:
     """Stopping index on a realized conditional-variance path.
 
@@ -191,16 +217,7 @@ def stop_time_v(variance_path, variant: str) -> int:
     v = np.asarray(variance_path, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("variance path must be a 1-d sequence <X>_0..<X>_n")
-    if np.any(np.diff(v) < -1e-12):
-        raise ValueError("variance path must be non-decreasing")
-    n = v.size - 1
-    if variant == SUP_LE_1:
-        le = np.flatnonzero(v <= 1.0)
-        return int(le[-1]) if le.size else 0
-    if variant == INF_GE_1:
-        ge = np.flatnonzero(v >= 1.0)
-        return int(ge[0]) if ge.size else n
-    raise ValueError(f"unknown stopping variant {variant!r}")
+    return int(_stop_indices(v[None, :], variant)[0])
 
 
 @dataclass(frozen=True)
@@ -226,16 +243,10 @@ def restrict_to_v(paths: PathCollection, variant: str) -> StoppedSample:
     bound; they are flagged rather than rejected, and excluded from the
     in-hypothesis residual summary.
     """
-    count = len(paths)
-    indices = np.empty(count, dtype=int)
-    terminal = np.empty(count)
-    residuals = np.empty(count)
-    for i in range(count):
-        v = paths.variances[i]
-        idx = stop_time_v(v, variant)
-        indices[i] = idx
-        terminal[i] = paths.sums[i, idx]
-        residuals[i] = abs(v[idx] - 1.0)
+    indices = _stop_indices(paths.variances, variant)
+    rows = np.arange(len(paths))
+    terminal = paths.sums[rows, indices]
+    residuals = np.abs(paths.variances[rows, indices] - 1.0)
     out = paths.variances[:, -1] < 1.0
     return StoppedSample(
         variant=variant,

@@ -106,6 +106,54 @@ def test_missing_seed_is_config_error(tmp_path):
     assert cli.main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("late_entry", [
+    {"n": 32, "M": 1000, "kernel_params": {"q": 2.0}},  # jump probability above 1
+    {"n": 1 << 20, "M": 1000},  # path length at the per-path draw budget
+])
+def test_later_grid_entry_is_config_error_before_any_work(tmp_path, late_entry):
+    doc = {
+        "kind": "rates",
+        "kernel": {"name": "three_point", "params": {"b": 0.25, "q": 0.5}},
+        "grid": [{"n": 16, "M": 1000}, late_entry],
+        "seed": 4,
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.6, 0.0])
+def test_transforms_check_epsilon_out_of_range_is_config_error(tmp_path, epsilon):
+    doc = {
+        "kind": "transforms-check",
+        "kernel": {"name": "variance_drift", "params": {"d": 0.2}},
+        "grid": [{"n": 16}],
+        "count": 1,
+        "epsilon": epsilon,
+        "seed": 3,
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_transforms_check_padded_length_over_limits_is_config_error(tmp_path):
+    doc = {
+        "kind": "transforms-check",
+        "kernel": {"name": "variance_drift", "params": {"d": 0.2}},
+        "grid": [{"n": 16}],
+        "count": 1,
+        "epsilon": 0.0009,  # 16 + floor(1/eps^2) + 1 = 1234584 steps >= 2^20
+        "seed": 3,
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_invalid_kernel_table_is_invariant_violation(tmp_path):
     doc = {
         "kind": "rates",

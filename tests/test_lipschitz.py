@@ -298,6 +298,28 @@ def test_enumeration_agrees_with_binomial_oracle():
     assert d_model == pytest.approx(d_binom, abs=1e-12)
 
 
+def test_one_evaluation_of_f_per_model():
+    calls = []
+    weighted = functional_sum([0.5, -1.0, 2.0])
+
+    def f(grid):
+        calls.append(grid.shape)
+        return weighted(grid)
+
+    metric = abs_metric(2.0)
+    model = LipschitzModel(
+        coords=(RADEMACHER,) * 3, f=f, d1=(metric,) * 3, d2=(metric,) * 3
+    )
+    support, probs = exact_distribution(model, normalized=True)
+    sandwich = variance_sandwich(model)
+    assert calls == [(8, 3)]
+    assert sandwich.variance == pytest.approx(0.25 + 1.0 + 4.0, rel=1e-12)
+    assert math.fsum(probs * support**2) == pytest.approx(1.0, rel=1e-12)
+    # every caller shares the cached arrays, so none may write to them
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
+
+
 def test_model_from_config_expression_form():
     ref = {
         "coords": [

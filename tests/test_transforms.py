@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclt_lab as m
-from mclt_lab.kernels import PathBundle, sample_paths
+from mclt_lab import kernels
+from mclt_lab.kernels import PathBundle, PathCollection, sample_paths
 from mclt_lab.transforms import (
     INF_GE_1,
     SUP_LE_1,
@@ -142,6 +143,10 @@ def test_stop_time_examples():
     below = np.arange(n + 1) / (2 * n)
     assert stop_time_v(below, SUP_LE_1) == n  # never exceeds 1
     assert stop_time_v(below, INF_GE_1) == n  # boundary convention
+    # an accepted dip below 1: four entries are <= 1, the last is index 4
+    dip = [0.0, 0.5, 1.0 + 4e-13, 1.0 - 4e-13, 1.0, 1.2]
+    assert stop_time_v(dip, SUP_LE_1) == 4
+    assert stop_time_v(dip, INF_GE_1) == 2
     with pytest.raises(ValueError):
         stop_time_v([0.0, 0.5, 0.4], SUP_LE_1)
     with pytest.raises(ValueError):
@@ -170,3 +175,71 @@ def test_restrict_variance_drift_residual_bound():
         assert np.array_equal(flagged, paths.variances[:, -1] < 1.0)
         kept = stopped.residuals[~flagged]
         assert np.all(kept <= eps_sq + 1e-15)
+
+
+def test_pad_collection_checks_padded_length_before_allocating(monkeypatch):
+    paths = sample_paths(m.make_kernel("iid_rademacher", n=16), seed=1, count=10)
+    # 16 + 400 + 1 steps per path: fits the draw budget, not a 4000-cell guard
+    monkeypatch.setattr(kernels, "BUNDLE_CELL_GUARD", 4000)
+    with pytest.raises(ValueError, match="memory guard"):
+        pad_collection(paths, epsilon=0.05, seed=1)
+    assert len(pad_collection(paths, epsilon=0.25, seed=1)) == 10
+    monkeypatch.undo()
+    # the same per-path budget as pad_to_unit_variance: N = 16 + 1234567 + 1
+    with pytest.raises(ValueError, match="draw budget"):
+        pad_collection(paths, epsilon=0.0009, seed=1)
+    with pytest.raises(ValueError, match="epsilon"):
+        pad_collection(paths, epsilon=0.6, seed=1)
+
+
+def _reference_stop_index(row, variant):
+    """Per-path definition: last index <= 1, or first index >= 1 (else n)."""
+    if variant == SUP_LE_1:
+        le = np.flatnonzero(row <= 1.0)
+        return int(le[-1]) if le.size else 0
+    ge = np.flatnonzero(row >= 1.0)
+    return int(ge[0]) if ge.size else row.size - 1
+
+
+# a move either adds variance or lands within 1e-12 of 1; landing may dip by
+# less than the 1e-12 the monotonicity check forgives
+_MOVES = st.one_of(
+    st.floats(min_value=0.0, max_value=0.45),
+    st.sampled_from([-9e-13, -4e-13, 0.0, 4e-13, 9e-13]).map(lambda t: ("near_one", t)),
+)
+
+
+def _variance_row(moves):
+    row = [0.0]
+    for move in moves:
+        if isinstance(move, tuple):
+            row.append(max(1.0 + move[1], row[-1] - 9e-13))
+        else:
+            row.append(row[-1] + move)
+    return row
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    count=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_restrict_matches_per_path_stop_time(n, count, data):
+    rows = [
+        _variance_row(data.draw(st.lists(_MOVES, min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
+    variances = np.asarray(rows)
+    sums = np.cumsum(np.arange(count * (n + 1), dtype=float).reshape(count, n + 1), axis=1)
+    paths = PathCollection(
+        kernel_label="rows", seed=0, increments=np.diff(sums, axis=1),
+        sums=sums, variances=variances,
+    )
+    for variant in (SUP_LE_1, INF_GE_1):
+        stopped = restrict_to_v(paths, variant)
+        for i, row in enumerate(variances):
+            expected = _reference_stop_index(row, variant)
+            assert stopped.indices[i] == stop_time_v(row, variant) == expected
+            assert stopped.terminal[i] == sums[i, expected]
+            assert stopped.residuals[i] == abs(row[expected] - 1.0)

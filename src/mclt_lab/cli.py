@@ -52,6 +52,7 @@ from .conditions import (
 from .distance import KolmogorovEstimate, exact_kolmogorov_discrete, fit_rate, kolmogorov_distance
 from .kernels import (
     KernelError,
+    check_bundle,
     kernel_from_config,
     sample_paths,
     sample_terminal,
@@ -157,11 +158,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if cfg.kernel is None:
             raise ConfigError("transforms-check experiments need a kernel reference")
         kernel = _kernel_for_entry(cfg, _transforms_entry(cfg))
-        if doc.get("epsilon") is not None:
-            try:
-                check_padding(kernel.n, int(doc.get("count", 1000)), float(doc["epsilon"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"transforms-check padding invalid: {exc}") from None
+        try:
+            count = int(doc.get("count", 1000))
+            check_bundle(count, kernel.n)
+            if doc.get("epsilon") is not None:
+                check_padding(kernel.n, count, float(doc["epsilon"]))
+        except (TypeError, ValueError) as exc:  # KernelError is a ValueError
+            raise ConfigError(f"transforms-check count or padding invalid: {exc}") from None
     return cfg
 
 
@@ -178,13 +181,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _kernel_for_entry(cfg: ExperimentConfig, entry: dict):
     """The kernel of one grid entry; one that cannot be built or simulated is a config error."""
-    params = dict(cfg.kernel.get("params", {}))
-    params.update(entry.get("kernel_params", {}))
+    if not isinstance(cfg.kernel, dict) or "name" not in cfg.kernel:
+        raise ConfigError("kernel reference must be an object with a 'name' field")
     try:
+        params = dict(cfg.kernel.get("params", {}))
+        params.update(entry.get("kernel_params", {}))
         if "n" in entry:
             params["n"] = int(entry["n"])
         kernel = kernel_from_config({"name": cfg.kernel["name"], "params": params})
-    except ValueError as exc:  # KernelError, or a parameter of the wrong form
+    # KernelError, a parameter of the wrong form, or one the family does not take
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"kernel reference invalid: {exc}") from None
     if kernel.n >= rng.MAX_DRAWS_PER_PATH:
         raise ConfigError(f"kernel reference invalid: n={kernel.n} exceeds the per-path draw budget")

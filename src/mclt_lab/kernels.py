@@ -35,6 +35,7 @@ __all__ = [
     "InvalidKernelError",
     "make_kernel",
     "kernel_from_config",
+    "check_bundle",
     "sample_paths",
     "sample_terminal",
     "terminal_statistics",
@@ -47,10 +48,15 @@ __all__ = [
 #: the streaming terminal sampler.
 BUNDLE_CELL_GUARD = 50_000_000
 
-#: Paths per chunk in the streaming engine.  Fixed: results must not depend
-#: on it at the bit level for per-path quantities, and only through float
-#: summation order (<1e-12) for pooled moments.
+#: Paths per chunk in the streaming engine.  No result depends on it: every
+#: per-path value is a function of the path's own counter stream, and pooled
+#: sums reduce over fixed blocks of ``_REDUCE_BLOCK`` paths.  Smaller chunks
+#: only mean more, shorter numpy calls.
 DEFAULT_CHUNK = 1 << 16
+
+#: Block length of the pooled sums in ``sample_terminal``: ``np.sum`` per
+#: block, ``math.fsum`` across blocks.
+_REDUCE_BLOCK = 1 << 16
 
 PROB_TOL = 1e-12
 MEAN_TOL = 1e-12
@@ -349,18 +355,27 @@ class VarianceDriftKernel(ConditionalKernel):
         return self._regimes
 
     def batch_init(self, count):
-        return (np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64))
+        # (a, b) as exact small-integer floats, then scratch for the position,
+        # a second float buffer and the per-path regime (True for low)
+        return (np.zeros(count), np.zeros(count), np.empty(count), np.empty(count),
+                np.empty(count, dtype=bool))
 
     def batch_regime(self, step, batch_state):
-        a, b = batch_state
-        pos = a * self.high_mag + b * self.low_mag
-        return np.where(pos >= 0.0, 0, 1).astype(np.uint8)
+        a, b, pos, scratch, regime = batch_state
+        np.multiply(a, self.high_mag, out=pos)
+        np.multiply(b, self.low_mag, out=scratch)
+        np.add(pos, scratch, out=pos)
+        np.less(pos, 0.0, out=regime)  # high (False) iff a*h + b*l >= 0
+        return regime
 
     def batch_advance(self, step, batch_state, increments, regime):
-        a, b = batch_state
-        sign = np.where(increments > 0.0, 1, -1)
-        high = regime == 0
-        return (a + np.where(high, sign, 0), b + np.where(high, 0, sign))
+        a, b, sign, low, _ = batch_state  # pos and scratch are free here
+        np.sign(increments, out=sign)
+        np.multiply(sign, regime, out=low)  # sign * r
+        np.add(b, low, out=b)
+        np.subtract(sign, low, out=sign)  # sign * (1 - r)
+        np.add(a, sign, out=a)
+        return batch_state
 
     def certified_epsilon(self, rho):
         # both regimes are reachable for n >= 2 (step 1 is high; a first
@@ -587,81 +602,148 @@ class TerminalStatistics:
 # simulation engine
 
 
-def _batch_step(kernel, step, batch_state, u, regimes, regime):
-    """Draw one step for a chunk of paths; returns (xi, m2, new_state).
+@dataclass(frozen=True)
+class _StepTable:
+    """The regime laws of one step, flattened for selection by gathers.
 
-    ``regimes`` and ``regime`` are the kernel's ``step_regimes(step)`` and
-    ``batch_regime(step, batch_state)``.  ``m2`` is a scalar when one regime
-    covers the whole chunk.
+    Path i takes the flat atom ``regime_i * width + j_i`` with
+    ``j = sum_s (u >= thresholds[s])`` over the first ``width - 1``
+    cumulative probabilities: the ``searchsorted(side="right")`` inverse CDF
+    clipped to the last atom, so a uniform equal to a cumulative probability
+    selects the upper atom.  A threshold is a float when every regime shares
+    it and a per-regime array otherwise; a narrower support gets ``inf``
+    thresholds, so its padding atoms are never selected.  A single
+    sampled-mode law carries its ``sampler`` instead.
     """
-    for k, dist in enumerate(regimes):
+
+    regimes: int
+    width: int
+    thresholds: tuple = ()
+    values: np.ndarray | None = None
+    m2: np.ndarray | float = 0.0  # per flat atom; a float for one regime
+    pow2p: np.ndarray | None = None  # |value|^(2p) per flat atom
+    sampler: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def select(self, u, regime, idx, flag, scratch) -> None:
+        """Write the flat atom index of every path into ``idx`` (intp)."""
+        if not self.thresholds:
+            idx.fill(0)
+        for s, c in enumerate(self.thresholds):
+            if isinstance(c, np.ndarray):
+                np.take(c, regime, out=scratch, mode="clip")
+                c = scratch
+            np.greater_equal(u, c, out=flag if s else idx)
+            if s:
+                np.add(idx, flag, out=idx)
+        if self.regimes > 1:
+            np.multiply(regime, self.width, out=flag, dtype=np.intp)
+            np.add(idx, flag, out=idx)
+
+
+def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _StepTable:
+    for k, dist in enumerate(laws):
         reason = dist._check_cached
         if reason is not None:
-            if len(regimes) > 1:
+            if len(laws) > 1:
                 reason = f"{reason} (regime {k})"
             raise InvalidKernelError(step, (), reason)
-    if regime is None or len(regimes) == 1:
-        dist = regimes[0]
-        xi = dist.sample_from_uniforms(u)
-        new_state = kernel.batch_advance(step, batch_state, xi, None)
-        return xi, dist._m2_cached, new_state
-    xi = np.empty(u.shape)
-    m2 = np.empty(u.shape)
-    for k, dist in enumerate(regimes):
-        mask = regime == k
-        if np.any(mask):
-            xi[mask] = dist.sample_from_uniforms(u[mask])
-            m2[mask] = dist._m2_cached
-    new_state = kernel.batch_advance(step, batch_state, xi, regime)
-    return xi, m2, new_state
+    if any(dist.mode == "sampled" for dist in laws):
+        if len(laws) > 1:
+            raise KernelError(f"step {step}: a sampled-mode law must be the step's only regime")
+        return _StepTable(regimes=1, width=1, m2=laws[0]._m2_cached, sampler=laws[0].sampler)
+    width = max(len(dist.values) for dist in laws)
+    cum = np.full((len(laws), width - 1), np.inf)
+    values = np.zeros((len(laws), width))
+    for r, dist in enumerate(laws):
+        k = len(dist.values)
+        cum[r, : k - 1] = dist._cumprobs[:-1]
+        values[r, :k] = dist._values_arr
+    values = values.ravel()
+    m2 = np.repeat([dist._m2_cached for dist in laws], width)
+    return _StepTable(
+        regimes=len(laws),
+        width=width,
+        thresholds=tuple(
+            float(col[0]) if np.all(col == col[0]) else col for col in cum.T
+        ),
+        values=values,
+        m2=float(m2[0]) if len(laws) == 1 else m2,
+        # elementwise the same floats as np.abs(xi) ** (2.0 * p) on the
+        # drawn increments
+        pow2p=np.abs(values) ** (2.0 * p),
+    )
 
 
-def _simulate_chunk(kernel, key, start, count, collect, p, moment_orders):
-    """Streaming chunk simulation; returns per-chunk accumulators."""
+@dataclass(frozen=True)
+class _PathOutputs:
+    """The per-path arrays of one chunk, one row per path."""
+
+    terminal: np.ndarray | None  # X_n; None where only the increments are kept
+    variance: np.ndarray  # <X>_n
+    max_abs: np.ndarray | None = None  # max_i |xi_i|
+    total_2p: np.ndarray | None = None  # sum_i |xi_i|^(2p)
+    increments: np.ndarray | None = None  # (count, n)
+    variances: np.ndarray | None = None  # (count, n + 1)
+    moments: dict[float, np.ndarray] = field(default_factory=dict)  # (count, n) each
+
+    def rows(self, start: int, stop: int) -> "_PathOutputs":
+        """Views of rows ``start:stop`` of the per-path sums (streaming outputs)."""
+
+        def cut(a):
+            return None if a is None else a[start:stop]
+
+        return _PathOutputs(terminal=cut(self.terminal), variance=cut(self.variance),
+                            max_abs=cut(self.max_abs), total_2p=cut(self.total_2p))
+
+
+def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
+    """Simulate paths ``start .. start + count - 1`` into the rows of ``out``.
+
+    Every buffer is allocated once per chunk and each step runs in place:
+    uniforms, table selection, gathers of the increment, its conditional
+    variance and |xi|^(2p), then the kernel's state update.
+    """
     n = kernel.n
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
-    X = np.zeros(count)
-    V = np.zeros(count)
-    max_abs = np.zeros(count) if ("max_inc" in collect) else None
-    total_2p = np.zeros(count) if ("sum_inc" in collect) else None
-    inc_rows = np.empty((count, n)) if ("increments" in collect) else None
-    var_rows = np.zeros((count, n + 1)) if ("increments" in collect) else None
-    mom_rows = {t: np.empty((count, n)) for t in moment_orders}
+    X, V, max_abs, total_2p = out.terminal, out.variance, out.max_abs, out.total_2p
+    u = np.empty(count)
+    xi = np.empty(count)
+    words = (np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64))
+    # the selection indices reuse the RNG scratch, which is free once u is
+    # drawn, and the gathers reuse u, which is free once xi is selected
+    idx, flag = (w.view(np.intp) for w in words)
+    gathered = u
+    tables: dict[tuple, _StepTable] = {}
     state = kernel.batch_init(count)
     for step in range(1, n + 1):
-        u = rng.uniforms_at(key, ctr_base, step - 1)
-        regimes = kernel.step_regimes(step)
+        rng.uniforms_at(key, ctr_base, step - 1, out=u, scratch=words)
+        laws = kernel.step_regimes(step)
+        table = tables.get(laws)
+        if table is None:
+            table = tables[laws] = _step_table(step, laws, p)
         regime = kernel.batch_regime(step, state)
-        for t in moment_orders:
-            if regime is None or len(regimes) == 1:
-                mom_rows[t][:, step - 1] = regimes[0].moment(t)
-            else:
-                vals = np.array([d.moment(t) for d in regimes])
-                mom_rows[t][:, step - 1] = vals[regime]
-        xi, m2, state = _batch_step(kernel, step, state, u, regimes, regime)
-        X += xi
-        V += m2
-        if inc_rows is not None:
-            inc_rows[:, step - 1] = xi
-            var_rows[:, step] = var_rows[:, step - 1] + m2
+        for t, mom in out.moments.items():
+            moments = [dist.moment(t) for dist in laws]
+            mom[:, step - 1] = moments[0] if table.regimes == 1 else np.take(moments, regime)
+        if table.sampler is not None:
+            xi[:] = table.sampler(u)
+        else:
+            table.select(u, regime, idx, flag, xi)
+            np.take(table.values, idx, out=xi, mode="clip")
+        if X is not None:
+            X += xi
+        V += table.m2 if table.regimes == 1 else np.take(table.m2, idx, out=gathered, mode="clip")
+        if out.increments is not None:
+            out.increments[:, step - 1] = xi
+            out.variances[:, step] = V
         if max_abs is not None:
-            np.maximum(max_abs, np.abs(xi), out=max_abs)
+            np.maximum(max_abs, np.abs(xi, out=gathered), out=max_abs)
         if total_2p is not None:
-            total_2p += np.abs(xi) ** (2.0 * p)
-    dev = np.abs(V - 1.0)
-    out = {
-        "terminal": X,
-        "sum_var_dev_p": float(np.sum(dev**p)),
-        "sum_var_dev_2p": float(np.sum(dev ** (2.0 * p))),
-        "max_var_dev": float(np.max(dev)) if count else 0.0,
-        "sum_max_inc_2p": float(np.sum(max_abs ** (2.0 * p))) if max_abs is not None else 0.0,
-        "sum_total_inc_2p": float(np.sum(total_2p)) if total_2p is not None else 0.0,
-    }
-    if inc_rows is not None:
-        out["increments"] = inc_rows
-        out["variances"] = var_rows
-        out["moments"] = mom_rows
-    return out
+            if table.sampler is not None:
+                total_2p += np.abs(xi) ** (2.0 * p)
+            else:
+                total_2p += np.take(table.pow2p, idx, out=gathered, mode="clip")
+        state = kernel.batch_advance(step, state, xi, regime)
 
 
 def _chunks(count: int, chunk_size: int):
@@ -679,6 +761,18 @@ def _run_chunks(fn, pieces, threads: int):
         return [f.result() for f in futures]
 
 
+def check_bundle(count: int, length: int) -> None:
+    """Reject a bundle of ``count`` paths of ``length`` steps unless it holds
+    at least one path and ``count * length`` fits ``BUNDLE_CELL_GUARD``."""
+    if count < 1:
+        raise KernelError("count must be >= 1")
+    if count * length > BUNDLE_CELL_GUARD:
+        raise KernelError(
+            f"{count} paths of length {length} exceed the bundle memory guard of "
+            f"{BUNDLE_CELL_GUARD} cells; use sample_terminal for large runs"
+        )
+
+
 def sample_paths(
     kernel: ConditionalKernel,
     seed: int,
@@ -693,31 +787,33 @@ def sample_paths(
     thread assignment: replicate j always consumes the words of its own
     counter stream.
     """
-    if count < 1:
-        raise KernelError("count must be >= 1")
-    if count * kernel.n > BUNDLE_CELL_GUARD:
-        raise KernelError(
-            "bundle-mode simulation would exceed the memory guard; "
-            "use sample_terminal for large runs"
-        )
+    check_bundle(count, kernel.n)
     if kernel.n >= rng.MAX_DRAWS_PER_PATH:
         raise KernelError("path length exceeds the per-path draw budget")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
-    collect = {"increments", "max_inc"}
+    n = kernel.n
+    # Each chunk fills arrays of its own, joined below and freed on return.
+    # Writing into full-count arrays instead, or freeing the chunk arrays
+    # before the joined ones exist, fragmented the heap enough to raise the
+    # peak RSS of perfbench's exact-verify workload by about 35 MB.
     pieces = [
-        (kernel, key, start, size, collect, 1.0, tuple(moment_orders))
+        (kernel, key, start, size, _PathOutputs(
+            terminal=None,
+            variance=np.zeros(size),
+            increments=np.empty((size, n)),
+            variances=np.zeros((size, n + 1)),
+            moments={t: np.empty((size, n)) for t in moment_orders},
+        ), 1.0)
         for start, size in _chunks(count, chunk_size)
     ]
-    results = _run_chunks(_simulate_chunk, pieces, threads)
-    increments = np.concatenate([r["increments"] for r in results], axis=0)
-    variances = np.concatenate([r["variances"] for r in results], axis=0)
+    _run_chunks(_simulate_chunk, pieces, threads)
+    outs = [piece[4] for piece in pieces]
+    increments = np.concatenate([o.increments for o in outs], axis=0)
+    variances = np.concatenate([o.variances for o in outs], axis=0)
+    moments = {t: np.concatenate([o.moments[t] for o in outs], axis=0) for t in moment_orders}
     sums = np.concatenate(
         [np.zeros((count, 1)), np.cumsum(increments, axis=1)], axis=1
     )
-    moments = {
-        t: np.concatenate([r["moments"][t] for r in results], axis=0)
-        for t in moment_orders
-    }
     return PathCollection(
         kernel_label=kernel.label,
         seed=int(seed),
@@ -739,7 +835,9 @@ def sample_terminal(
 ) -> TerminalStatistics:
     """Streaming simulation: terminal samples and pooled moment statistics.
 
-    Memory stays O(count + chunk * 1); increments are never materialized.
+    Memory stays O(count + threads * _REDUCE_BLOCK); increments are never
+    materialized.  Every field is bit-identical across chunk sizes and thread
+    counts.
     """
     if count < 1:
         raise KernelError("count must be >= 1")
@@ -748,22 +846,53 @@ def sample_terminal(
     if kernel.n >= rng.MAX_DRAWS_PER_PATH:
         raise KernelError("path length exceeds the per-path draw budget")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
-    collect = {"max_inc"} | ({"sum_inc"} if with_sum_inc else set())
-    pieces = [
-        (kernel, key, start, size, collect, float(p), ())
-        for start, size in _chunks(count, chunk_size)
-    ]
-    results = _run_chunks(_simulate_chunk, pieces, threads)
+    terminal = np.zeros(count)
+    # The paths run in windows of whole reduction blocks, two per thread.
+    # Chunks fill row slices of the window's per-path arrays, and every
+    # block's sums are taken once the window is done, so the pooled sums
+    # reduce the same per-path values whatever the chunking, and only the
+    # terminals are held for all paths.
+    window = min(count, 2 * max(threads, 1) * _REDUCE_BLOCK)
+    sums = np.empty((3 if with_sum_inc else 2, window))  # reused by every window
+    var_p, var_2p, max_2p, total_2p = [], [], [], []
+    max_var_dev = 0.0
+    for first in range(0, count, window):
+        size = min(window, count - first)
+        sums.fill(0.0)
+        out = _PathOutputs(terminal=terminal[first : first + size], variance=sums[0, :size],
+                           max_abs=sums[1, :size], total_2p=sums[2, :size] if with_sum_inc else None)
+        pieces = [
+            (kernel, key, first + block + start, length,
+             out.rows(block + start, block + start + length), float(p))
+            for block in range(0, size, _REDUCE_BLOCK)
+            for start, length in _chunks(min(_REDUCE_BLOCK, size - block), chunk_size)
+        ]
+        _run_chunks(_simulate_chunk, pieces, threads)
+        dev = out.variance  # |<X>_n - 1|, in place
+        np.abs(np.subtract(dev, 1.0, out=dev), out=dev)
+        var_p += _block_sums(dev, p)
+        var_2p += _block_sums(dev, 2.0 * p)
+        max_2p += _block_sums(out.max_abs, 2.0 * p)
+        if with_sum_inc:
+            total_2p += _block_sums(out.total_2p)
+        max_var_dev = max(max_var_dev, float(np.max(dev)))
     return TerminalStatistics(
         p=float(p),
         count=count,
-        terminal=np.concatenate([r["terminal"] for r in results]),
-        sum_var_dev_p=math.fsum(r["sum_var_dev_p"] for r in results),
-        sum_var_dev_2p=math.fsum(r["sum_var_dev_2p"] for r in results),
-        sum_max_inc_2p=math.fsum(r["sum_max_inc_2p"] for r in results),
-        sum_total_inc_2p=math.fsum(r["sum_total_inc_2p"] for r in results),
-        max_var_dev=max(r["max_var_dev"] for r in results),
+        terminal=terminal,
+        sum_var_dev_p=math.fsum(var_p),
+        sum_var_dev_2p=math.fsum(var_2p),
+        sum_max_inc_2p=math.fsum(max_2p),
+        sum_total_inc_2p=math.fsum(total_2p),
+        max_var_dev=max_var_dev,
     )
+
+
+def _block_sums(values: np.ndarray, power: float = 1.0) -> list[float]:
+    """``np.sum(block ** power)`` for each block of ``_REDUCE_BLOCK`` values;
+    the power is taken a block at a time, so no temporary outgrows a block."""
+    blocks = (values[i : i + _REDUCE_BLOCK] for i in range(0, len(values), _REDUCE_BLOCK))
+    return [float(np.sum(b if power == 1.0 else b**power)) for b in blocks]
 
 
 def terminal_statistics(paths: PathCollection | Sequence[PathBundle], p: float) -> TerminalStatistics:

@@ -32,6 +32,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 # Draw indices are packed into the low 20 bits of the counter, path indices
 # into the high 44.  A single path may therefore consume at most 2**20 words.
@@ -46,15 +47,23 @@ STREAM_CORPUS = 2
 STREAM_ORACLE = 3
 
 
+def _mix_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64 finalizer applied in place to the uint64 array ``z``."""
+    # uint64 array arithmetic wraps mod 2**64 without warnings
+    np.right_shift(z, _S30, out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+    np.multiply(z, _MIX_A, out=z)
+    np.right_shift(z, _S27, out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+    np.multiply(z, _MIX_B, out=z)
+    np.right_shift(z, _S31, out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+
+
 def mix64(z: np.ndarray | int) -> np.ndarray | np.uint64:
     """SplitMix64 finalizer; bijective on uint64 scalars and arrays."""
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # wraparound mod 2**64 is the point
-        z = z ^ (z >> np.uint64(30))
-        z = z * _MIX_A
-        z = z ^ (z >> np.uint64(27))
-        z = z * _MIX_B
-        z = z ^ (z >> np.uint64(31))
+    z = np.array(z, dtype=np.uint64)
+    _mix_into(z, np.empty_like(z))
     return z if z.ndim else z[()]
 
 
@@ -66,20 +75,24 @@ def stream_key(seed: int, stream: int = STREAM_SIMULATION) -> np.uint64:
     return mix64(base ^ salt)
 
 
-def _counters(path_index, draw_index) -> np.ndarray:
-    paths = np.asarray(path_index, dtype=np.uint64)
-    draws = np.asarray(draw_index, dtype=np.uint64)
-    if np.any(draws >= MAX_DRAWS_PER_PATH):
+def _check_draws(draw_index) -> None:
+    if np.any(np.asarray(draw_index) >= MAX_DRAWS_PER_PATH):
         raise ValueError(
             f"draw index exceeds the per-path budget of {MAX_DRAWS_PER_PATH}"
         )
-    return (paths << np.uint64(_DRAW_BITS)) | draws
 
 
-def _words(key: np.uint64, path_index, draw_index) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        offset = np.uint64(key) + _counters(path_index, draw_index) * _GOLDEN
-    return mix64(offset)
+def _uniforms_into(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The word -> uniform core, in place.
+
+    ``z`` holds the keyed counters ``key + counter * golden`` and is consumed;
+    ``scratch`` is a uint64 buffer of the same shape and ``out`` receives the
+    uniforms on the 53-bit grid of [0, 1).
+    """
+    _mix_into(z, scratch)
+    np.right_shift(z, _S11, out=z)
+    np.multiply(z, 2.0**-53, out=out)  # exact: every word is below 2**53
+    return out
 
 
 def uniforms(key: np.uint64, path_index, draw_index) -> np.ndarray:
@@ -88,30 +101,46 @@ def uniforms(key: np.uint64, path_index, draw_index) -> np.ndarray:
     ``path_index`` and ``draw_index`` broadcast against each other, so one
     call can fill a step across all paths or a whole row for one path.
     """
-    words = np.atleast_1d(_words(key, path_index, draw_index))
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    _check_draws(draw_index)
+    paths = np.asarray(path_index, dtype=np.uint64)
+    draws = np.asarray(draw_index, dtype=np.uint64)
+    z = np.atleast_1d((paths << np.uint64(_DRAW_BITS)) | draws)
+    np.multiply(z, _GOLDEN, out=z)
+    np.add(z, np.uint64(key), out=z)
+    return _uniforms_into(z, np.empty_like(z), np.empty(z.shape))
 
 
 def path_counter_base(path_index) -> np.ndarray:
-    """Precomputed high bits of the counters for a block of paths."""
-    return np.asarray(path_index, dtype=np.uint64) << np.uint64(_DRAW_BITS)
+    """Precomputed path part ``(path << 20) * golden`` of the keyed counters."""
+    return (np.asarray(path_index, dtype=np.uint64) << np.uint64(_DRAW_BITS)) * _GOLDEN
 
 
-def uniforms_at(key: np.uint64, counter_base: np.ndarray, draw_index: int) -> np.ndarray:
-    """Fast path for simulation loops: counters = counter_base | draw_index."""
-    if draw_index >= MAX_DRAWS_PER_PATH:
-        raise ValueError(
-            f"draw index exceeds the per-path budget of {MAX_DRAWS_PER_PATH}"
-        )
-    with np.errstate(over="ignore"):
-        offset = np.uint64(key) + (counter_base | np.uint64(draw_index)) * _GOLDEN
-    words = mix64(offset)
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def uniforms_at(
+    key: np.uint64,
+    counter_base: np.ndarray,
+    draw_index: int,
+    out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Fast path for simulation loops: the uniforms of ``uniforms(key, paths,
+    draw_index)`` with ``counter_base = path_counter_base(paths)``, written
+    into and returned as ``out``.
+
+    ``out`` (float64) and ``scratch`` (two uint64 buffers), each shaped like
+    ``counter_base``, let a loop draw every step without allocating; the
+    scratch buffers hold no result and may be reused between calls.
+    """
+    _check_draws(draw_index)
+    z, spare = scratch
+    # draw_index < 2**20 fills the low counter bits, so mod 2**64
+    # key + ((path << 20) | draw) * golden == base + (key + draw * golden)
+    draw_part = (int(key) + int(draw_index) * int(_GOLDEN)) & _U64_MASK
+    np.add(counter_base, np.uint64(draw_part), out=z)
+    return _uniforms_into(z, spare, out)
 
 
 def normals(key: np.uint64, path_index, draw_index) -> np.ndarray:
     """Standard normal variates via the inverse CDF, one word per variate."""
-    words = np.atleast_1d(_words(key, path_index, draw_index))
     # Offset by half an ulp of the 53-bit grid so u lies strictly in (0, 1).
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = uniforms(key, path_index, draw_index) + 2.0**-54
     return ndtri(u)

@@ -126,14 +126,14 @@ def _pad_one(
 def check_padding(n: int, count: int, epsilon: float) -> None:
     """Reject padding ``count`` paths of length ``n`` at ``epsilon`` unless
     eps lies in (0, 1/2], the padded length N = n + floor(1/eps^2) + 1 fits
-    the per-path draw budget, and ``count * N`` fits the bundle memory guard."""
+    the per-path draw budget, and ``count * N`` fits the bundle memory guard
+    (``kernels.check_bundle``)."""
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
     total_length = n + math.floor(1.0 / (epsilon * epsilon)) + 1
     if total_length >= rng.MAX_DRAWS_PER_PATH:
         raise ValueError("padded length exceeds the per-path draw budget")
-    if count * total_length > kernels.BUNDLE_CELL_GUARD:
-        raise ValueError(f"{count} padded paths of length {total_length} exceed the memory guard")
+    kernels.check_bundle(count, total_length)
 
 
 def pad_to_unit_variance(path: PathBundle, epsilon: float, seed: int, path_index: int = 0) -> PaddedPath:

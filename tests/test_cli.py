@@ -154,6 +154,36 @@ def test_transforms_check_padded_length_over_limits_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kernel", [
+    {"params": {}},  # no "name"
+    {"name": "iid_rademacher", "params": {"zz": 1}},  # a parameter the family does not take
+])
+def test_unbuildable_kernel_reference_is_config_error(tmp_path, kernel):
+    doc = dict(RATES_CONFIG, kernel=kernel)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [
+    0,
+    50_000_000 // 16 + 1,  # count * n just over the bundle memory guard, no epsilon
+])
+def test_transforms_check_count_out_of_range_is_config_error(tmp_path, count):
+    doc = {
+        "kind": "transforms-check",
+        "kernel": {"name": "variance_drift", "params": {"d": 0.2}},
+        "grid": [{"n": 16}],
+        "count": count,
+        "seed": 3,
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_invalid_kernel_table_is_invariant_violation(tmp_path):
     doc = {
         "kind": "rates",

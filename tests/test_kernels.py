@@ -1,6 +1,7 @@
 """Kernel registry, simulation determinism, and terminal statistics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclt_lab as m
-from mclt_lab import oracles
+from mclt_lab import oracles, rng
 from mclt_lab.kernels import (
+    ConditionalKernel,
     InvalidKernelError,
     KernelError,
     StepDistribution,
     TableKernel,
+    VarianceDriftKernel,
     conditional_moment,
     conditional_moment_sampled,
     rademacher_two_point,
@@ -241,3 +244,167 @@ def test_sampled_mode_simulation_is_standard_normal():
     est = kolmogorov_distance(stats.terminal, alpha=0.01)
     assert est.d_hat <= dkw_halfwidth(stats.count, 0.001)
     assert stats.mean_var_dev_p == 0.0  # declared variance is exactly 1/n
+
+
+def _reference_paths(kernel, seed, count):
+    """Slow per-path scalar engine: the contract the batch engine must match.
+
+    Replays ``transition`` -> ``law_from_state`` along each path, draws the
+    path's uniforms with ``rng.uniforms`` and maps each through the law's
+    own ``sample_from_uniforms``.
+    """
+    key = rng.stream_key(seed, rng.STREAM_SIMULATION)
+    increments = np.empty((count, kernel.n))
+    variances = np.zeros((count, kernel.n + 1))
+    terminal = np.empty(count)
+    for i in range(count):
+        u = rng.uniforms(key, i, np.arange(kernel.n))
+        state = kernel.initial_state()
+        x = 0.0
+        for step in range(1, kernel.n + 1):
+            dist = kernel.law_from_state(step, state)
+            xi = float(dist.sample_from_uniforms(u[step - 1 : step])[0])
+            increments[i, step - 1] = xi
+            variances[i, step] = variances[i, step - 1] + dist.moment(2)
+            x += xi
+            state = kernel.transition(state, xi)
+        terminal[i] = x
+    return increments, variances, terminal
+
+
+class _SignSwitchKernel(ConditionalKernel):
+    """Two regimes with different supports and thresholds, chosen by sign(X)."""
+
+    label = "sign_switch"
+
+    def __init__(self, n):
+        self.n = n
+        self.regimes = (
+            StepDistribution(values=(-1.0, 0.0, 1.0), probs=(0.25, 0.5, 0.25)),
+            StepDistribution(values=(-0.7, 0.3), probs=(0.3, 0.7)),
+        )
+
+    def initial_state(self):
+        return 0.0
+
+    def transition(self, state, value):
+        return state + value
+
+    def law_from_state(self, step, state):
+        return self.regimes[0 if state >= 0.0 else 1]
+
+    def step_regimes(self, step):
+        return self.regimes
+
+    def batch_init(self, count):
+        return np.zeros(count)
+
+    def batch_regime(self, step, batch_state):
+        return (batch_state < 0.0).astype(np.intp)
+
+    def batch_advance(self, step, batch_state, increments, regime):
+        batch_state += increments
+        return batch_state
+
+
+REFERENCE_KERNELS = [
+    m.make_kernel("iid_rademacher", n=12),
+    m.make_kernel("iid_scaled", n=9, values=[-3.0, -1.0, 1.0, 3.0], probs=[0.1, 0.4, 0.4, 0.1]),
+    m.make_kernel("two_point", n=7, a=0.3),
+    m.make_kernel("three_point", n=10, b=0.4, q=0.3),
+    m.make_kernel("variance_drift", n=16, d=0.3),
+    m.make_kernel("iid_gaussian", n=8),
+    m.make_kernel("table", steps=[
+        {"values": [-1.0, 1.0], "probs": [0.5, 0.5]},
+        {"values": [-0.5, 0.0, 0.5], "probs": [0.2, 0.6, 0.2]},
+        {"values": [-3.0, -1.0, 1.0, 3.0], "probs": [0.1, 0.4, 0.4, 0.1]},
+        {"values": [-2.0, 1.0], "probs": [1.0 / 3.0, 2.0 / 3.0]},
+    ]),
+    _SignSwitchKernel(n=14),
+]
+
+
+@pytest.mark.parametrize("kernel", REFERENCE_KERNELS, ids=lambda k: k.label.split("(")[0])
+def test_engine_matches_scalar_reference(kernel):
+    count = 300
+    increments, variances, terminal = _reference_paths(kernel, 8, count)
+    for chunk_size, threads in ((1 << 16, 1), (37, 2)):
+        paths = sample_paths(kernel, 8, count, chunk_size=chunk_size, threads=threads)
+        assert np.array_equal(paths.increments, increments)
+        assert np.array_equal(paths.variances, variances)
+        stats = sample_terminal(kernel, 8, count, chunk_size=chunk_size, threads=threads)
+        assert np.array_equal(stats.terminal, terminal)
+        assert np.array_equal(stats.terminal, paths.sums[:, -1])
+
+
+def test_uniform_on_a_cumulative_probability_selects_the_upper_atom():
+    seed = 6
+    u0 = float(rng.uniforms(rng.stream_key(seed, rng.STREAM_SIMULATION), 0, 0)[0])
+    # cum[0] == u0 exactly; the mean is 0 exactly
+    boundary = StepDistribution(values=(-(1.0 - u0), u0), probs=(u0, 1.0 - u0))
+    assert boundary.check() is None
+    assert boundary.sample_from_uniforms(np.array([u0]))[0] == u0
+    three = StepDistribution(values=(-1.0, 0.0, 1.0), probs=(0.25, 0.5, 0.25))
+    assert list(three.sample_from_uniforms(np.array([0.25, 0.75]))) == [0.0, 1.0]
+    paths = sample_paths(TableKernel([boundary]), seed, 3)
+    assert paths.increments[0, 0] == u0
+
+
+def test_invalid_regime_is_named():
+    kernel = VarianceDriftKernel(n=4, d=0.2)
+    kernel._regimes = (kernel._regimes[0], StepDistribution(values=(1.0, 0.0), probs=(0.5, 0.5)))
+    with pytest.raises(InvalidKernelError) as err:
+        sample_terminal(kernel, seed=1, count=10)
+    assert err.value.step == 1
+    assert "mean" in str(err.value) and "(regime 1)" in str(err.value)
+
+
+@pytest.mark.parametrize("name, params, p", [
+    ("iid_gaussian", {"n": 64}, 1.5),
+    ("variance_drift", {"n": 64, "d": 0.2}, 1.5),
+])
+def test_terminal_statistics_are_chunk_and_thread_invariant(name, params, p):
+    kernel = m.make_kernel(name, **params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # chunks on more threads than cores, switching often
+    try:
+        runs = [
+            sample_terminal(kernel, 3, 100_000, p=p, with_sum_inc=True,
+                            chunk_size=chunk, threads=threads)
+            for chunk, threads in ((1 << 16, 1), (777, 1), (1 << 16, 2), (4099, 5))
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    first = runs[0]
+    for other in runs[1:]:
+        assert np.array_equal(other.terminal, first.terminal)
+        for field in ("count", "sum_var_dev_p", "sum_var_dev_2p", "sum_max_inc_2p",
+                      "sum_total_inc_2p", "max_var_dev"):
+            assert getattr(other, field) == getattr(first, field), field
+
+
+@pytest.mark.parametrize("name, params", [
+    ("variance_drift", {"n": 4, "d": 0.2}),
+    ("iid_gaussian", {"n": 4}),  # continuous increments
+])
+def test_pooled_sums_reduce_per_path_values_over_fixed_blocks(name, params):
+    # more paths than one window holds at threads 1 and 2, with a short last block
+    kernel = m.make_kernel(name, **params)
+    count, p, block = 300_001, 1.5, 1 << 16
+    paths = sample_paths(kernel, 5, count)
+    dev = np.abs(paths.variances[:, -1] - 1.0)
+    absinc = np.abs(paths.increments)
+    total_2p = np.zeros(count)
+    for j in range(kernel.n):  # the engine's step order
+        total_2p += absinc[:, j] ** (2.0 * p)
+
+    def pooled(values):
+        return math.fsum(float(np.sum(values[i : i + block])) for i in range(0, count, block))
+
+    expected = (pooled(dev**p), pooled(dev ** (2.0 * p)),
+                pooled(absinc.max(axis=1) ** (2.0 * p)), pooled(total_2p), float(np.max(dev)))
+    for threads in (1, 2):
+        stats = sample_terminal(kernel, 5, count, p=p, with_sum_inc=True, threads=threads)
+        assert np.array_equal(stats.terminal, paths.sums[:, -1])
+        assert (stats.sum_var_dev_p, stats.sum_var_dev_2p, stats.sum_max_inc_2p,
+                stats.sum_total_inc_2p, stats.max_var_dev) == expected

@@ -73,15 +73,22 @@ def test_draw_budget_guard():
     with pytest.raises(ValueError):
         rng.uniforms(rng.stream_key(1), 0, rng.MAX_DRAWS_PER_PATH)
     with pytest.raises(ValueError):
-        rng.uniforms_at(rng.stream_key(1), rng.path_counter_base(np.arange(2)), rng.MAX_DRAWS_PER_PATH)
+        rng.uniforms_at(rng.stream_key(1), rng.path_counter_base(np.arange(2)), rng.MAX_DRAWS_PER_PATH,
+                        *_block_buffers(2))
+
+
+def _block_buffers(count):
+    return np.empty(count), (np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64))
 
 
 def test_fast_block_path_is_identical():
     key = rng.stream_key(99)
     idx = np.arange(1000, dtype=np.uint64)
     base = rng.path_counter_base(idx)
-    for draw in (0, 1, 511):
-        assert np.array_equal(rng.uniforms(key, idx, draw), rng.uniforms_at(key, base, draw))
+    out, scratch = _block_buffers(1000)
+    for draw in (0, 1, 511):  # the buffers are reused across draws
+        assert rng.uniforms_at(key, base, draw, out, scratch) is out
+        assert np.array_equal(rng.uniforms(key, idx, draw), out)
 
 
 def test_normals_are_standard():

@@ -896,24 +896,27 @@ def _block_sums(values: np.ndarray, power: float = 1.0) -> list[float]:
 
 
 def terminal_statistics(paths: PathCollection | Sequence[PathBundle], p: float) -> TerminalStatistics:
-    """Terminal statistics of an existing collection (mergeable)."""
+    """Terminal statistics of an existing collection (mergeable); a sequence
+    of equal-length bundles is stacked into one collection first."""
     if p < 1.0:
         raise KernelError("p must be >= 1")
-    bundles = list(paths) if not isinstance(paths, PathCollection) else None
-    if bundles is not None and not bundles:
-        raise KernelError("empty collection")
-    if isinstance(paths, PathCollection):
-        if len(paths) == 0:
+    if not isinstance(paths, PathCollection):
+        bundles = list(paths)
+        if not bundles:
             raise KernelError("empty collection")
-        terminal = paths.sums[:, -1].copy()
-        dev = np.abs(paths.variances[:, -1] - 1.0)
-        max_abs = np.max(np.abs(paths.increments), axis=1)
-        total = np.sum(np.abs(paths.increments) ** (2.0 * p), axis=1)
-    else:
-        terminal = np.array([b.terminal for b in bundles])
-        dev = np.abs(np.array([b.terminal_variance for b in bundles]) - 1.0)
-        max_abs = np.array([np.max(np.abs(b.increments)) for b in bundles])
-        total = np.array([np.sum(np.abs(b.increments) ** (2.0 * p)) for b in bundles])
+        paths = PathCollection(
+            kernel_label="bundles",
+            seed=0,
+            increments=np.stack([b.increments for b in bundles]),
+            sums=np.stack([b.sums for b in bundles]),
+            variances=np.stack([b.variances for b in bundles]),
+        )
+    if len(paths) == 0:
+        raise KernelError("empty collection")
+    terminal = paths.sums[:, -1].copy()
+    dev = np.abs(paths.variances[:, -1] - 1.0)
+    max_abs = np.max(np.abs(paths.increments), axis=1)
+    total = np.sum(np.abs(paths.increments) ** (2.0 * p), axis=1)
     return TerminalStatistics(
         p=float(p),
         count=len(terminal),

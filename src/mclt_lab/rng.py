@@ -14,13 +14,11 @@ frozen in the test suite against an independent pure-integer implementation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "mix64",
     "stream_key",
     "uniforms",
-    "normals",
     "MAX_DRAWS_PER_PATH",
     "STREAM_SIMULATION",
     "STREAM_PADDING",
@@ -138,9 +136,3 @@ def uniforms_at(
     np.add(counter_base, np.uint64(draw_part), out=z)
     return _uniforms_into(z, spare, out)
 
-
-def normals(key: np.uint64, path_index, draw_index) -> np.ndarray:
-    """Standard normal variates via the inverse CDF, one word per variate."""
-    # Offset by half an ulp of the 53-bit grid so u lies strictly in (0, 1).
-    u = uniforms(key, path_index, draw_index) + 2.0**-54
-    return ndtri(u)

@@ -8,6 +8,8 @@ residual step of size ``sqrt(1 - <X>_tau - r eps^2)``, and zeros up to the
 fixed length ``N = n + floor(1/eps^2) + 1``.  Each padded step has a
 two-point conditional law, so the moment-domination ratio is available in
 closed form: equality at eps-sized steps, slack at the residual.
+``pad_collection`` pads every path of a collection at once into (count, N)
+matrices, and ``pad_to_unit_variance`` is its one-row case.
 
 ``stop_time_v`` / ``restrict_to_v`` implement the two stopping variants
 (last index with variance <= 1, first with variance >= 1) and check the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .kernels import PathBundle, PathCollection
 
 __all__ = [
     "PaddedPath",
+    "PaddedCollection",
     "check_padding",
     "pad_to_unit_variance",
     "pad_collection",
@@ -77,49 +81,97 @@ class PaddedPath:
         return float(self.padded_variances[-1])
 
 
-def _pad_one(
+@dataclass(frozen=True)
+class PaddedCollection:
+    """Padded paths stored as (count, N) matrices; rows are PaddedPath views."""
+
+    epsilon: float
+    tau: np.ndarray  # (count,) kept original steps
+    pad_count: np.ndarray  # (count,) eps-sized fair-sign steps
+    residual: np.ndarray  # (count,)
+    increments: np.ndarray  # (count, N)
+    step_scales: np.ndarray  # (count, N)
+    original_terminal: np.ndarray  # (count,)
+
+    def __len__(self) -> int:
+        return self.increments.shape[0]
+
+    def __getitem__(self, i: int) -> PaddedPath:
+        return PaddedPath(
+            epsilon=self.epsilon,
+            tau=int(self.tau[i]),
+            pad_count=int(self.pad_count[i]),
+            residual=float(self.residual[i]),
+            total_length=self.increments.shape[1],
+            increments=self.increments[i],
+            step_scales=self.step_scales[i],
+            original_terminal=float(self.original_terminal[i]),
+        )
+
+    def __iter__(self) -> Iterator[PaddedPath]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def terminal_variances(self) -> np.ndarray:
+        """<X'>_N of every path.  Summed left to right, as the cumsum of
+        ``PaddedPath.padded_variances`` does; ``np.sum`` adds pairwise and
+        would round differently."""
+        total = np.zeros(len(self))
+        for column in self.step_scales.T:
+            total += column * column
+        return total
+
+
+def _pad(
     increments: np.ndarray,
     variances: np.ndarray,
     epsilon: float,
-    key: np.uint64,
-    path_index: int,
-) -> PaddedPath:
-    n = len(increments)
+    seed: int,
+    first_path: int,
+) -> PaddedCollection:
+    """Pad every row of a (count, n) path matrix; row j draws its signs from
+    padding stream ``first_path + j``."""
+    count, n = increments.shape
     eps2 = epsilon * epsilon
     budget = math.floor(1.0 / eps2)
-    total_length = n + budget + 1
-    # last index whose running conditional variance is still <= 1
-    le_one = np.flatnonzero(variances <= 1.0)
-    tau = int(le_one[-1])
-    v_tau = float(variances[tau])
-    if v_tau > 1.0:
+    rows = np.arange(count)
+    tau = _stop_indices(variances, SUP_LE_1)
+    v_tau = variances[rows, tau]
+    if np.any(v_tau > 1.0):
         raise AssertionError("internal invariant violation: <X>_tau > 1")
-    r = math.floor((1.0 - v_tau) / eps2)
-    if r > budget:
+    r = np.floor((1.0 - v_tau) / eps2).astype(np.int64)
+    if np.any(r > budget):
         raise AssertionError("internal invariant violation: pad count exceeds budget")
-    residual_sq = 1.0 - v_tau - r * eps2
-    residual = math.sqrt(max(residual_sq, 0.0))
-    signs_u = rng.uniforms(key, path_index, np.arange(r + 1))
-    signs = np.where(signs_u < 0.5, -1.0, 1.0)
-    padded = np.zeros(total_length)
-    padded[:tau] = increments[:tau]
-    padded[tau : tau + r] = epsilon * signs[:r]
-    padded[tau + r] = residual * signs[r]
-    scales = np.zeros(total_length)
+    residual = np.sqrt(np.maximum(1.0 - v_tau - r * eps2, 0.0))
+    # one sign word per pad and one for the residual: path j reads padding
+    # counters 0..r_j of its own stream
+    draws = r + 1
+    ends = np.cumsum(draws)
+    owner = np.repeat(rows, draws)
+    step = np.arange(ends[-1]) - np.repeat(ends - draws, draws)
+    key = rng.stream_key(seed, rng.STREAM_PADDING)
+    signs = np.where(rng.uniforms(key, first_path + owner, step) < 0.5, -1.0, 1.0)
+    magnitude = np.full(ends[-1], epsilon)
+    magnitude[ends - 1] = residual
+    total_length = n + budget + 1
+    padded = np.zeros((count, total_length))
+    scales = np.zeros((count, total_length))
+    kept = np.arange(n) < tau[:, None]
+    np.copyto(padded[:, :n], increments, where=kept)
     # conditional std of the kept original steps is the realized magnitude
     # (every registry law is symmetric two-point given its history)
-    scales[:tau] = np.sqrt(np.diff(variances[: tau + 1]))
-    scales[tau : tau + r] = epsilon
-    scales[tau + r] = residual
-    return PaddedPath(
+    np.sqrt(np.diff(variances, axis=1), out=scales[:, :n], where=kept)
+    cells = (owner, np.repeat(tau, draws) + step)
+    padded[cells] = magnitude * signs
+    scales[cells] = magnitude
+    return PaddedCollection(
         epsilon=float(epsilon),
         tau=tau,
-        pad_count=int(r),
-        residual=float(residual),
-        total_length=total_length,
+        pad_count=r,
+        residual=residual,
         increments=padded,
         step_scales=scales,
-        original_terminal=float(np.sum(increments)),
+        original_terminal=np.sum(increments, axis=1),
     )
 
 
@@ -145,46 +197,42 @@ def pad_to_unit_variance(path: PathBundle, epsilon: float, seed: int, path_index
     surface.
     """
     check_padding(path.n, 1, epsilon)
-    key = rng.stream_key(seed, rng.STREAM_PADDING)
-    return _pad_one(path.increments, path.variances, epsilon, key, path_index)
+    return _pad(path.increments[None, :], path.variances[None, :], epsilon, seed, path_index)[0]
 
 
-def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> list[PaddedPath]:
+def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCollection:
     """Pad every path of a collection; path i uses padding stream i."""
     check_padding(paths.increments.shape[1], len(paths), epsilon)
-    key = rng.stream_key(seed, rng.STREAM_PADDING)
-    return [
-        _pad_one(paths.increments[i], paths.variances[i], epsilon, key, i)
-        for i in range(len(paths))
-    ]
+    return _pad(paths.increments, paths.variances, epsilon, seed, 0)
 
 
-def padding_ratio_report(padded: PaddedPath, rho: float) -> dict:
+def padding_ratio_report(padded: PaddedPath | PaddedCollection, rho: float) -> dict:
     """Moment-domination check for every padded step, in closed form.
 
     A step with conditional std m and a symmetric two-point law has
     ``E|xi|^(2+rho) = m^rho * E[xi^2]``, so the condition at level eps holds
     iff m <= eps, with equality exactly when m == eps.  Zero steps pass
-    vacuously.
+    vacuously.  For a ``PaddedCollection``, ``holds``, ``worst_ratio`` and
+    ``equality_steps`` are arrays with one entry per path.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
+    scales = np.atleast_2d(padded.step_scales)
     eps_rho = padded.epsilon**rho
-    worst = 0.0
-    equality_steps = 0
-    holds = True
-    for m in padded.step_scales:
-        if m == 0.0:
-            continue
-        ratio = m**rho  # E|xi|^(2+rho) / E[xi^2]
-        if ratio > eps_rho * (1.0 + RATIO_TOL):
-            holds = False
-        if ratio == eps_rho:
-            equality_steps += 1
-        worst = max(worst, ratio / eps_rho)
+    # m**rho (= E|xi|^(2+rho) / E[xi^2]) in Python floats, once per distinct
+    # scale: np.power can differ from it in the last ulp
+    values = np.unique(scales)
+    powers = np.array([m**rho for m in values.tolist()])
+    cell = np.searchsorted(values, scales)
+    holds = ~(powers > eps_rho * (1.0 + RATIO_TOL))[cell].any(axis=1)
+    equality_steps = np.count_nonzero((powers == eps_rho)[cell], axis=1)
+    # a NaN scale (from a variance dip in the kept steps) fails no comparison
+    worst_ratio = np.fmax.reduce((powers / eps_rho)[cell], axis=1, initial=0.0)
+    if isinstance(padded, PaddedPath):
+        holds, worst_ratio, equality_steps = bool(holds[0]), worst_ratio[0], int(equality_steps[0])
     return {
         "holds": holds,
-        "worst_ratio": worst,
+        "worst_ratio": worst_ratio,
         "equality_steps": equality_steps,
         "epsilon": padded.epsilon,
         "rho": rho,

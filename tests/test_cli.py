@@ -1,5 +1,7 @@
 """End-to-end harness behavior: configs, outputs, exit codes, reproducibility."""
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -259,6 +261,50 @@ def test_transforms_check_undersized_epsilon_fails(tmp_path):
     out = tmp_path / "fails"
     assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
     assert not (out / "series.csv").exists()
+
+
+TRANSFORMS_PINNED = {
+    "kind": "transforms-check",
+    "kernel": {"name": "variance_drift", "params": {"d": 0.2}},
+    "grid": [{"n": 64}],
+    "count": 2000,
+    "seed": 11,
+}
+
+
+@pytest.mark.parametrize("rho, series_sha, records_sha", [
+    (1.0, "4249e56761f58fc6845b9b6c63fcc0afbbc66802489650c5ca1c97c45e8fc56e",
+     "1ad390114db729cbea7d71695d96a69fa9fc4a9b0956a351d1e40d223191c5d7"),
+    (1.5, "014de56989c3cbefb7636a4b53f1af3edc61eec6ee6a273137382b9adb21d12b",
+     "76a18d7ede1be48763f813b1c3e14004716bc4a7c062636aac64981bcf9ff566"),
+])
+def test_transforms_check_bytes_are_pinned(tmp_path, rho, series_sha, records_sha):
+    cfg = write_config(tmp_path, {**TRANSFORMS_PINNED, "rho": rho})
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == series_sha
+    records = json.loads((out / "manifest.json").read_text())["records"]
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == records_sha
+
+
+def test_transforms_check_undersized_epsilon_message(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {**TRANSFORMS_PINNED, "rho": 1.0, "epsilon": 0.1})
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+    # the first failing path's worst ratio; the largest over all paths ends in ...169
+    assert capsys.readouterr().err == (
+        "invariant violation: padded step violated the moment-domination ratio at "
+        "eps=0.1 (worst ratio 1.3693063937629153)\n"
+    )
+    # with both checks failing, the unit-variance check reports first
+    pad = cli.pad_collection
+
+    def inflated(*args):
+        padded = pad(*args)
+        return dataclasses.replace(padded, step_scales=1.5 * padded.step_scales)
+
+    monkeypatch.setattr(cli, "pad_collection", inflated)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+    assert "padded terminal variance missed 1" in capsys.readouterr().err
 
 
 def test_plot_data(tmp_path):

@@ -1,5 +1,6 @@
 """Kernel registry, simulation determinism, and terminal statistics."""
 
+import dataclasses
 import math
 import sys
 
@@ -114,6 +115,16 @@ def test_terminal_statistics_merge_matches_pooled():
     assert merged.sum_var_dev_p == pytest.approx(pooled.sum_var_dev_p, abs=1e-12)
     assert merged.sum_max_inc_2p == pytest.approx(pooled.sum_max_inc_2p, abs=1e-12)
     assert merged.max_var_dev == pooled.max_var_dev
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_terminal_statistics_of_bundles_equal_the_collection(p):
+    paths = sample_paths(m.make_kernel("variance_drift", n=32, d=0.3), seed=6, count=150)
+    from_bundles = terminal_statistics(list(paths), p=p)
+    from_collection = terminal_statistics(paths, p=p)
+    for field in dataclasses.fields(from_collection):
+        a, b = getattr(from_bundles, field.name), getattr(from_collection, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_empty_collection_rejected():

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclt_lab as m
-from mclt_lab import kernels
+from mclt_lab import kernels, rng
 from mclt_lab.kernels import PathBundle, PathCollection, sample_paths
 from mclt_lab.transforms import (
     INF_GE_1,
+    RATIO_TOL,
     SUP_LE_1,
     pad_collection,
     pad_to_unit_variance,
@@ -131,6 +132,144 @@ def test_padding_invariants_random_variance_paths(steps, eps100, seed):
     assert p.total_length == b.n + math.floor(1.0 / eps**2) + 1
     # increments beyond tau + r + 1 are literal zeros
     assert np.all(p.increments[p.tau + p.pad_count + 1 :] == 0.0)
+
+
+def _reference_pad(increments, variances, epsilon, seed, path_index):
+    """One path padded step by step: the reference the matrix padding must equal."""
+    n = len(increments)
+    eps2 = epsilon * epsilon
+    budget = math.floor(1.0 / eps2)
+    tau = int(np.flatnonzero(variances <= 1.0)[-1])
+    v_tau = float(variances[tau])
+    r = math.floor((1.0 - v_tau) / eps2)
+    residual = math.sqrt(max(1.0 - v_tau - r * eps2, 0.0))
+    key = rng.stream_key(seed, rng.STREAM_PADDING)
+    signs = np.where(rng.uniforms(key, path_index, np.arange(r + 1)) < 0.5, -1.0, 1.0)
+    padded = np.zeros(n + budget + 1)
+    padded[:tau] = increments[:tau]
+    padded[tau : tau + r] = epsilon * signs[:r]
+    padded[tau + r] = residual * signs[r]
+    scales = np.zeros(n + budget + 1)
+    scales[:tau] = np.sqrt(np.diff(variances[: tau + 1]))
+    scales[tau : tau + r] = epsilon
+    scales[tau + r] = residual
+    terminal_variance = 0.0
+    for s in scales.tolist():
+        terminal_variance += s * s
+    return {
+        "tau": tau,
+        "pad_count": r,
+        "residual": residual,
+        "increments": padded,
+        "step_scales": scales,
+        "original_terminal": float(np.sum(increments)),
+        "terminal_variance": terminal_variance,
+    }
+
+
+def _reference_ratio(step_scales, epsilon, rho):
+    """The per-step moment-ratio loop: (holds, worst_ratio, equality_steps)."""
+    eps_rho = epsilon**rho
+    worst, equality_steps, holds = 0.0, 0, True
+    for m in step_scales:
+        if m == 0.0:
+            continue
+        ratio = m**rho
+        if ratio > eps_rho * (1.0 + RATIO_TOL):
+            holds = False
+        if ratio == eps_rho:
+            equality_steps += 1
+        worst = max(worst, ratio / eps_rho)
+    return holds, worst, equality_steps
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_padding_matches_reference(paths, epsilon, seed, rhos):
+    padded = pad_collection(paths, epsilon, seed)
+    assert len(padded) == len(paths)
+    reports = {rho: padding_ratio_report(padded, rho) for rho in rhos}
+    totals = padded.terminal_variances
+    for i, bundle in enumerate(paths):
+        ref = _reference_pad(bundle.increments, bundle.variances, epsilon, seed, i)
+        for row in (padded[i], pad_to_unit_variance(bundle, epsilon, seed, path_index=i)):
+            assert (row.tau, row.pad_count) == (ref["tau"], ref["pad_count"])
+            assert _bits(row.residual) == _bits(ref["residual"])
+            assert _bits(row.increments) == _bits(ref["increments"])
+            assert _bits(row.step_scales) == _bits(ref["step_scales"])
+            assert _bits(row.original_terminal) == _bits(ref["original_terminal"])
+            assert _bits(row.terminal_variance) == _bits(ref["terminal_variance"])
+        assert _bits(totals[i]) == _bits(ref["terminal_variance"])
+        for rho, report in reports.items():
+            holds, worst, equality_steps = _reference_ratio(ref["step_scales"], epsilon, rho)
+            single = padding_ratio_report(padded[i], rho)
+            assert report["holds"][i] == single["holds"] == holds
+            assert _bits(report["worst_ratio"][i]) == _bits(single["worst_ratio"]) == _bits(worst)
+            assert report["equality_steps"][i] == single["equality_steps"] == equality_steps
+    return padded, reports
+
+
+_DRIFT = m.make_kernel("variance_drift", n=64, d=0.2)
+_TABLE = m.make_kernel("table", steps=[
+    {"values": [-0.6, 0.6], "probs": [0.5, 0.5]},
+    {"values": [-0.5, 0.0, 0.5], "probs": [0.2, 0.6, 0.2]},
+    {"values": [-0.7, 0.7], "probs": [0.5, 0.5]},
+    {"values": [-0.2, 0.4], "probs": [2.0 / 3.0, 1.0 / 3.0]},
+])
+
+
+@pytest.mark.parametrize("kernel, epsilon, all_hold", [
+    (_DRIFT, _DRIFT.certified_epsilon(1.0), True),
+    (_DRIFT, 0.8 * _DRIFT.certified_epsilon(1.0), False),  # kept steps exceed eps
+    (m.make_kernel("iid_rademacher", n=16), 0.25, True),  # <X>_n = 1 exactly: no pads
+    (m.make_kernel("three_point", n=10, b=0.4, q=0.3), 0.4, True),
+    (_TABLE, 0.2, False),
+], ids=["drift", "drift_undersized", "rademacher", "three_point", "table"])
+def test_matrix_padding_matches_per_path_reference(kernel, epsilon, all_hold):
+    paths = sample_paths(kernel, seed=31, count=300)
+    padded, reports = _assert_padding_matches_reference(paths, epsilon, 31, (1.0, 1.5, 0.7))
+    if kernel.label.startswith("iid_rademacher"):
+        assert not padded.pad_count.any()
+    for report in reports.values():
+        assert report["holds"].all() == all_hold
+
+
+@settings(max_examples=40)
+@given(
+    rows=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=1, max_value=25),
+    eps100=st.integers(min_value=5, max_value=50),
+    rho=st.one_of(st.sampled_from([1.0, 1.5, 0.7]), st.floats(min_value=0.05, max_value=3.0)),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_matrix_padding_matches_reference_on_random_variance_paths(rows, n, eps100, rho, seed, data):
+    # steps of 1/16 and 1/4 land <X> exactly on 1 and put kept scales at eps
+    step = st.one_of(st.floats(min_value=0.0, max_value=0.2), st.sampled_from([0.0, 0.0625, 0.25]))
+    variances = np.cumsum(
+        [[0.0] + data.draw(st.lists(step, min_size=n, max_size=n)) for _ in range(rows)], axis=1
+    )
+    signs = np.where(np.arange(rows * n).reshape(rows, n) % 3 == 0, -1.0, 1.0)
+    increments = signs * np.sqrt(np.diff(variances, axis=1))
+    sums = np.concatenate([np.zeros((rows, 1)), np.cumsum(increments, axis=1)], axis=1)
+    paths = PathCollection(kernel_label="rows", seed=0, increments=increments,
+                           sums=sums, variances=variances)
+    _assert_padding_matches_reference(paths, eps100 / 100.0, seed, (rho,))
+
+
+def test_padding_with_a_variance_dip_matches_reference():
+    # a dip of 4e-13 is accepted; its kept step scale is NaN and the ratio
+    # check skips it, as the per-step loop does
+    variances = np.array([[0.0, 0.5, 0.5 - 4e-13, 0.8], [0.0, 0.2, 0.4, 0.6]])
+    increments = np.diff(variances, axis=1)
+    paths = PathCollection(kernel_label="rows", seed=0, increments=increments,
+                           sums=np.cumsum(variances, axis=1), variances=variances)
+    with np.errstate(invalid="ignore"):
+        padded, reports = _assert_padding_matches_reference(paths, 0.25, 4, (1.0, 0.7))
+    assert np.isnan(padded.step_scales[0, 1])
+    assert reports[1.0]["worst_ratio"][0] > 0.0
 
 
 def test_stop_time_examples():

@@ -602,18 +602,37 @@ class TerminalStatistics:
 # simulation engine
 
 
+#: No 53-bit word reaches it: ``rng.uniforms_at`` words are ``w >> 11``.
+_WORD_LIMIT = 2.0**53
+
+
+def _word_thresholds(c) -> np.ndarray:
+    """Integer thresholds ``T(c) = min(ceil(c * 2**53), 2**53)`` (uint64) of
+    cumulative probabilities ``c >= 0``.
+
+    For a 53-bit word ``w`` and its uniform ``u = w * 2**-53``, ``w >= T(c)``
+    exactly when ``u >= c``: ``c * 2**53`` and its ceiling are exact floats.
+    An inf or NaN threshold, or one above 1, becomes ``2**53``, which no word
+    reaches, just as no uniform reaches it.
+    """
+    t = np.ceil(np.asarray(c, dtype=float) * _WORD_LIMIT)
+    return np.where(t < _WORD_LIMIT, t, _WORD_LIMIT).astype(np.uint64)
+
+
 @dataclass(frozen=True)
 class _StepTable:
     """The regime laws of one step, flattened for selection by gathers.
 
-    Path i takes the flat atom ``regime_i * width + j_i`` with
-    ``j = sum_s (u >= thresholds[s])`` over the first ``width - 1``
-    cumulative probabilities: the ``searchsorted(side="right")`` inverse CDF
+    Path i takes the flat atom ``regime_i * width + j_i``, where ``j`` counts
+    the thresholds its 53-bit word ``w`` reaches: ``j = sum_s (w >= T_s)``
+    with ``T_s = _word_thresholds(c_s)`` for the first ``width - 1``
+    cumulative probabilities ``c_s``.  That is the
+    ``searchsorted(side="right")`` inverse CDF of the uniform ``w * 2**-53``
     clipped to the last atom, so a uniform equal to a cumulative probability
-    selects the upper atom.  A threshold is a float when every regime shares
-    it and a per-regime array otherwise; a narrower support gets ``inf``
-    thresholds, so its padding atoms are never selected.  A single
-    sampled-mode law carries its ``sampler`` instead.
+    selects the upper atom.  A threshold is a uint64 scalar when every regime
+    shares it and a per-regime array otherwise; a narrower support gets
+    ``inf`` thresholds, so its padding atoms are never selected.  A single
+    sampled-mode law carries its ``sampler`` instead and draws float uniforms.
     """
 
     regimes: int
@@ -622,17 +641,20 @@ class _StepTable:
     values: np.ndarray | None = None
     m2: np.ndarray | float = 0.0  # per flat atom; a float for one regime
     pow2p: np.ndarray | None = None  # |value|^(2p) per flat atom
+    # the |value| of every atom of a single-regime table whose atoms share one
+    abs_value: float | None = None
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def select(self, u, regime, idx, flag, scratch) -> None:
-        """Write the flat atom index of every path into ``idx`` (intp)."""
+    def select(self, words, regime, idx, flag, scratch) -> None:
+        """Write the flat atom index of every path into ``idx`` (intp);
+        ``scratch`` (uint64) receives per-regime threshold gathers."""
         if not self.thresholds:
             idx.fill(0)
         for s, c in enumerate(self.thresholds):
             if isinstance(c, np.ndarray):
                 np.take(c, regime, out=scratch, mode="clip")
                 c = scratch
-            np.greater_equal(u, c, out=flag if s else idx)
+            np.greater_equal(words, c, out=flag if s else idx)
             if s:
                 np.add(idx, flag, out=idx)
         if self.regimes > 1:
@@ -660,17 +682,20 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
         values[r, :k] = dist._values_arr
     values = values.ravel()
     m2 = np.repeat([dist._m2_cached for dist in laws], width)
+    abs_values = np.abs(values)
+    shared = len(laws) == 1 and bool(np.all(abs_values == abs_values[0]))
     return _StepTable(
         regimes=len(laws),
         width=width,
         thresholds=tuple(
-            float(col[0]) if np.all(col == col[0]) else col for col in cum.T
+            col[0] if np.all(col == col[0]) else col for col in _word_thresholds(cum).T
         ),
         values=values,
         m2=float(m2[0]) if len(laws) == 1 else m2,
         # elementwise the same floats as np.abs(xi) ** (2.0 * p) on the
         # drawn increments
-        pow2p=np.abs(values) ** (2.0 * p),
+        pow2p=abs_values ** (2.0 * p),
+        abs_value=float(abs_values[0]) if shared else None,
     )
 
 
@@ -697,30 +722,41 @@ class _PathOutputs:
 
 
 def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
-    """Simulate paths ``start .. start + count - 1`` into the rows of ``out``.
+    """Simulate paths ``start .. start + count - 1`` into the rows of ``out``,
+    whose ``variance``, ``max_abs`` and ``total_2p`` rows are zero on entry.
 
     Every buffer is allocated once per chunk and each step runs in place:
-    uniforms, table selection, gathers of the increment, its conditional
-    variance and |xi|^(2p), then the kernel's state update.
+    the 53-bit words (float uniforms for a sampled law), table selection,
+    gathers of the increment, its conditional variance and |xi|^(2p), then
+    the kernel's state update.  Accumulators that are the same on every path
+    stay Python floats, added in the same order and written out once: <X>
+    while every step so far had one regime, and max |xi| over the steps
+    whose atoms share one |value|.
     """
     n = kernel.n
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
     X, V, max_abs, total_2p = out.terminal, out.variance, out.max_abs, out.total_2p
     u = np.empty(count)
+    words = u.view(np.uint64)  # an exact table selects on words, a sampler on u
     xi = np.empty(count)
-    words = (np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64))
-    # the selection indices reuse the RNG scratch, which is free once u is
-    # drawn, and the gathers reuse u, which is free once xi is selected
-    idx, flag = (w.view(np.intp) for w in words)
+    scratch = (np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64))
+    # the selection indices reuse the RNG scratch, which is free once the
+    # words are drawn; per-regime thresholds are gathered into xi before it
+    # is selected, and the later gathers reuse u, which is free by then
+    idx, flag = (w.view(np.intp) for w in scratch)
+    regime_thresholds = xi.view(np.uint64)
     gathered = u
+    v_acc: float | None = 0.0  # <X>; None once it differs between paths
+    m_acc = 0.0  # max |xi| over the steps whose atoms share one |value|
     tables: dict[tuple, _StepTable] = {}
     state = kernel.batch_init(count)
     for step in range(1, n + 1):
-        rng.uniforms_at(key, ctr_base, step - 1, out=u, scratch=words)
         laws = kernel.step_regimes(step)
         table = tables.get(laws)
         if table is None:
             table = tables[laws] = _step_table(step, laws, p)
+        rng.uniforms_at(key, ctr_base, step - 1, out=words if table.sampler is None else u,
+                        scratch=scratch)
         regime = kernel.batch_regime(step, state)
         for t, mom in out.moments.items():
             moments = [dist.moment(t) for dist in laws]
@@ -728,22 +764,46 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
         if table.sampler is not None:
             xi[:] = table.sampler(u)
         else:
-            table.select(u, regime, idx, flag, xi)
+            table.select(words, regime, idx, flag, regime_thresholds)
             np.take(table.values, idx, out=xi, mode="clip")
         if X is not None:
             X += xi
-        V += table.m2 if table.regimes == 1 else np.take(table.m2, idx, out=gathered, mode="clip")
+        v_acc = _accumulate(v_acc, V, table.m2 if table.regimes == 1
+                            else np.take(table.m2, idx, out=gathered, mode="clip"))
         if out.increments is not None:
             out.increments[:, step - 1] = xi
-            out.variances[:, step] = V
+            out.variances[:, step] = V if v_acc is None else v_acc
         if max_abs is not None:
-            np.maximum(max_abs, np.abs(xi, out=gathered), out=max_abs)
+            if table.abs_value is not None:
+                m_acc = max(m_acc, table.abs_value)
+            else:
+                np.maximum(max_abs, np.abs(xi, out=gathered), out=max_abs)
         if total_2p is not None:
             if table.sampler is not None:
                 total_2p += np.abs(xi) ** (2.0 * p)
             else:
                 total_2p += np.take(table.pow2p, idx, out=gathered, mode="clip")
         state = kernel.batch_advance(step, state, xi, regime)
+    if v_acc is not None:
+        V += v_acc
+    if max_abs is not None:
+        np.maximum(max_abs, m_acc, out=max_abs)
+
+
+def _accumulate(acc: float | None, per_path: np.ndarray, value) -> float | None:
+    """Add ``value`` (a float for every path, or one per path) to the running
+    sums ``acc`` or ``per_path`` and return the new ``acc``.
+
+    While ``acc`` is a float, ``per_path`` is still zero and every path's sum
+    is ``acc``, so a float is added to ``acc`` alone.  A per-path value first
+    moves ``acc`` into ``per_path``; from then on ``acc`` is None.
+    """
+    if acc is not None:
+        if isinstance(value, float):
+            return acc + value
+        per_path += acc
+    per_path += value
+    return None
 
 
 def _chunks(count: int, chunk_size: int):

@@ -84,10 +84,14 @@ def _uniforms_into(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.nd
     """The word -> uniform core, in place.
 
     ``z`` holds the keyed counters ``key + counter * golden`` and is consumed;
-    ``scratch`` is a uint64 buffer of the same shape and ``out`` receives the
-    uniforms on the 53-bit grid of [0, 1).
+    ``scratch`` is a uint64 buffer of the same shape.  A float64 ``out``
+    receives the uniforms on the 53-bit grid of [0, 1); a uint64 ``out``
+    receives the 53-bit words ``w >> 11`` themselves, the uniforms times
+    ``2**53``.
     """
     _mix_into(z, scratch)
+    if out.dtype == np.uint64:
+        return np.right_shift(z, _S11, out=out)
     np.right_shift(z, _S11, out=z)
     np.multiply(z, 2.0**-53, out=out)  # exact: every word is below 2**53
     return out
@@ -124,9 +128,11 @@ def uniforms_at(
     draw_index)`` with ``counter_base = path_counter_base(paths)``, written
     into and returned as ``out``.
 
-    ``out`` (float64) and ``scratch`` (two uint64 buffers), each shaped like
+    ``out`` and ``scratch`` (two uint64 buffers), each shaped like
     ``counter_base``, let a loop draw every step without allocating; the
-    scratch buffers hold no result and may be reused between calls.
+    scratch buffers hold no result and may be reused between calls.  A
+    float64 ``out`` receives the uniforms, a uint64 one their 53-bit words
+    (``u * 2**53``, see ``_uniforms_into``).
     """
     _check_draws(draw_index)
     z, spare = scratch

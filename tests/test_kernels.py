@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclt_lab as m
-from mclt_lab import oracles, rng
+from mclt_lab import kernels, oracles, rng
 from mclt_lab.kernels import (
     ConditionalKernel,
     InvalidKernelError,
@@ -18,6 +18,7 @@ from mclt_lab.kernels import (
     StepDistribution,
     TableKernel,
     VarianceDriftKernel,
+    _word_thresholds,
     conditional_moment,
     conditional_moment_sampled,
     rademacher_two_point,
@@ -284,12 +285,13 @@ def _reference_paths(kernel, seed, count):
 
 
 class _SignSwitchKernel(ConditionalKernel):
-    """Two regimes with different supports and thresholds, chosen by sign(X)."""
+    """Two regimes with different supports and thresholds, chosen by sign(X);
+    the first ``fixed_steps`` steps take the first regime on every path."""
 
-    label = "sign_switch"
-
-    def __init__(self, n):
+    def __init__(self, n, fixed_steps=0):
         self.n = n
+        self.fixed_steps = fixed_steps
+        self.label = "sign_switch_late" if fixed_steps else "sign_switch"
         self.regimes = (
             StepDistribution(values=(-1.0, 0.0, 1.0), probs=(0.25, 0.5, 0.25)),
             StepDistribution(values=(-0.7, 0.3), probs=(0.3, 0.7)),
@@ -302,15 +304,17 @@ class _SignSwitchKernel(ConditionalKernel):
         return state + value
 
     def law_from_state(self, step, state):
-        return self.regimes[0 if state >= 0.0 else 1]
+        return self.regimes[0 if step <= self.fixed_steps or state >= 0.0 else 1]
 
     def step_regimes(self, step):
-        return self.regimes
+        return self.regimes[:1] if step <= self.fixed_steps else self.regimes
 
     def batch_init(self, count):
         return np.zeros(count)
 
     def batch_regime(self, step, batch_state):
+        if step <= self.fixed_steps:
+            return None
         return (batch_state < 0.0).astype(np.intp)
 
     def batch_advance(self, step, batch_state, increments, regime):
@@ -332,7 +336,28 @@ REFERENCE_KERNELS = [
         {"values": [-2.0, 1.0], "probs": [1.0 / 3.0, 2.0 / 3.0]},
     ]),
     _SignSwitchKernel(n=14),
+    _SignSwitchKernel(n=14, fixed_steps=3),  # <X> is path-invariant up to step 3
+    # the engine keeps <X> (one regime throughout) and max |xi| as scalars
+    # over the steps whose atoms share one |value|: one |value| (scalar), a 0
+    # atom among others (per path), the degenerate {0} and the first step
+    # twice (scalar again); sum |xi|^(2p) is added path by path throughout
+    TableKernel([
+        StepDistribution(values=(-0.8, 0.8), probs=(0.5, 0.5)),
+        StepDistribution(values=(-0.3, 0.0, 0.3), probs=(0.3, 0.4, 0.3)),
+        StepDistribution(values=(0.0,), probs=(1.0,)),
+        StepDistribution(values=(-0.8, 0.8), probs=(0.5, 0.5)),
+        StepDistribution(values=(-0.8, 0.8), probs=(0.5, 0.5)),
+    ], label="hoist_switch"),
 ]
+
+
+def _reference_sums(increments, p):
+    """Per-path max |xi| and sum |xi|^(2p) of reference increments."""
+    absinc = np.abs(increments)
+    total_2p = np.zeros(len(increments))
+    for j in range(increments.shape[1]):  # the engine's step order
+        total_2p += absinc[:, j] ** (2.0 * p)
+    return absinc.max(axis=1), total_2p
 
 
 @pytest.mark.parametrize("kernel", REFERENCE_KERNELS, ids=lambda k: k.label.split("(")[0])
@@ -346,6 +371,51 @@ def test_engine_matches_scalar_reference(kernel):
         stats = sample_terminal(kernel, 8, count, chunk_size=chunk_size, threads=threads)
         assert np.array_equal(stats.terminal, terminal)
         assert np.array_equal(stats.terminal, paths.sums[:, -1])
+    dev = np.abs(variances[:, -1] - 1.0)
+    for p in (1.0, 1.5):
+        max_abs, total_2p = _reference_sums(increments, p)
+        # the per-path sums of one chunk: the pooled sums below can hide an
+        # ulp of difference on a few paths
+        out = kernels._PathOutputs(terminal=np.zeros(count), variance=np.zeros(count),
+                                   max_abs=np.zeros(count), total_2p=np.zeros(count))
+        kernels._simulate_chunk(kernel, rng.stream_key(8, rng.STREAM_SIMULATION), 0, count, out, p)
+        for got, want in zip((out.terminal, out.variance, out.max_abs, out.total_2p),
+                             (terminal, variances[:, -1], max_abs, total_2p)):
+            assert np.array_equal(got, want)
+        expected = (float(np.sum(dev**p)), float(np.sum(dev ** (2.0 * p))),
+                    float(np.sum(max_abs ** (2.0 * p))), float(np.sum(total_2p)), float(np.max(dev)))
+        for chunk_size, threads in ((1 << 16, 1), (37, 2)):
+            stats = sample_terminal(kernel, 8, count, p=p, with_sum_inc=True,
+                                    chunk_size=chunk_size, threads=threads)
+            assert np.array_equal(stats.terminal, terminal)
+            assert (stats.sum_var_dev_p, stats.sum_var_dev_2p, stats.sum_max_inc_2p,
+                    stats.sum_total_inc_2p, stats.max_var_dev) == expected
+
+
+def _nudged(k: int) -> st.SearchStrategy:
+    c = k * 2.0**-53
+    return st.sampled_from([c, float(np.nextafter(c, -math.inf)), float(np.nextafter(c, math.inf))])
+
+
+@settings(max_examples=300)
+@given(
+    c=st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2.0**-52, math.inf, math.nan]),
+        st.integers(min_value=1, max_value=1 << 53).flatmap(_nudged),
+        st.floats(min_value=0.0, max_value=2.0),
+    ),
+    random_words=st.lists(st.integers(min_value=0, max_value=(1 << 53) - 1), max_size=8),
+)
+def test_word_thresholds_decide_like_the_uniforms(c, random_words):
+    # the engine selects on words w >= T(c); the uniforms it stands for are
+    # u = w * 2**-53, and u >= c is the inverse-CDF decision
+    threshold = _word_thresholds(c)
+    t = int(threshold)
+    assert 0 <= t <= 1 << 53
+    candidates = [t - 1, t, t + 1, 0, (1 << 53) - 1, *random_words]
+    words = [w for w in candidates if 0 <= w < 1 << 53]
+    got = np.greater_equal(np.array(words, dtype=np.uint64), threshold)
+    assert got.tolist() == [w * 2.0**-53 >= c for w in words]
 
 
 def test_uniform_on_a_cumulative_probability_selects_the_upper_atom():

@@ -87,9 +87,14 @@ def test_fast_block_path_is_identical():
     idx = np.arange(1000, dtype=np.uint64)
     base = rng.path_counter_base(idx)
     out, scratch = _block_buffers(1000)
+    words = np.empty(1000, dtype=np.uint64)
     for draw in (0, 1, 511):  # the buffers are reused across draws
         assert rng.uniforms_at(key, base, draw, out, scratch) is out
         assert np.array_equal(rng.uniforms(key, idx, draw), out)
+        # a uint64 out receives the 53-bit words of the same uniforms
+        assert rng.uniforms_at(key, base, draw, words, scratch) is words
+        assert words.max() < 1 << 53
+        assert np.array_equal(words * 2.0**-53, out)
 
 
 def test_normals_are_standard():

@@ -154,9 +154,13 @@ def _walk(kernel: ConditionalKernel, key, visit=None) -> list[float]:
 def _walk_epsilon(kernel: ConditionalKernel, rho: float) -> list[float]:
     """Worst per-step ratio over all reachable histories (state-deduplicated)."""
     per_step = [0.0] * kernel.n
+    ratios: dict[StepDistribution, float] = {}  # one ratio per distinct law
 
     def visit(step, dist):
-        per_step[step - 1] = max(per_step[step - 1], _ratio(dist, rho))
+        ratio = ratios.get(dist)
+        if ratio is None:
+            ratio = ratios[dist] = _ratio(dist, rho)
+        per_step[step - 1] = max(per_step[step - 1], ratio)
 
     _walk(kernel, lambda state, acc: kernel.state_key(state), visit)
     return per_step

@@ -118,6 +118,9 @@ class StepDistribution:
             return None
         if len(self.values) != len(self.probs) or not self.values:
             return "support and probability lists disagree or are empty"
+        # NaN fails every comparison below, so it has to be refused here
+        if not all(math.isfinite(x) for x in (*self.values, *self.probs)):
+            return "non-finite value or probability"
         if any(p < 0 for p in self.probs):
             return "negative probability"
         total = math.fsum(self.probs)
@@ -602,8 +605,10 @@ class TerminalStatistics:
 # simulation engine
 
 
-#: No 53-bit word reaches it: ``rng.uniforms_at`` words are ``w >> 11``.
+#: No 53-bit word ``w >> 11`` of a mixed 64-bit word ``w`` reaches it.
 _WORD_LIMIT = 2.0**53
+_SHIFT = np.uint64(11)
+_SIGN = np.uint64(1 << 63)
 
 
 def _word_thresholds(c) -> np.ndarray:
@@ -633,6 +638,12 @@ class _StepTable:
     shares it and a per-regime array otherwise; a narrower support gets
     ``inf`` thresholds, so its padding atoms are never selected.  A single
     sampled-mode law carries its ``sampler`` instead and draws float uniforms.
+
+    A single fair law +-a (``T_0 = 2**52``, atoms that differ only in the
+    sign bit) selects without a gather: its second atom is taken exactly when
+    ``(z >> 11) >= 2**52`` for the raw 64-bit word ``z``, that is when the
+    sign bit of ``z`` is set, so the increment's bits are
+    ``sign_base ^ (z & 2**63)`` with ``sign_base`` the bits of the first atom.
     """
 
     regimes: int
@@ -644,10 +655,20 @@ class _StepTable:
     # the |value| of every atom of a single-regime table whose atoms share one
     abs_value: float | None = None
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
+    sign_base: np.uint64 | None = None  # the first atom's bits, fair law only
 
-    def select(self, words, regime, idx, flag, scratch) -> None:
-        """Write the flat atom index of every path into ``idx`` (intp);
-        ``scratch`` (uint64) receives per-regime threshold gathers."""
+    def draw(self, words, regime, idx, flag, scratch, xi) -> None:
+        """Write the increments that the raw words ``words`` (uint64,
+        consumed) select into ``xi``, and the flat atom index of every path
+        into ``idx`` (intp), except for a fair law: its atoms share one
+        |value|, so no later gather needs the index.  ``scratch`` (uint64)
+        receives per-regime threshold gathers."""
+        if self.sign_base is not None:
+            bits = xi.view(np.uint64)
+            np.bitwise_and(words, _SIGN, out=bits)
+            np.bitwise_xor(bits, self.sign_base, out=bits)
+            return
+        np.right_shift(words, _SHIFT, out=words)
         if not self.thresholds:
             idx.fill(0)
         for s, c in enumerate(self.thresholds):
@@ -660,6 +681,7 @@ class _StepTable:
         if self.regimes > 1:
             np.multiply(regime, self.width, out=flag, dtype=np.intp)
             np.add(idx, flag, out=idx)
+        np.take(self.values, idx, out=xi, mode="clip")
 
 
 def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _StepTable:
@@ -684,18 +706,25 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
     m2 = np.repeat([dist._m2_cached for dist in laws], width)
     abs_values = np.abs(values)
     shared = len(laws) == 1 and bool(np.all(abs_values == abs_values[0]))
+    thresholds = tuple(
+        col[0] if np.all(col == col[0]) else col for col in _word_thresholds(cum).T
+    )
+    sign_base = None
+    if len(laws) == 1 and width == 2 and thresholds[0] == 1 << 52:
+        first, second = values.view(np.uint64)
+        if first ^ second == _SIGN:
+            sign_base = first
     return _StepTable(
         regimes=len(laws),
         width=width,
-        thresholds=tuple(
-            col[0] if np.all(col == col[0]) else col for col in _word_thresholds(cum).T
-        ),
+        thresholds=thresholds,
         values=values,
         m2=float(m2[0]) if len(laws) == 1 else m2,
         # elementwise the same floats as np.abs(xi) ** (2.0 * p) on the
         # drawn increments
         pow2p=abs_values ** (2.0 * p),
         abs_value=float(abs_values[0]) if shared else None,
+        sign_base=sign_base,
     )
 
 
@@ -726,11 +755,11 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
     whose ``variance``, ``max_abs`` and ``total_2p`` rows are zero on entry.
 
     Every buffer is allocated once per chunk and each step runs in place:
-    the 53-bit words (float uniforms for a sampled law), table selection,
-    gathers of the increment, its conditional variance and |xi|^(2p), then
-    the kernel's state update.  Accumulators that are the same on every path
-    stay Python floats, added in the same order and written out once: <X>
-    while every step so far had one regime, and max |xi| over the steps
+    the raw 64-bit words (float uniforms for a sampled law), table selection
+    of the increment, gathers of its conditional variance and |xi|^(2p),
+    then the kernel's state update.  Accumulators that are the same on every
+    path stay Python floats, added in the same order and written out once:
+    <X> while every step so far had one regime, and max |xi| over the steps
     whose atoms share one |value|.
     """
     n = kernel.n
@@ -764,8 +793,7 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
         if table.sampler is not None:
             xi[:] = table.sampler(u)
         else:
-            table.select(words, regime, idx, flag, regime_thresholds)
-            np.take(table.values, idx, out=xi, mode="clip")
+            table.draw(words, regime, idx, flag, regime_thresholds, xi)
         if X is not None:
             X += xi
         v_acc = _accumulate(v_acc, V, table.m2 if table.regimes == 1
@@ -781,6 +809,8 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
         if total_2p is not None:
             if table.sampler is not None:
                 total_2p += np.abs(xi) ** (2.0 * p)
+            elif table.abs_value is not None:
+                total_2p += table.pow2p[0]
             else:
                 total_2p += np.take(table.pow2p, idx, out=gathered, mode="clip")
         state = kernel.batch_advance(step, state, xi, regime)

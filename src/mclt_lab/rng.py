@@ -84,16 +84,13 @@ def _uniforms_into(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.nd
     """The word -> uniform core, in place.
 
     ``z`` holds the keyed counters ``key + counter * golden`` and is consumed;
-    ``scratch`` is a uint64 buffer of the same shape.  A float64 ``out``
-    receives the uniforms on the 53-bit grid of [0, 1); a uint64 ``out``
-    receives the 53-bit words ``w >> 11`` themselves, the uniforms times
-    ``2**53``.
+    ``scratch`` is a uint64 buffer of the same shape.  The float64 ``out``
+    receives the uniforms ``(w >> 11) * 2**-53`` of the mixed words ``w``, on
+    the 53-bit grid of [0, 1).
     """
     _mix_into(z, scratch)
-    if out.dtype == np.uint64:
-        return np.right_shift(z, _S11, out=out)
     np.right_shift(z, _S11, out=z)
-    np.multiply(z, 2.0**-53, out=out)  # exact: every word is below 2**53
+    np.multiply(z, 2.0**-53, out=out)  # exact: every shifted word is below 2**53
     return out
 
 
@@ -131,14 +128,17 @@ def uniforms_at(
     ``out`` and ``scratch`` (two uint64 buffers), each shaped like
     ``counter_base``, let a loop draw every step without allocating; the
     scratch buffers hold no result and may be reused between calls.  A
-    float64 ``out`` receives the uniforms, a uint64 one their 53-bit words
-    (``u * 2**53``, see ``_uniforms_into``).
+    float64 ``out`` receives the uniforms, a uint64 one the raw mixed 64-bit
+    words ``w`` they are made of: each uniform is ``(w >> 11) * 2**-53``.
     """
     _check_draws(draw_index)
     z, spare = scratch
     # draw_index < 2**20 fills the low counter bits, so mod 2**64
     # key + ((path << 20) | draw) * golden == base + (key + draw * golden)
-    draw_part = (int(key) + int(draw_index) * int(_GOLDEN)) & _U64_MASK
-    np.add(counter_base, np.uint64(draw_part), out=z)
+    draw_part = np.uint64((int(key) + int(draw_index) * int(_GOLDEN)) & _U64_MASK)
+    if out.dtype == np.uint64:
+        np.add(counter_base, draw_part, out=out)
+        _mix_into(out, spare)
+        return out
+    np.add(counter_base, draw_part, out=z)
     return _uniforms_into(z, spare, out)
-

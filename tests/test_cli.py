@@ -202,6 +202,25 @@ def test_invalid_kernel_table_is_invariant_violation(tmp_path):
     assert not (out / "series.csv").exists()  # partial outputs removed
 
 
+def test_non_finite_kernel_table_is_invariant_violation(tmp_path, capsys):
+    # Python's json reads NaN; the law is refused like any other invalid table
+    doc = {
+        "kind": "rates",
+        "kernel": {
+            "name": "table",
+            "params": {"steps": [{"values": [-1.0, 1.0], "probs": [float("nan"), 0.5]}]},
+        },
+        "grid": [{"n": 1, "M": 1000}],
+        "seed": 4,
+    }
+    cfg = write_config(tmp_path, doc)
+    assert "NaN" in cfg.read_text(encoding="utf-8")
+    out = tmp_path / "bad"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "non-finite value or probability" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+
+
 def test_bounds_table_run(tmp_path):
     doc = {
         "kind": "bounds-table",

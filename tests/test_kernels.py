@@ -54,6 +54,21 @@ def test_nonzero_mean_rejected():
     assert "mean" in str(err.value)
 
 
+@pytest.mark.parametrize("values, probs", [
+    ((-1.0, 1.0), (math.nan, 0.5)),
+    ((math.nan, 1.0), (0.5, 0.5)),
+    ((-math.inf, math.inf), (0.5, 0.5)),
+    ((-1.0, 0.0, 1.0), (0.5, math.inf, 0.5)),
+])
+def test_non_finite_law_rejected(values, probs):
+    bad = StepDistribution(values=values, probs=probs)
+    assert bad.check() == "non-finite value or probability"
+    with pytest.raises(InvalidKernelError) as err:
+        sample_terminal(TableKernel([rademacher_two_point(0.5), bad]), seed=1, count=1000)
+    assert err.value.step == 2
+    assert "non-finite" in str(err.value)
+
+
 def test_variance_drift_terminal_variance_band():
     k = m.make_kernel("variance_drift", n=64, d=0.2)
     paths = sample_paths(k, seed=7, count=1000)
@@ -337,6 +352,25 @@ REFERENCE_KERNELS = [
     ]),
     _SignSwitchKernel(n=14),
     _SignSwitchKernel(n=14, fixed_steps=3),  # <X> is path-invariant up to step 3
+    # a fair law +-a selects on the sign bit of the raw words (first atom
+    # positive here); the other two-atom laws keep the shifted words: an
+    # asymmetric law, a first atom of probability 0 (always the second atom)
+    # and of probability 1 (threshold 2**53), equal odds on atoms that are
+    # not +-a; signed zeros, fair and not, whose sign bit must survive
+    TableKernel([StepDistribution(values=(0.7, -0.7), probs=(0.5, 0.5))] * 6,
+                label="blend_fair"),
+    TableKernel([StepDistribution(values=(1.0, -(1.0 - 2.0**-45)), probs=(0.5, 0.5))] * 6,
+                label="blend_near_fair"),
+    TableKernel([StepDistribution(values=(0.7, -0.3), probs=(0.3, 0.7))] * 6,
+                label="blend_asymmetric"),
+    TableKernel([StepDistribution(values=(4.0, 0.0), probs=(0.0, 1.0))] * 6,
+                label="blend_first_never"),
+    TableKernel([StepDistribution(values=(0.0, 4.0), probs=(1.0, 0.0))] * 6,
+                label="blend_first_always"),
+    TableKernel([
+        StepDistribution(values=(-0.0, 0.0), probs=(0.5, 0.5)),
+        StepDistribution(values=(0.0, -0.0), probs=(0.25, 0.75)),
+    ] * 3, label="blend_signed_zero"),
     # the engine keeps <X> (one regime throughout) and max |xi| as scalars
     # over the steps whose atoms share one |value|: one |value| (scalar), a 0
     # atom among others (per path), the degenerate {0} and the first step
@@ -360,16 +394,21 @@ def _reference_sums(increments, p):
     return absinc.max(axis=1), total_2p
 
 
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
 @pytest.mark.parametrize("kernel", REFERENCE_KERNELS, ids=lambda k: k.label.split("(")[0])
 def test_engine_matches_scalar_reference(kernel):
     count = 300
     increments, variances, terminal = _reference_paths(kernel, 8, count)
     for chunk_size, threads in ((1 << 16, 1), (37, 2)):
         paths = sample_paths(kernel, 8, count, chunk_size=chunk_size, threads=threads)
-        assert np.array_equal(paths.increments, increments)
-        assert np.array_equal(paths.variances, variances)
+        assert _same_bits(paths.increments, increments)
+        assert _same_bits(paths.variances, variances)
         stats = sample_terminal(kernel, 8, count, chunk_size=chunk_size, threads=threads)
-        assert np.array_equal(stats.terminal, terminal)
+        assert _same_bits(stats.terminal, terminal)
+        # equal values: a cumsum over signed zeros may end on -0.0
         assert np.array_equal(stats.terminal, paths.sums[:, -1])
     dev = np.abs(variances[:, -1] - 1.0)
     for p in (1.0, 1.5):
@@ -381,13 +420,13 @@ def test_engine_matches_scalar_reference(kernel):
         kernels._simulate_chunk(kernel, rng.stream_key(8, rng.STREAM_SIMULATION), 0, count, out, p)
         for got, want in zip((out.terminal, out.variance, out.max_abs, out.total_2p),
                              (terminal, variances[:, -1], max_abs, total_2p)):
-            assert np.array_equal(got, want)
+            assert _same_bits(got, want)
         expected = (float(np.sum(dev**p)), float(np.sum(dev ** (2.0 * p))),
                     float(np.sum(max_abs ** (2.0 * p))), float(np.sum(total_2p)), float(np.max(dev)))
         for chunk_size, threads in ((1 << 16, 1), (37, 2)):
             stats = sample_terminal(kernel, 8, count, p=p, with_sum_inc=True,
                                     chunk_size=chunk_size, threads=threads)
-            assert np.array_equal(stats.terminal, terminal)
+            assert _same_bits(stats.terminal, terminal)
             assert (stats.sum_var_dev_p, stats.sum_var_dev_2p, stats.sum_max_inc_2p,
                     stats.sum_total_inc_2p, stats.max_var_dev) == expected
 
@@ -416,6 +455,25 @@ def test_word_thresholds_decide_like_the_uniforms(c, random_words):
     words = [w for w in candidates if 0 <= w < 1 << 53]
     got = np.greater_equal(np.array(words, dtype=np.uint64), threshold)
     assert got.tolist() == [w * 2.0**-53 >= c for w in words]
+
+
+@settings(max_examples=200)
+@given(
+    a=st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(min_value=0.0, max_value=1e100)),
+    first_negative=st.booleans(),
+    random_words=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=8),
+)
+def test_fair_law_selects_on_the_sign_bit(a, first_negative, random_words):
+    # a fair law +-a takes its second atom when the 53-bit word z >> 11
+    # reaches 2**52, that is exactly when the sign bit of the raw word z is set
+    first = -a if first_negative else a
+    table = kernels._step_table(1, (StepDistribution(values=(first, -first), probs=(0.5, 0.5)),), 1.0)
+    assert table.sign_base is not None
+    candidates = [0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, *random_words]
+    words = np.array(candidates, dtype=np.uint64)
+    xi = np.empty(len(words))
+    table.draw(words, None, None, None, None, xi)
+    assert _same_bits(xi, [-first if (z >> 11) >= 1 << 52 else first for z in candidates])
 
 
 def test_uniform_on_a_cumulative_probability_selects_the_upper_atom():

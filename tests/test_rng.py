@@ -21,11 +21,15 @@ def mix64_int(z: int) -> int:
     return z
 
 
-def uniform_int(seed: int, stream: int, path: int, draw: int) -> float:
+def word_int(seed: int, stream: int, path: int, draw: int) -> int:
+    """The mixed 64-bit word behind one uniform."""
     key = mix64_int(mix64_int(seed & MASK) ^ ((stream * GOLDEN) & MASK))
     counter = ((path << 20) | draw) & MASK
-    word = mix64_int((key + counter * GOLDEN) & MASK)
-    return (word >> 11) * 2.0**-53
+    return mix64_int((key + counter * GOLDEN) & MASK)
+
+
+def uniform_int(seed: int, stream: int, path: int, draw: int) -> float:
+    return (word_int(seed, stream, path, draw) >> 11) * 2.0**-53
 
 
 def test_mix64_matches_integer_oracle():
@@ -91,10 +95,11 @@ def test_fast_block_path_is_identical():
     for draw in (0, 1, 511):  # the buffers are reused across draws
         assert rng.uniforms_at(key, base, draw, out, scratch) is out
         assert np.array_equal(rng.uniforms(key, idx, draw), out)
-        # a uint64 out receives the 53-bit words of the same uniforms
+        # a uint64 out receives the raw mixed words of the same uniforms:
+        # shifted right by 11 they are the 53-bit words u * 2**53
         assert rng.uniforms_at(key, base, draw, words, scratch) is words
-        assert words.max() < 1 << 53
-        assert np.array_equal(words * 2.0**-53, out)
+        assert words.tolist() == [word_int(99, rng.STREAM_SIMULATION, j, draw) for j in range(1000)]
+        assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, out)
 
 
 def test_normals_are_standard():

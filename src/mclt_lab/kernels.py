@@ -108,6 +108,15 @@ class StepDistribution:
     def _m2_cached(self) -> float:
         return self.moment(2)
 
+    @cached_property
+    def _table_key(self) -> tuple:
+        """Equal for two laws only if every field agrees, the values and
+        probabilities bit for bit: ``==`` holds -0.0 and 0.0 equal, but they
+        are different increments."""
+        return (np.asarray(self.values, dtype=float).tobytes(),
+                np.asarray(self.probs, dtype=float).tobytes(),
+                self.sampler, self.declared_moment, self.budget)
+
     def check(self) -> str | None:
         """Return a violation description, or None if the invariants hold."""
         if self.mode == "sampled":
@@ -781,9 +790,10 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
     state = kernel.batch_init(count)
     for step in range(1, n + 1):
         laws = kernel.step_regimes(step)
-        table = tables.get(laws)
+        law_bits = tuple(dist._table_key for dist in laws)
+        table = tables.get(law_bits)
         if table is None:
-            table = tables[laws] = _step_table(step, laws, p)
+            table = tables[law_bits] = _step_table(step, laws, p)
         rng.uniforms_at(key, ctr_base, step - 1, out=words if table.sampler is None else u,
                         scratch=scratch)
         regime = kernel.batch_regime(step, state)

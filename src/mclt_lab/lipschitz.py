@@ -58,7 +58,12 @@ __all__ = [
     "EnumerationGuardExceeded",
 ]
 
+#: Outcomes in a model's product space.  The enumeration holds about 24 B
+#: per outcome (f, the conditional tensors, the outcome weights) and peaks
+#: near 40 B while it takes Var f, whatever n is, so the guard bounds its
+#: memory near 400 MB.
 ENUM_GUARD = 10_000_000
+_BLOCK_ROWS = 1 << 14  # outcome rows per call of f
 TOL = 1e-12
 
 
@@ -128,7 +133,7 @@ class LipschitzModel:
     """Coordinates, functional and two-sided coordinate metrics."""
 
     coords: tuple[CoordinateDistribution, ...]
-    f: Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,)
+    f: Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,), each row on its own
     d1: tuple[Metric, ...]
     d2: tuple[Metric, ...]
     rho: float = 1.0
@@ -190,7 +195,7 @@ class _Enumeration:
 
 @lru_cache(maxsize=1)
 def _enumeration(model: LipschitzModel) -> _Enumeration:
-    """Everything exact about a model, from one evaluation of f.
+    """Everything exact about a model, from one pass of f over its outcomes.
 
     Cached for the latest model (models are frozen), so a run's calls on one
     model share the k^n tensor; the shared arrays are read-only.
@@ -205,10 +210,23 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
                 f"product support size exceeds {ENUM_GUARD}; use the sampled path"
             )
     axes = [np.asarray(c.values, dtype=float) for c in model.coords]
-    grids = np.meshgrid(*axes, indexing="ij", copy=False)
-    outcomes = np.stack(grids, axis=-1).reshape(size, model.n)
-    f_values = np.asarray(model.f(outcomes), dtype=float).reshape(dims)
-    del grids, outcomes  # n times the size of f_values; freed before the contractions
+    # f maps each outcome row on its own, so it runs on blocks of rows: the
+    # trailing coordinates whose support product fits a block vary inside it
+    # (their meshgrid is built once; at least the last coordinate, if its
+    # support alone exceeds a block), the leading ones are fixed per block,
+    # in C order
+    split, rows = model.n - 1, dims[-1]
+    while split > 0 and rows * dims[split - 1] <= _BLOCK_ROWS:
+        split -= 1
+        rows *= dims[split]
+    block = np.empty((rows, model.n))
+    for col, grid in enumerate(np.meshgrid(*axes[split:], indexing="ij", copy=False), split):
+        block[:, col] = grid.reshape(rows)
+    f_values = np.empty(size)
+    for start, lead in zip(range(0, size, rows), np.ndindex(*dims[:split])):
+        block[:, :split] = [axis[i] for axis, i in zip(axes, lead)]
+        f_values[start : start + rows] = model.f(block)
+    f_values = f_values.reshape(dims)
     if not np.all(np.isfinite(f_values)):
         raise ValueError("functional produced non-finite values")
     weights = tuple(np.asarray(c.probs, dtype=float) for c in model.coords)

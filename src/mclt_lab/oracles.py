@@ -101,29 +101,35 @@ def variance_drift_mean_abs_deviation(d: float, n: int, p: float = 1.0) -> float
     """
     kernel = VarianceDriftKernel(n, d)
     h, l = kernel.high_mag, kernel.low_mag
-    # slabs[H] = P over (a, b), array indexed [a + H, b + (k - H)]
+    # slabs[H] = P over the reachable (a, b) at level k: a has the parity of
+    # H and b that of k - H, so the array is indexed [i, j] with a = 2i - H
+    # and b = 2j - (k - H), and holds no cell that no history reaches
     slabs: dict[int, np.ndarray] = {0: np.ones((1, 1))}
     for k in range(n):
         new: dict[int, np.ndarray] = {}
         for H, P in slabs.items():
-            a = np.arange(-H, H + 1)[:, None]
-            b = np.arange(-(k - H), (k - H) + 1)[None, :]
+            a = np.arange(-H, H + 1, 2)[:, None]
+            b = np.arange(-(k - H), (k - H) + 1, 2)[None, :]
             pos = a * h + b * l
             up = np.where(pos >= 0.0, P, 0.0) * 0.5
             dn = np.where(pos < 0.0, P, 0.0) * 0.5
             if up.any():
-                # high step: a -> a +/- 1, slab H+1; b-range is unchanged
-                tgt = new.setdefault(H + 1, np.zeros((2 * H + 3, 2 * (k - H) + 1)))
-                tgt[0:-2, :] += up
-                tgt[2:, :] += up
+                # high step: a -> a -/+ 1 is i -> i, i + 1 in slab H+1; b is unchanged
+                tgt = new.setdefault(H + 1, np.zeros((H + 2, k - H + 1)))
+                tgt[0:-1, :] += up
+                tgt[1:, :] += up
             if dn.any():
-                # low step: b -> b +/- 1, slab H; b-range widens by one
-                tgt = new.setdefault(H, np.zeros((2 * H + 1, 2 * (k - H) + 3)))
-                tgt[:, 0:-2] += dn
-                tgt[:, 2:] += dn
+                # low step: b -> b -/+ 1 is j -> j, j + 1 in slab H
+                tgt = new.setdefault(H, np.zeros((H + 1, k - H + 2)))
+                tgt[:, 0:-1] += dn
+                tgt[:, 1:] += dn
         slabs = new
     total = 0.0
     for H, P in slabs.items():
         dev = abs(d * (2.0 * H - n) / n)
-        total += dev**p * float(P.sum())
+        # np.sum pairs its terms by position, so the sum runs over the full
+        # (2H+1, 2(n-H)+1) layout, with zeros in the unreachable cells
+        full = np.zeros((2 * H + 1, 2 * (n - H) + 1))
+        full[::2, ::2] = P
+        total += dev**p * float(full.sum())
     return total

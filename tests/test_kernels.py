@@ -371,6 +371,12 @@ REFERENCE_KERNELS = [
         StepDistribution(values=(-0.0, 0.0), probs=(0.5, 0.5)),
         StepDistribution(values=(0.0, -0.0), probs=(0.25, 0.75)),
     ] * 3, label="blend_signed_zero"),
+    # laws that differ only in the sign of a zero atom are == but must not
+    # share a step table
+    TableKernel([
+        StepDistribution(values=(-0.0, 0.0), probs=(0.5, 0.5)),
+        StepDistribution(values=(0.0, -0.0), probs=(0.5, 0.5)),
+    ] * 3, label="signed_zero_laws"),
     # the engine keeps <X> (one regime throughout) and max |xi| as scalars
     # over the steps whose atoms share one |value|: one |value| (scalar), a 0
     # atom among others (per path), the degenerate {0} and the first step

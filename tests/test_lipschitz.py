@@ -1,6 +1,7 @@
 """Doob decomposition, normalization pair, and the variance sandwich."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mclt_lab import lipschitz
 from mclt_lab.distance import exact_kolmogorov_discrete
 from mclt_lab.lipschitz import (
     CoordinateDistribution,
@@ -344,3 +346,93 @@ def test_model_from_config_expression_form():
         }
     )
     assert variance_sandwich(maxconf).variance == pytest.approx(3.0 / 16.0, abs=1e-12)
+
+
+def _full_matrix_f_values(model):
+    """f in one call on the full (k^n, n) outcome matrix: the reference that
+    the blocked evaluation must equal bit for bit."""
+    axes = [np.asarray(c.values, dtype=float) for c in model.coords]
+    outcomes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.n)
+    return np.asarray(model.f(outcomes), dtype=float).reshape([len(a) for a in axes])
+
+
+def _block_calls(model):
+    """The row counts of the calls of f that the enumeration of ``model`` makes."""
+    rows = []
+
+    def f(grid):
+        rows.append(len(grid))
+        return model.f(grid)
+
+    lipschitz._enumeration(LipschitzModel(model.coords, f, model.d1, model.d2))
+    return rows
+
+
+@pytest.mark.parametrize(
+    ("name", "n"),
+    [("rademacher_average", 3), ("rademacher_average", 14), ("rademacher_average", 17),
+     ("max_of_bits", 5), ("max_of_bits", 14), ("max_of_bits", 16),
+     ("uniform_triple_sum", 4), ("uniform_triple_sum", 9), ("uniform_triple_sum", 11)],
+)
+def test_blocked_f_values_equal_full_matrix_registry(name, n):
+    model = make_model(name, n=n)
+    got = lipschitz._enumeration(model).f_values
+    assert np.array_equal(got.view(np.uint64), _full_matrix_f_values(model).view(np.uint64))
+
+
+def _config_model(kind, sizes, seed):
+    draw = np.random.default_rng(seed)
+    coords = []
+    for k in sizes:
+        probs = draw.random(k) + 0.1
+        coords.append({"values": np.round(draw.normal(size=k), 3).tolist(),
+                       "probs": (probs / probs.sum()).tolist()})
+    f = {"kind": kind}
+    if kind == "weighted_sum":
+        f["weights"] = draw.normal(size=len(sizes)).tolist()
+    return model_from_config({"coords": coords, "f": f})
+
+
+# support products below one block, exactly one block (2^14 outcomes), many
+# blocks whose row count is not a power of two, whole blocks of 2^14 rows,
+# and a last coordinate wider than a block
+CONFIG_SIZES = [
+    [2, 3, 5],
+    [5, 3, 2, 2, 5, 3, 2],
+    [2] * 14,
+    [3, 5, 2, 3, 5, 2, 3, 5, 2, 3],
+    [5, 3] + [2] * 14,
+    [3, 20_000],
+]
+
+
+@pytest.mark.parametrize("kind", ["sum", "weighted_sum", "max", "min"])
+def test_blocked_f_values_equal_full_matrix_config(kind):
+    for seed, sizes in enumerate(CONFIG_SIZES):
+        model = _config_model(kind, sizes, seed)
+        got = lipschitz._enumeration(model).f_values
+        assert np.array_equal(got.view(np.uint64), _full_matrix_f_values(model).view(np.uint64))
+
+
+def test_blocks_tile_the_product_space():
+    # many blocks of at most 2^14 rows, then one block per leading outcome
+    # when the last coordinate alone is wider than a block
+    assert _block_calls(make_model("max_of_bits", n=17)) == [1 << 14] * 8
+    assert _block_calls(make_model("uniform_triple_sum", n=10)) == [3**8] * 9
+    assert _block_calls(make_model("rademacher_average", n=3)) == [8]
+    assert _block_calls(_config_model("sum", [3, 20_000], 0)) == [20_000] * 3
+
+
+@pytest.mark.parametrize("name", ["rademacher_average", "max_of_bits"])
+def test_enumeration_memory_per_outcome(name):
+    # f runs on blocks of rows and no (k^n, n) outcome matrix is built, so
+    # the peak per outcome does not grow with n (near 40 B)
+    model = make_model(name, n=18)
+    lipschitz._enumeration.cache_clear()
+    tracemalloc.start()
+    try:
+        enum = lipschitz._enumeration(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * enum.f_values.size

@@ -12,6 +12,12 @@ from pathlib import Path
 from mclt_lab import cli
 
 
+def fit_skipped(manifest: dict) -> str:
+    """The manifest's note on why it has no rate fit."""
+    notes = [note for note in manifest["notes"] if note.startswith("rate fit skipped")]
+    return notes[0] if notes else "rate fit skipped: fewer than 3 grid points"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/rademacher_rates")
@@ -41,7 +47,10 @@ def main():
             f"{r['bounds']['T1']:>10.6f} {r['d_hat'] / r['bounds']['T1']:>8.3f}"
         )
     fit = manifest["fit"]
-    print(f"\nfitted slope {fit['slope']:.4f}  (r^2 = {fit['r_squared']:.4f})")
+    if fit is None:
+        print("\n" + fit_skipped(manifest))
+    else:
+        print(f"\nfitted slope {fit['slope']:.4f}  (r^2 = {fit['r_squared']:.4f})")
     print(f"outputs in {Path(args.out).resolve()}")
 
 

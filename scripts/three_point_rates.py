@@ -28,6 +28,11 @@ def exact_distance(eps: float, n: int, q: float) -> float:
     return exact_kolmogorov_discrete(support, pmf / pmf.sum())
 
 
+def fit_skipped(manifest: dict) -> str:
+    """The manifest's note on why it has no rate fit."""
+    return next(note for note in manifest["notes"] if note.startswith("rate fit skipped"))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/three_point_rates")
@@ -64,7 +69,10 @@ def main():
             f"{entry['epsilon']:>6.2f} {entry['n']:>5} {r['d_hat']:>10.6f} "
             f"{exact:>10.6f} {ratio:>10.4f}"
         )
-    print(f"\nfitted slope vs eps: {manifest['fit']['slope']:.4f}")
+    if manifest["fit"] is None:
+        print("\n" + fit_skipped(manifest))
+    else:
+        print(f"\nfitted slope vs eps: {manifest['fit']['slope']:.4f}")
 
 
 if __name__ == "__main__":

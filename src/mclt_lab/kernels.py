@@ -368,16 +368,17 @@ class VarianceDriftKernel(ConditionalKernel):
 
     def batch_init(self, count):
         # (a, b) as exact small-integer floats, then scratch for the position,
-        # a second float buffer and the per-path regime (True for low)
+        # a second float buffer and the per-path regime (1 for low), an index
+        # array so that the engine's gathers by regime take it as it is
         return (np.zeros(count), np.zeros(count), np.empty(count), np.empty(count),
-                np.empty(count, dtype=bool))
+                np.empty(count, dtype=np.intp))
 
     def batch_regime(self, step, batch_state):
         a, b, pos, scratch, regime = batch_state
         np.multiply(a, self.high_mag, out=pos)
         np.multiply(b, self.low_mag, out=scratch)
         np.add(pos, scratch, out=pos)
-        np.less(pos, 0.0, out=regime)  # high (False) iff a*h + b*l >= 0
+        np.less(pos, 0.0, out=regime)  # high (0) iff a*h + b*l >= 0
         return regime
 
     def batch_advance(self, step, batch_state, increments, regime):
@@ -648,49 +649,57 @@ class _StepTable:
     ``inf`` thresholds, so its padding atoms are never selected.  A single
     sampled-mode law carries its ``sampler`` instead and draws float uniforms.
 
-    A single fair law +-a (``T_0 = 2**52``, atoms that differ only in the
-    sign bit) selects without a gather: its second atom is taken exactly when
-    ``(z >> 11) >= 2**52`` for the raw 64-bit word ``z``, that is when the
-    sign bit of ``z`` is set, so the increment's bits are
-    ``sign_base ^ (z & 2**63)`` with ``sign_base`` the bits of the first atom.
+    A fair table, whose regimes are all fair laws +-a (``T_0 = 2**52``,
+    atoms that differ only in the sign bit), selects without thresholds: a
+    regime's second atom is taken exactly when ``(z >> 11) >= 2**52`` for
+    the raw 64-bit word ``z``, that is when the sign bit of ``z`` is set, so
+    the increment's bits are ``sign_base ^ (z & 2**63)`` with ``sign_base``
+    the bits of the regime's first atom.  Only bit 63 of ``z`` is read, so
+    its words may be sign-only (``rng.uniforms_at``).
     """
 
     regimes: int
     width: int
     thresholds: tuple = ()
     values: np.ndarray | None = None
-    m2: np.ndarray | float = 0.0  # per flat atom; a float for one regime
-    pow2p: np.ndarray | None = None  # |value|^(2p) per flat atom
+    m2: np.ndarray | float = 0.0  # per regime; a float for one regime
+    # |value|^(2p) per regime for a fair table, per flat atom otherwise
+    pow2p: np.ndarray | None = None
     # the |value| of every atom of a single-regime table whose atoms share one
     abs_value: float | None = None
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
-    sign_base: np.uint64 | None = None  # the first atom's bits, fair law only
+    # the first atoms' bits of a fair table: per regime, a scalar for one
+    sign_base: np.ndarray | np.uint64 | None = None
 
-    def draw(self, words, regime, idx, flag, scratch, xi) -> None:
-        """Write the increments that the raw words ``words`` (uint64,
-        consumed) select into ``xi``, and the flat atom index of every path
-        into ``idx`` (intp), except for a fair law: its atoms share one
-        |value|, so no later gather needs the index.  ``scratch`` (uint64)
-        receives per-regime threshold gathers."""
+    def draw(self, words, regime, idx, flag, xi) -> np.ndarray:
+        """Select the increments that the raw words ``words`` (uint64,
+        consumed) pick, and return the array that holds them.
+
+        A fair table writes them over ``words`` and returns its float64 view;
+        ``idx`` is its scratch for the per-regime sign bases.  Any other table
+        writes them into ``xi``, after using it as scratch for per-regime
+        thresholds, and the flat atom index of every path into ``idx`` (intp).
+        """
         if self.sign_base is not None:
-            bits = xi.view(np.uint64)
-            np.bitwise_and(words, _SIGN, out=bits)
-            np.bitwise_xor(bits, self.sign_base, out=bits)
-            return
+            np.bitwise_and(words, _SIGN, out=words)
+            base = self.sign_base
+            if self.regimes > 1:
+                base = np.take(base, regime, out=idx.view(np.uint64), mode="clip")
+            np.bitwise_xor(words, base, out=words)
+            return words.view(np.float64)
         np.right_shift(words, _SHIFT, out=words)
         if not self.thresholds:
             idx.fill(0)
         for s, c in enumerate(self.thresholds):
             if isinstance(c, np.ndarray):
-                np.take(c, regime, out=scratch, mode="clip")
-                c = scratch
+                c = np.take(c, regime, out=xi.view(np.uint64), mode="clip")
             np.greater_equal(words, c, out=flag if s else idx)
             if s:
                 np.add(idx, flag, out=idx)
         if self.regimes > 1:
             np.multiply(regime, self.width, out=flag, dtype=np.intp)
             np.add(idx, flag, out=idx)
-        np.take(self.values, idx, out=xi, mode="clip")
+        return np.take(self.values, idx, out=xi, mode="clip")
 
 
 def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _StepTable:
@@ -711,28 +720,28 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
         k = len(dist.values)
         cum[r, : k - 1] = dist._cumprobs[:-1]
         values[r, :k] = dist._values_arr
-    values = values.ravel()
-    m2 = np.repeat([dist._m2_cached for dist in laws], width)
+    m2 = np.array([dist._m2_cached for dist in laws])
     abs_values = np.abs(values)
-    shared = len(laws) == 1 and bool(np.all(abs_values == abs_values[0]))
+    shared = len(laws) == 1 and bool(np.all(abs_values == abs_values.flat[0]))
     thresholds = tuple(
         col[0] if np.all(col == col[0]) else col for col in _word_thresholds(cum).T
     )
     sign_base = None
-    if len(laws) == 1 and width == 2 and thresholds[0] == 1 << 52:
-        first, second = values.view(np.uint64)
-        if first ^ second == _SIGN:
-            sign_base = first
+    if width == 2 and np.all(thresholds[0] == 1 << 52):
+        first, second = values.view(np.uint64).T
+        if np.all(first ^ second == _SIGN):
+            sign_base = first.copy() if len(laws) > 1 else first[0]
+            abs_values = abs_values[:, 0]  # each regime's atoms share one |value|
     return _StepTable(
         regimes=len(laws),
         width=width,
         thresholds=thresholds,
-        values=values,
+        values=values.ravel(),
         m2=float(m2[0]) if len(laws) == 1 else m2,
         # elementwise the same floats as np.abs(xi) ** (2.0 * p) on the
         # drawn increments
-        pow2p=abs_values ** (2.0 * p),
-        abs_value=float(abs_values[0]) if shared else None,
+        pow2p=abs_values.ravel() ** (2.0 * p),
+        abs_value=float(abs_values.flat[0]) if shared else None,
         sign_base=sign_base,
     )
 
@@ -764,26 +773,26 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
     whose ``variance``, ``max_abs`` and ``total_2p`` rows are zero on entry.
 
     Every buffer is allocated once per chunk and each step runs in place:
-    the raw 64-bit words (float uniforms for a sampled law), table selection
-    of the increment, gathers of its conditional variance and |xi|^(2p),
-    then the kernel's state update.  Accumulators that are the same on every
-    path stay Python floats, added in the same order and written out once:
-    <X> while every step so far had one regime, and max |xi| over the steps
-    whose atoms share one |value|.
+    the raw 64-bit words (sign-only for a fair table, float uniforms for a
+    sampled law), table selection of the increment, gathers of its
+    conditional variance and |xi|^(2p), then the kernel's state update.  A
+    fair table writes the increments over its words.  Accumulators that are
+    the same on every path stay Python floats, added in the same order and
+    written out once: <X> while every step so far had one regime, and
+    max |xi| over the steps whose atoms share one |value|.
     """
     n = kernel.n
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
     X, V, max_abs, total_2p = out.terminal, out.variance, out.max_abs, out.total_2p
     u = np.empty(count)
     words = u.view(np.uint64)  # an exact table selects on words, a sampler on u
-    xi = np.empty(count)
+    xi = None  # allocated by the first step that does not draw over its words
     scratch = (np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64))
     # the selection indices reuse the RNG scratch, which is free once the
-    # words are drawn; per-regime thresholds are gathered into xi before it
-    # is selected, and the later gathers reuse u, which is free by then
+    # words are drawn, and the later gathers reuse flag, free once the
+    # increments are drawn
     idx, flag = (w.view(np.intp) for w in scratch)
-    regime_thresholds = xi.view(np.uint64)
-    gathered = u
+    gathered = flag.view(np.float64)
     v_acc: float | None = 0.0  # <X>; None once it differs between paths
     m_acc = 0.0  # max |xi| over the steps whose atoms share one |value|
     tables: dict[tuple, _StepTable] = {}
@@ -794,36 +803,41 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
         table = tables.get(law_bits)
         if table is None:
             table = tables[law_bits] = _step_table(step, laws, p)
+        fair = table.sign_base is not None
         rng.uniforms_at(key, ctr_base, step - 1, out=words if table.sampler is None else u,
-                        scratch=scratch)
+                        scratch=scratch, sign_only=fair)
         regime = kernel.batch_regime(step, state)
         for t, mom in out.moments.items():
             moments = [dist.moment(t) for dist in laws]
             mom[:, step - 1] = moments[0] if table.regimes == 1 else np.take(moments, regime)
+        if xi is None and not fair:
+            xi = np.empty(count)
         if table.sampler is not None:
-            xi[:] = table.sampler(u)
+            inc = xi
+            inc[:] = table.sampler(u)
         else:
-            table.draw(words, regime, idx, flag, regime_thresholds, xi)
+            inc = table.draw(words, regime, idx, flag, xi)
         if X is not None:
-            X += xi
+            X += inc
         v_acc = _accumulate(v_acc, V, table.m2 if table.regimes == 1
-                            else np.take(table.m2, idx, out=gathered, mode="clip"))
+                            else np.take(table.m2, regime, out=gathered, mode="clip"))
         if out.increments is not None:
-            out.increments[:, step - 1] = xi
+            out.increments[:, step - 1] = inc
             out.variances[:, step] = V if v_acc is None else v_acc
         if max_abs is not None:
             if table.abs_value is not None:
                 m_acc = max(m_acc, table.abs_value)
             else:
-                np.maximum(max_abs, np.abs(xi, out=gathered), out=max_abs)
+                np.maximum(max_abs, np.abs(inc, out=gathered), out=max_abs)
         if total_2p is not None:
             if table.sampler is not None:
-                total_2p += np.abs(xi) ** (2.0 * p)
+                total_2p += np.abs(inc) ** (2.0 * p)
             elif table.abs_value is not None:
                 total_2p += table.pow2p[0]
             else:
-                total_2p += np.take(table.pow2p, idx, out=gathered, mode="clip")
-        state = kernel.batch_advance(step, state, xi, regime)
+                total_2p += np.take(table.pow2p, regime if fair else idx, out=gathered,
+                                    mode="clip")
+        state = kernel.batch_advance(step, state, inc, regime)
     if v_acc is not None:
         V += v_acc
     if max_abs is not None:

@@ -226,6 +226,7 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
     for start, lead in zip(range(0, size, rows), np.ndindex(*dims[:split])):
         block[:, :split] = [axis[i] for axis, i in zip(axes, lead)]
         f_values[start : start + rows] = model.f(block)
+    del block  # (rows, n) floats, up to 9 B per outcome at n=18
     f_values = f_values.reshape(dims)
     if not np.all(np.isfinite(f_values)):
         raise ValueError("functional produced non-finite values")
@@ -237,7 +238,10 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
         g_tensors.append(g)
     g_tensors.reverse()  # g_tensors[k] has shape dims[:k]
     probs = reduce(np.multiply.outer, weights)
-    variance = float(np.sum(probs * (f_values - float(g_tensors[0])) ** 2))
+    # Var f = sum probs * (f - E f)^2, each operation written into one buffer
+    spread = np.subtract(f_values, float(g_tensors[0]))
+    np.multiply(probs, np.square(spread, out=spread), out=spread)
+    variance = float(np.sum(spread))
     for array in (*weights, *g_tensors, probs):
         array.flags.writeable = False
     return _Enumeration(

@@ -45,8 +45,13 @@ STREAM_CORPUS = 2
 STREAM_ORACLE = 3
 
 
-def _mix_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    """SplitMix64 finalizer applied in place to the uint64 array ``z``."""
+def _mix_into(z: np.ndarray, scratch: np.ndarray, sign_only: bool = False) -> None:
+    """SplitMix64 finalizer applied in place to the uint64 array ``z``.
+
+    With ``sign_only`` the mix stops after the second multiply, and only bit
+    63 of each word is valid: the last round ``z ^= z >> 31`` never changes
+    bit 63, because ``z >> 31 < 2**33``.
+    """
     # uint64 array arithmetic wraps mod 2**64 without warnings
     np.right_shift(z, _S30, out=scratch)
     np.bitwise_xor(z, scratch, out=z)
@@ -54,6 +59,8 @@ def _mix_into(z: np.ndarray, scratch: np.ndarray) -> None:
     np.right_shift(z, _S27, out=scratch)
     np.bitwise_xor(z, scratch, out=z)
     np.multiply(z, _MIX_B, out=z)
+    if sign_only:
+        return
     np.right_shift(z, _S31, out=scratch)
     np.bitwise_xor(z, scratch, out=z)
 
@@ -120,6 +127,7 @@ def uniforms_at(
     draw_index: int,
     out: np.ndarray,
     scratch: tuple[np.ndarray, np.ndarray],
+    sign_only: bool = False,
 ) -> np.ndarray:
     """Fast path for simulation loops: the uniforms of ``uniforms(key, paths,
     draw_index)`` with ``counter_base = path_counter_base(paths)``, written
@@ -130,6 +138,9 @@ def uniforms_at(
     scratch buffers hold no result and may be reused between calls.  A
     float64 ``out`` receives the uniforms, a uint64 one the raw mixed 64-bit
     words ``w`` they are made of: each uniform is ``(w >> 11) * 2**-53``.
+    With ``sign_only`` a uint64 ``out`` receives sign-only words, of which
+    only bit 63 is valid, equal to bit 63 of ``w``: two passes fewer, for
+    a caller that reads nothing else.
     """
     _check_draws(draw_index)
     z, spare = scratch
@@ -138,7 +149,7 @@ def uniforms_at(
     draw_part = np.uint64((int(key) + int(draw_index) * int(_GOLDEN)) & _U64_MASK)
     if out.dtype == np.uint64:
         np.add(counter_base, draw_part, out=out)
-        _mix_into(out, spare)
+        _mix_into(out, spare, sign_only)
         return out
     np.add(counter_base, draw_part, out=z)
     return _uniforms_into(z, spare, out)

@@ -1,6 +1,8 @@
 """Kolmogorov distance estimators and rate fitting."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from mclt_lab import rng
+from mclt_lab import distance, rng
 from mclt_lab.distance import (
     KolmogorovEstimate,
     dkw_halfwidth,
@@ -62,6 +64,45 @@ def test_nonfinite_samples_rejected():
         kolmogorov_distance([0.0, float("nan")])
     with pytest.raises(ValueError):
         kolmogorov_distance([float("inf")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pattern=st.lists(
+        st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-60, 1e-17, 0.1, 1.0 / 3.0, 1.0]),
+                  st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1, max_size=12),
+    blocks=st.integers(min_value=0, max_value=3),
+    extra=st.integers(min_value=0, max_value=5),
+)
+def test_discrete_law_total_is_the_correctly_rounded_sum(pattern, blocks, extra):
+    # the total runs over blocks of atoms, across block boundaries too; it
+    # must be math.fsum of every atom, which the rejection message shows
+    p = np.resize(np.array(pattern), blocks * distance._FSUM_BLOCK + extra + 1)
+    for probs in (p, p / math.fsum(p.tolist()) if p.any() else p):
+        want = math.fsum(probs.tolist())
+        if abs(want - 1.0) > 1e-12:
+            with pytest.raises(ValueError, match=re.escape(f"sum to {want!r}, not 1")):
+                exact_kolmogorov_discrete(np.zeros(probs.size), probs)
+        else:
+            exact_kolmogorov_discrete(np.zeros(probs.size), probs)
+
+
+def test_discrete_law_total_holds_no_float_per_atom():
+    # rejecting a law of 2^19 atoms (total 1.5 + 2^-30) runs the checks
+    # alone: the sign check's 1 B per atom, and a total that holds one block
+    # of Python floats (0.5 MB), not 16 MB of them
+    probs = np.full(1 << 19, 2.0**-20)
+    probs[0] += 1.0 + 2.0**-30
+    support = np.zeros(probs.size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"sum to {1.5 + 2.0**-30!r}")):
+            exact_kolmogorov_discrete(support, probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_invalid_discrete_laws_rejected():

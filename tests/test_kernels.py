@@ -300,14 +300,15 @@ def _reference_paths(kernel, seed, count):
 
 
 class _SignSwitchKernel(ConditionalKernel):
-    """Two regimes with different supports and thresholds, chosen by sign(X);
-    the first ``fixed_steps`` steps take the first regime on every path."""
+    """Two regimes chosen by sign(X), the first where X >= 0, by default with
+    different supports and thresholds; the first ``fixed_steps`` steps take
+    the first regime on every path."""
 
-    def __init__(self, n, fixed_steps=0):
+    def __init__(self, n, fixed_steps=0, regimes=None, label=None):
         self.n = n
         self.fixed_steps = fixed_steps
-        self.label = "sign_switch_late" if fixed_steps else "sign_switch"
-        self.regimes = (
+        self.label = label or ("sign_switch_late" if fixed_steps else "sign_switch")
+        self.regimes = regimes or (
             StepDistribution(values=(-1.0, 0.0, 1.0), probs=(0.25, 0.5, 0.25)),
             StepDistribution(values=(-0.7, 0.3), probs=(0.3, 0.7)),
         )
@@ -352,6 +353,21 @@ REFERENCE_KERNELS = [
     ]),
     _SignSwitchKernel(n=14),
     _SignSwitchKernel(n=14, fixed_steps=3),  # <X> is path-invariant up to step 3
+    # two-regime tables whose fair regimes select on the sign bit with a
+    # per-regime sign base: different magnitudes, a first atom positive, and
+    # +-0.0 atoms (paths that turn negative stay there); a fair regime beside
+    # an asymmetric one keeps the whole table on the shifted words
+    _SignSwitchKernel(n=14, regimes=(rademacher_two_point(1.0), rademacher_two_point(0.3)),
+                      label="fair_regimes"),
+    _SignSwitchKernel(n=14, regimes=(StepDistribution(values=(0.6, -0.6), probs=(0.5, 0.5)),
+                                     rademacher_two_point(0.2)),
+                      label="fair_regimes_first_positive"),
+    _SignSwitchKernel(n=14, regimes=(rademacher_two_point(0.4),
+                                     StepDistribution(values=(0.0, -0.0), probs=(0.5, 0.5))),
+                      label="fair_regimes_signed_zero"),
+    _SignSwitchKernel(n=14, regimes=(rademacher_two_point(0.5),
+                                     StepDistribution(values=(-0.7, 0.3), probs=(0.3, 0.7))),
+                      label="fair_and_asymmetric_regimes"),
     # a fair law +-a selects on the sign bit of the raw words (first atom
     # positive here); the other two-atom laws keep the shifted words: an
     # asymmetric law, a first atom of probability 0 (always the second atom)
@@ -477,9 +493,28 @@ def test_fair_law_selects_on_the_sign_bit(a, first_negative, random_words):
     assert table.sign_base is not None
     candidates = [0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, *random_words]
     words = np.array(candidates, dtype=np.uint64)
-    xi = np.empty(len(words))
-    table.draw(words, None, None, None, None, xi)
+    # a single fair regime writes the increments over its words
+    xi = table.draw(words, None, None, None, None)
+    assert np.shares_memory(xi, words)
     assert _same_bits(xi, [-first if (z >> 11) >= 1 << 52 else first for z in candidates])
+
+
+@pytest.mark.parametrize("regimes, fair", [
+    (VarianceDriftKernel(n=16, d=0.3).step_regimes(1), True),
+    ((rademacher_two_point(1.0), StepDistribution(values=(0.0, -0.0), probs=(0.5, 0.5))), True),
+    ((rademacher_two_point(1.0), StepDistribution(values=(-0.7, 0.3), probs=(0.3, 0.7))), False),
+    ((rademacher_two_point(1.0), StepDistribution(values=(-1.0, 0.0, 1.0), probs=(0.25, 0.5, 0.25))),
+     False),
+    ((rademacher_two_point(1.0), StepDistribution(values=(-1.0, 1.0 - 2.0**-45), probs=(0.5, 0.5))),
+     False),
+])
+def test_tables_of_fair_regimes_select_on_the_sign_bit(regimes, fair):
+    table = kernels._step_table(1, regimes, 1.5)
+    assert (table.sign_base is not None) == fair
+    if fair:
+        first = np.array([dist.values[0] for dist in regimes])
+        assert _same_bits(table.sign_base, first)
+        assert _same_bits(table.pow2p, np.abs(first) ** 3.0)
 
 
 def test_uniform_on_a_cumulative_probability_selects_the_upper_atom():

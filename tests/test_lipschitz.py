@@ -376,8 +376,15 @@ def _block_calls(model):
 )
 def test_blocked_f_values_equal_full_matrix_registry(name, n):
     model = make_model(name, n=n)
-    got = lipschitz._enumeration(model).f_values
-    assert np.array_equal(got.view(np.uint64), _full_matrix_f_values(model).view(np.uint64))
+    enum = lipschitz._enumeration(model)
+    assert np.array_equal(enum.f_values.view(np.uint64), _full_matrix_f_values(model).view(np.uint64))
+    assert enum.variance == _plain_variance(enum)
+
+
+def _plain_variance(enum):
+    """Var f as one expression of temporaries, the reference for the
+    enumeration's in-place form."""
+    return float(np.sum(enum.probs * (enum.f_values - enum.mean) ** 2))
 
 
 def _config_model(kind, sizes, seed):
@@ -410,8 +417,10 @@ CONFIG_SIZES = [
 def test_blocked_f_values_equal_full_matrix_config(kind):
     for seed, sizes in enumerate(CONFIG_SIZES):
         model = _config_model(kind, sizes, seed)
-        got = lipschitz._enumeration(model).f_values
-        assert np.array_equal(got.view(np.uint64), _full_matrix_f_values(model).view(np.uint64))
+        enum = lipschitz._enumeration(model)
+        assert np.array_equal(enum.f_values.view(np.uint64),
+                              _full_matrix_f_values(model).view(np.uint64))
+        assert enum.variance == _plain_variance(enum)
 
 
 def test_blocks_tile_the_product_space():
@@ -426,7 +435,9 @@ def test_blocks_tile_the_product_space():
 @pytest.mark.parametrize("name", ["rademacher_average", "max_of_bits"])
 def test_enumeration_memory_per_outcome(name):
     # f runs on blocks of rows and no (k^n, n) outcome matrix is built, so
-    # the peak per outcome does not grow with n (near 40 B)
+    # the peak per outcome does not grow with n: f, the product weights and
+    # the g tensors (about 24 B), one buffer for Var f (8 B), and the block
+    # of rows no longer
     model = make_model(name, n=18)
     lipschitz._enumeration.cache_clear()
     tracemalloc.start()
@@ -435,4 +446,4 @@ def test_enumeration_memory_per_outcome(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * enum.f_values.size
+    assert peak <= 34 * enum.f_values.size

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mclt_lab import rng
@@ -100,6 +102,23 @@ def test_fast_block_path_is_identical():
         assert rng.uniforms_at(key, base, draw, words, scratch) is words
         assert words.tolist() == [word_int(99, rng.STREAM_SIMULATION, j, draw) for j in range(1000)]
         assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, out)
+
+
+U64 = st.integers(min_value=0, max_value=MASK)
+
+
+@given(key=U64, counters=st.lists(U64, max_size=8), draw=st.integers(0, rng.MAX_DRAWS_PER_PATH - 1))
+def test_sign_only_words_keep_the_sign_bit(key, counters, draw):
+    # keyed counters 0, 2**63 - 1, 2**63 and 2**64 - 1 enter the mix as given
+    keyed = [0, (1 << 63) - 1, 1 << 63, MASK, *((key + c) & MASK for c in counters)]
+    draw_part = (key + draw * GOLDEN) & MASK
+    base = np.array([(z - draw_part) & MASK for z in keyed], dtype=np.uint64)
+    words, scratch = np.empty(len(base), dtype=np.uint64), _block_buffers(len(base))[1]
+    assert rng.uniforms_at(np.uint64(key), base, draw, words, scratch, sign_only=True) is words
+    assert [int(w) >> 63 for w in words] == [mix64_int(z) >> 63 for z in keyed]
+    # the uniforms of the same counters stay those of the full mix
+    full = rng.uniforms_at(np.uint64(key), base, draw, np.empty(len(base)), scratch)
+    assert full.tolist() == [(mix64_int(z) >> 11) * 2.0**-53 for z in keyed]
 
 
 def test_normals_are_standard():

@@ -107,6 +107,9 @@ def exact_kolmogorov_discrete(support, probs) -> float:
     p = np.asarray(probs, dtype=float).ravel()
     if v.size != p.size or v.size == 0:
         raise ValueError("support and probabilities must be equal-length and non-empty")
+    # NaN fails the sign and total checks below, so it has to be refused here
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+        raise ValueError("non-finite support value or probability")
     if np.any(p < 0.0):
         raise ValueError("negative probabilities")
     # fsum is correctly rounded, so feeding it one block's floats at a time

@@ -238,7 +238,13 @@ class ConditionalKernel:
         return None
 
     def batch_regime(self, step: int, batch_state) -> np.ndarray | None:
-        """Per-path regime index, or None when a single regime applies."""
+        """Per-path regime index, or None when a single regime applies.
+
+        The index is an intp array of values 0 .. R-1 for the R laws of
+        ``step_regimes(step)``; the engine relies on exactly that, since its
+        two-regime selection multiplies the 0/1 index, viewed as uint64,
+        into the bits of the regime values.
+        """
         return None
 
     def batch_advance(self, step: int, batch_state, increments: np.ndarray, regime):
@@ -367,27 +373,35 @@ class VarianceDriftKernel(ConditionalKernel):
         return self._regimes
 
     def batch_init(self, count):
-        # (a, b) as exact small-integer floats, then scratch for the position,
-        # a second float buffer and the per-path regime (1 for low), an index
-        # array so that the engine's gathers by regime take it as it is
-        return (np.zeros(count), np.zeros(count), np.empty(count), np.empty(count),
-                np.empty(count, dtype=np.intp))
+        # (a, b) as exact small-integer floats, the position a*h + b*l and
+        # the per-path regime (intp, 1 for low), with the bit views that the
+        # regime and the update take
+        a, b, pos = np.zeros(count), np.zeros(count), np.empty(count)
+        regime = np.empty(count, dtype=np.intp)
+        return (a, b, pos, regime, pos.view(np.uint64), regime.view(np.float64),
+                regime.view(np.uint64))
 
     def batch_regime(self, step, batch_state):
-        a, b, pos, scratch, regime = batch_state
+        a, b, pos, regime, pos_bits, scratch, regime_bits = batch_state
         np.multiply(a, self.high_mag, out=pos)
         np.multiply(b, self.low_mag, out=scratch)
         np.add(pos, scratch, out=pos)
-        np.less(pos, 0.0, out=regime)  # high (0) iff a*h + b*l >= 0
+        # high (0) iff a*h + b*l >= 0: a and b are integer floats that start
+        # at +0.0, so pos is never -0.0 or NaN and its sign bit is pos < 0
+        np.right_shift(pos_bits, _SIGN_BIT, out=regime_bits)
         return regime
 
     def batch_advance(self, step, batch_state, increments, regime):
-        a, b, sign, low, _ = batch_state  # pos and scratch are free here
-        np.sign(increments, out=sign)
-        np.multiply(sign, regime, out=low)  # sign * r
-        np.add(b, low, out=b)
-        np.subtract(sign, low, out=sign)  # sign * (1 - r)
-        np.add(a, sign, out=a)
+        # pos and the regime are free once the regime is used: unit is the
+        # +-1.0 of the increment's sign, low = unit * r as integers, so +-1.0
+        # on a low path and +0.0 on a high one, and unit ^ low the converse
+        a, b, unit, low, unit_bits, low_f, low_bits = batch_state
+        np.bitwise_and(increments.view(np.uint64), _SIGN, out=unit_bits)
+        np.bitwise_or(unit_bits, _ONE, out=unit_bits)
+        np.multiply(unit_bits, low_bits, out=low_bits)
+        np.add(b, low_f, out=b)
+        np.bitwise_xor(unit_bits, low_bits, out=unit_bits)
+        np.add(a, unit, out=a)
         return batch_state
 
     def certified_epsilon(self, rho):
@@ -619,6 +633,8 @@ class TerminalStatistics:
 _WORD_LIMIT = 2.0**53
 _SHIFT = np.uint64(11)
 _SIGN = np.uint64(1 << 63)
+_SIGN_BIT = np.uint64(63)
+_ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 
 
 def _word_thresholds(c) -> np.ndarray:
@@ -656,20 +672,45 @@ class _StepTable:
     the increment's bits are ``sign_base ^ (z & 2**63)`` with ``sign_base``
     the bits of the regime's first atom.  Only bit 63 of ``z`` is read, so
     its words may be sign-only (``rng.uniforms_at``).
+
+    A value per regime (a per-regime threshold, ``m2``, ``sign_base`` and a
+    fair table's ``pow2p``) is kept in the form ``select`` takes: for two
+    regimes the bits ``(lo, lo ^ hi)`` of its two values, otherwise its
+    array of bits.
     """
 
     regimes: int
     width: int
+    # each a uint64 scalar shared by every regime, or per regime
     thresholds: tuple = ()
     values: np.ndarray | None = None
-    m2: np.ndarray | float = 0.0  # per regime; a float for one regime
-    # |value|^(2p) per regime for a fair table, per flat atom otherwise
-    pow2p: np.ndarray | None = None
+    m2: tuple | np.ndarray | float = 0.0  # per regime; a float for one regime
+    # |value|^(2p) per regime for a fair table (an array for one regime),
+    # per flat atom otherwise
+    pow2p: tuple | np.ndarray | None = None
     # the |value| of every atom of a single-regime table whose atoms share one
     abs_value: float | None = None
+    max_abs: float = math.inf  # the largest |atom|; inf for a sampler
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
     # the first atoms' bits of a fair table: per regime, a scalar for one
-    sign_base: np.ndarray | np.uint64 | None = None
+    sign_base: tuple | np.ndarray | np.uint64 | None = None
+
+    def select(self, per_regime, regime, out: np.ndarray) -> np.ndarray:
+        """Write each path's value of ``per_regime`` into ``out`` (8-byte
+        elements) and return ``out``.
+
+        For two regimes the bits are ``lo ^ (r * (lo ^ hi))`` with ``r`` the
+        0/1 regime as uint64: one multiply and one xor, exact for any bits,
+        +-0.0 included.  More regimes take a gather.
+        """
+        bits = out.view(np.uint64)
+        if self.regimes == 2:
+            lo, flip = per_regime
+            np.multiply(regime.view(np.uint64), flip, out=bits)
+            np.bitwise_xor(bits, lo, out=bits)
+        else:
+            np.take(per_regime, regime, out=bits, mode="clip")
+        return out
 
     def draw(self, words, regime, idx, flag, xi) -> np.ndarray:
         """Select the increments that the raw words ``words`` (uint64,
@@ -684,15 +725,15 @@ class _StepTable:
             np.bitwise_and(words, _SIGN, out=words)
             base = self.sign_base
             if self.regimes > 1:
-                base = np.take(base, regime, out=idx.view(np.uint64), mode="clip")
+                base = self.select(base, regime, idx.view(np.uint64))
             np.bitwise_xor(words, base, out=words)
             return words.view(np.float64)
         np.right_shift(words, _SHIFT, out=words)
         if not self.thresholds:
             idx.fill(0)
         for s, c in enumerate(self.thresholds):
-            if isinstance(c, np.ndarray):
-                c = np.take(c, regime, out=xi.view(np.uint64), mode="clip")
+            if not isinstance(c, np.uint64):
+                c = self.select(c, regime, xi.view(np.uint64))
             np.greater_equal(words, c, out=flag if s else idx)
             if s:
                 np.add(idx, flag, out=idx)
@@ -700,6 +741,12 @@ class _StepTable:
             np.multiply(regime, self.width, out=flag, dtype=np.intp)
             np.add(idx, flag, out=idx)
         return np.take(self.values, idx, out=xi, mode="clip")
+
+
+def _by_regime(values: np.ndarray):
+    """One 8-byte value per regime in the form ``_StepTable.select`` takes."""
+    bits = np.ascontiguousarray(values).view(np.uint64)
+    return (bits[0], bits[0] ^ bits[1]) if len(bits) == 2 else bits
 
 
 def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _StepTable:
@@ -723,25 +770,26 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
     m2 = np.array([dist._m2_cached for dist in laws])
     abs_values = np.abs(values)
     shared = len(laws) == 1 and bool(np.all(abs_values == abs_values.flat[0]))
-    thresholds = tuple(
-        col[0] if np.all(col == col[0]) else col for col in _word_thresholds(cum).T
-    )
+    columns = _word_thresholds(cum).T
+    thresholds = tuple(col[0] if np.all(col == col[0]) else _by_regime(col) for col in columns)
     sign_base = None
-    if width == 2 and np.all(thresholds[0] == 1 << 52):
+    if width == 2 and np.all(columns[0] == 1 << 52):
         first, second = values.view(np.uint64).T
         if np.all(first ^ second == _SIGN):
-            sign_base = first.copy() if len(laws) > 1 else first[0]
+            sign_base = _by_regime(first) if len(laws) > 1 else first[0]
             abs_values = abs_values[:, 0]  # each regime's atoms share one |value|
+    # elementwise the same floats as np.abs(xi) ** (2.0 * p) on the drawn
+    # increments
+    pow2p = abs_values.ravel() ** (2.0 * p)
     return _StepTable(
         regimes=len(laws),
         width=width,
         thresholds=thresholds,
         values=values.ravel(),
-        m2=float(m2[0]) if len(laws) == 1 else m2,
-        # elementwise the same floats as np.abs(xi) ** (2.0 * p) on the
-        # drawn increments
-        pow2p=abs_values.ravel() ** (2.0 * p),
+        m2=float(m2[0]) if len(laws) == 1 else _by_regime(m2),
+        pow2p=_by_regime(pow2p) if sign_base is not None and len(laws) > 1 else pow2p,
         abs_value=float(abs_values.flat[0]) if shared else None,
+        max_abs=float(abs_values.max()),
         sign_base=sign_base,
     )
 
@@ -778,8 +826,11 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
     conditional variance and |xi|^(2p), then the kernel's state update.  A
     fair table writes the increments over its words.  Accumulators that are
     the same on every path stay Python floats, added in the same order and
-    written out once: <X> while every step so far had one regime, and
-    max |xi| over the steps whose atoms share one |value|.
+    written out once: <X> while every step so far had one regime, and a
+    floor that every path's max |xi| has reached.  The floor takes the
+    |value| of a step whose atoms share one, and the least per-path max
+    after a finite table's per-path step; a step whose atoms are all within
+    it leaves every max as it is.
     """
     n = kernel.n
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
@@ -794,7 +845,7 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
     idx, flag = (w.view(np.intp) for w in scratch)
     gathered = flag.view(np.float64)
     v_acc: float | None = 0.0  # <X>; None once it differs between paths
-    m_acc = 0.0  # max |xi| over the steps whose atoms share one |value|
+    m_acc = 0.0  # a floor that every path's max |xi| has reached
     tables: dict[tuple, _StepTable] = {}
     state = kernel.batch_init(count)
     for step in range(1, n + 1):
@@ -808,8 +859,9 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
                         scratch=scratch, sign_only=fair)
         regime = kernel.batch_regime(step, state)
         for t, mom in out.moments.items():
-            moments = [dist.moment(t) for dist in laws]
-            mom[:, step - 1] = moments[0] if table.regimes == 1 else np.take(moments, regime)
+            moments = np.array([dist.moment(t) for dist in laws])
+            mom[:, step - 1] = moments[0] if table.regimes == 1 else table.select(
+                _by_regime(moments), regime, gathered)
         if xi is None and not fair:
             xi = np.empty(count)
         if table.sampler is not None:
@@ -820,23 +872,26 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
         if X is not None:
             X += inc
         v_acc = _accumulate(v_acc, V, table.m2 if table.regimes == 1
-                            else np.take(table.m2, regime, out=gathered, mode="clip"))
+                            else table.select(table.m2, regime, gathered))
         if out.increments is not None:
             out.increments[:, step - 1] = inc
             out.variances[:, step] = V if v_acc is None else v_acc
         if max_abs is not None:
             if table.abs_value is not None:
                 m_acc = max(m_acc, table.abs_value)
-            else:
+            elif table.max_abs > m_acc:
                 np.maximum(max_abs, np.abs(inc, out=gathered), out=max_abs)
+                if table.sampler is None:
+                    m_acc = max(m_acc, float(max_abs.min()))
         if total_2p is not None:
             if table.sampler is not None:
                 total_2p += np.abs(inc) ** (2.0 * p)
             elif table.abs_value is not None:
                 total_2p += table.pow2p[0]
+            elif fair:
+                total_2p += table.select(table.pow2p, regime, gathered)
             else:
-                total_2p += np.take(table.pow2p, regime if fair else idx, out=gathered,
-                                    mode="clip")
+                total_2p += np.take(table.pow2p, idx, out=gathered, mode="clip")
         state = kernel.batch_advance(step, state, inc, regime)
     if v_acc is not None:
         V += v_acc

@@ -114,6 +114,18 @@ def test_invalid_discrete_laws_rejected():
         exact_kolmogorov_discrete([0.0, 1.0], [-0.1, 1.1])
 
 
+@pytest.mark.parametrize("support, probs", [
+    ([0.0, 1.0], [math.nan, 0.5]),  # the sign and total checks pass NaN
+    ([math.nan, 1.0], [0.5, 0.5]),
+    ([0.0, math.inf], [0.5, 0.5]),  # an atom at +inf read as D = 0.5
+    ([-math.inf, 0.0], [0.5, 0.5]),
+    ([0.0, 1.0], [math.inf, -math.inf]),
+])
+def test_non_finite_discrete_laws_rejected(support, probs):
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_kolmogorov_discrete(support, probs)
+
+
 def test_empirical_equals_exact_on_expanded_law():
     # integer multiplicities M*p_i turn the discrete law into a sample whose
     # empirical CDF is the law itself

@@ -338,6 +338,19 @@ class _SignSwitchKernel(ConditionalKernel):
         return batch_state
 
 
+# the floor of max |xi| rises and is passed: a per-path step that leaves
+# some paths at 0, a shared |value| (floor 0.2), a per-path step above the
+# floor, one within it, a shared |value| below it and an asymmetric step
+# above it
+_MAX_FLOOR = TableKernel([
+    StepDistribution(values=(-0.3, 0.0, 0.3), probs=(0.25, 0.5, 0.25)),
+    StepDistribution(values=(-0.2, 0.2), probs=(0.5, 0.5)),
+    StepDistribution(values=(-0.5, 0.0, 0.5), probs=(0.1, 0.8, 0.1)),
+    StepDistribution(values=(-0.2, 0.0, 0.2), probs=(0.3, 0.4, 0.3)),
+    StepDistribution(values=(-0.1, 0.1), probs=(0.5, 0.5)),
+    StepDistribution(values=(-0.6, 0.4), probs=(0.4, 0.6)),
+], label="max_floor")
+
 REFERENCE_KERNELS = [
     m.make_kernel("iid_rademacher", n=12),
     m.make_kernel("iid_scaled", n=9, values=[-3.0, -1.0, 1.0, 3.0], probs=[0.1, 0.4, 0.4, 0.1]),
@@ -404,6 +417,12 @@ REFERENCE_KERNELS = [
         StepDistribution(values=(-0.8, 0.8), probs=(0.5, 0.5)),
         StepDistribution(values=(-0.8, 0.8), probs=(0.5, 0.5)),
     ], label="hoist_switch"),
+    _MAX_FLOOR,
+    # h == 2*l in floats at d=0.6, so a*h + b*l cancels to +0.0 where
+    # b = -2a != 0 (first reached after -h, +l, +l), which is the high
+    # regime; at d=0.9 the two magnitudes are far apart
+    pytest.param(m.make_kernel("variance_drift", n=16, d=0.6), id="variance_drift_cancelling"),
+    pytest.param(m.make_kernel("variance_drift", n=20, d=0.9), id="variance_drift_wide"),
 ]
 
 
@@ -513,8 +532,125 @@ def test_tables_of_fair_regimes_select_on_the_sign_bit(regimes, fair):
     assert (table.sign_base is not None) == fair
     if fair:
         first = np.array([dist.values[0] for dist in regimes])
-        assert _same_bits(table.sign_base, first)
-        assert _same_bits(table.pow2p, np.abs(first) ** 3.0)
+        each = np.arange(len(regimes), dtype=np.intp)
+        assert _same_bits(table.select(table.sign_base, each, np.empty(len(regimes))), first)
+        assert _same_bits(table.select(table.pow2p, each, np.empty(len(regimes))),
+                          np.abs(first) ** 3.0)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -1.0,
+                   math.inf, -math.inf, math.nan]
+_SPECIAL_WORDS = [0, 1, (1 << 52), (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+
+
+@settings(max_examples=300)
+@given(
+    values=st.one_of(
+        st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()), min_size=2, max_size=2)
+        .map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(st.one_of(st.sampled_from(_SPECIAL_WORDS),
+                           st.integers(min_value=0, max_value=(1 << 64) - 1)), min_size=2, max_size=2)
+        .map(lambda v: np.array(v, dtype=np.uint64)),
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40),
+)
+def test_two_regime_selection_equals_the_gather(values, picks):
+    # lo ^ (r * (lo ^ hi)) on the bits: every float, signed zeros,
+    # subnormals, infinities and NaN payloads included, and every word
+    regime = np.array(picks, dtype=np.intp)
+    table = kernels._StepTable(regimes=2, width=2)
+    got = table.select(kernels._by_regime(values), regime, np.empty(len(picks), dtype=values.dtype))
+    assert got.dtype == values.dtype
+    assert _same_bits(got, np.take(values, regime))
+
+
+@settings(max_examples=100)
+@given(
+    values=st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()), min_size=3, max_size=3),
+    picks=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=40),
+)
+def test_three_regime_selection_is_the_gather(values, picks):
+    values = np.array(values)
+    per_regime = kernels._by_regime(values)
+    assert isinstance(per_regime, np.ndarray) and per_regime.dtype == np.uint64
+    regime = np.array(picks, dtype=np.intp)
+    got = kernels._StepTable(regimes=3, width=2).select(per_regime, regime, np.empty(len(picks)))
+    assert _same_bits(got, np.take(values, regime))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.one_of(st.sampled_from([0.2, 0.3, 0.6, 0.9]), st.floats(min_value=0.01, max_value=0.99)),
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_variance_drift_batch_state_follows_the_scalar_state(d, n, seed):
+    # the batch keeps (a, b) as floats and takes the regime from the sign
+    # bit of a*h + b*l; both must be the scalar transition's and
+    # law_from_state's on every path and step, bit for bit
+    kernel = VarianceDriftKernel(n=n, d=d)
+    mags = np.array([kernel.high_mag, kernel.low_mag])
+    down = np.random.default_rng(seed).random((n, 64)) < 0.5
+    down[:3, 0] = (True, False, False)[:n]  # -h, +l, +l: b = -2a = 2
+    states = [kernel.initial_state()] * down.shape[1]
+    batch = kernel.batch_init(down.shape[1])
+    cancelled = False
+    for step in range(1, n + 1):
+        regime = kernel.batch_regime(step, batch)
+        assert regime.dtype == np.intp
+        pos = batch[2]
+        assert not np.any(pos.view(np.uint64) == 1 << 63)  # never -0.0
+        cancelled |= bool(np.any((pos == 0.0) & (batch[0] != 0.0)))
+        want = [kernel.step_regimes(step).index(kernel.law_from_state(step, s)) for s in states]
+        assert regime.tolist() == want
+        inc = np.where(down[step - 1], -1.0, 1.0) * mags[regime]
+        states = [kernel.transition(s, x) for s, x in zip(states, inc.tolist())]
+        kernel.batch_advance(step, batch, inc, regime)
+        a, b = batch[:2]
+        assert _same_bits(a, [float(s[0]) for s in states])
+        assert _same_bits(b, [float(s[1]) for s in states])
+    if d == 0.6 and n >= 4:
+        # the cancelling position was reached and classified above
+        assert kernel.high_mag == 2.0 * kernel.low_mag
+        assert cancelled
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts the ufunc calls it takes part in, by (ufunc, method)."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        self.calls[ufunc.__name__, method] = self.calls.get((ufunc.__name__, method), 0) + 1
+        plain = tuple(x.view(np.ndarray) if isinstance(x, _CountingArray) else x for x in inputs)
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _CountingArray) else x
+                                  for x in out)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("kernel, maxima, floors", [
+    # step 1 is high on every path, so the floor reaches high_mag there and
+    # the other steps take no per-path max
+    (m.make_kernel("variance_drift", n=9, d=0.3), 1, 1),
+    # a sampler's largest |xi| is unbounded: a per-path max every step and
+    # no floor to raise
+    (m.make_kernel("iid_gaussian", n=9), 9, 0),
+    # one |value| per step: the floor alone
+    (m.make_kernel("iid_rademacher", n=9), 0, 0),
+    # per path at steps 1, 3 and 6 only
+    (_MAX_FLOOR, 3, 3),
+], ids=lambda v: v.label.split("(")[0] if isinstance(v, ConditionalKernel) else str(v))
+def test_max_abs_runs_per_path_only_above_the_floor(kernel, maxima, floors):
+    count = 500
+    max_abs = np.zeros(count).view(_CountingArray)
+    max_abs.calls = {}
+    out = kernels._PathOutputs(terminal=np.zeros(count), variance=np.zeros(count),
+                               max_abs=max_abs)
+    kernels._simulate_chunk(kernel, rng.stream_key(3, rng.STREAM_SIMULATION), 0, count, out, 1.0)
+    # the last maximum writes the floor into every path's max
+    assert max_abs.calls.get(("maximum", "__call__"), 0) == maxima + 1
+    assert max_abs.calls.get(("minimum", "reduce"), 0) == floors
+    increments = sample_paths(kernel, 3, count).increments
+    assert _same_bits(max_abs.view(np.ndarray), np.abs(increments).max(axis=1))
 
 
 def test_uniform_on_a_cumulative_probability_selects_the_upper_atom():

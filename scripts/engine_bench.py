@@ -24,16 +24,18 @@ import scipy
 from mclt_lab import kernels
 
 ROOT = Path(__file__).resolve().parent.parent
+N = 256  # path length
+SEED = 1
 
 
-def cases(n: int):
+def cases():
     """(name, kernel, sample_terminal keywords) for each timed kernel."""
-    yield "iid_rademacher", kernels.make_kernel("iid_rademacher", n=n), {}
-    yield ("variance_drift", kernels.make_kernel("variance_drift", n=n, d=0.2),
+    yield "iid_rademacher", kernels.make_kernel("iid_rademacher", n=N), {}
+    yield ("variance_drift", kernels.make_kernel("variance_drift", n=N, d=0.2),
            {"p": 1.5, "with_sum_inc": True})
     b = 0.1  # jump probability q = 1 / (n b^2): unit total variance
-    yield "three_point", kernels.make_kernel("three_point", n=n, b=b, q=1.0 / (n * b * b)), {}
-    yield "iid_gaussian", kernels.make_kernel("iid_gaussian", n=n), {}
+    yield "three_point", kernels.make_kernel("three_point", n=N, b=b, q=1.0 / (N * b * b)), {}
+    yield "iid_gaussian", kernels.make_kernel("iid_gaussian", n=N), {}
 
 
 def git(*argv) -> str | None:
@@ -78,24 +80,22 @@ def environment() -> dict:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=256, help="path length")
     ap.add_argument("--paths", type=int, default=1 << 16, help="paths per call")
     ap.add_argument("--repeat", type=int, default=3, help="timed calls per kernel")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="BENCH_engine.json")
     args = ap.parse_args()
-    if args.n < 1 or args.paths < 1 or args.repeat < 1:
-        sys.exit("--n, --paths and --repeat must be positive")
+    if args.paths < 1 or args.repeat < 1:
+        sys.exit("--paths and --repeat must be positive")
 
-    steps = args.n * args.paths
+    steps = N * args.paths
     results = {}
     print(f"{'kernel':<16} {'best wall':>10} {'best cpu':>10}  (ns per path-step)")
-    for name, kernel, options in cases(args.n):
-        kernels.sample_terminal(kernel, args.seed, min(args.paths, 1024), threads=1, **options)
+    for name, kernel, options in cases():
+        kernels.sample_terminal(kernel, SEED, min(args.paths, 1024), threads=1, **options)
         wall, cpu = [], []
         for _ in range(args.repeat):
             w0, c0 = time.perf_counter_ns(), time.process_time_ns()
-            kernels.sample_terminal(kernel, args.seed, args.paths, threads=1, **options)
+            kernels.sample_terminal(kernel, SEED, args.paths, threads=1, **options)
             wall.append((time.perf_counter_ns() - w0) / steps)
             cpu.append((time.process_time_ns() - c0) / steps)
         results[name] = {
@@ -111,10 +111,10 @@ def main():
     record = {
         "bench": "engine",
         "what": "sample_terminal, one thread, ns per path-step",
-        "n": args.n,
+        "n": N,
         "paths": args.paths,
         "repeat": args.repeat,
-        "seed": args.seed,
+        "seed": SEED,
         "environment": environment(),
         "kernels": results,
     }

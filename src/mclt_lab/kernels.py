@@ -243,7 +243,7 @@ class ConditionalKernel:
         The index is an intp array of values 0 .. R-1 for the R laws of
         ``step_regimes(step)``; the engine relies on exactly that, since its
         two-regime selection multiplies the 0/1 index, viewed as uint64,
-        into the bits of the regime values.
+        into the bits of the regime values, and refuses any other dtype.
         """
         return None
 
@@ -392,14 +392,16 @@ class VarianceDriftKernel(ConditionalKernel):
         return regime
 
     def batch_advance(self, step, batch_state, increments, regime):
-        # pos and the regime are free once the regime is used: unit is the
-        # +-1.0 of the increment's sign, low = unit * r as integers, so +-1.0
-        # on a low path and +0.0 on a high one, and unit ^ low the converse
-        a, b, unit, low, unit_bits, low_f, low_bits = batch_state
+        # pos is free once the regime is drawn, and the regime once it is
+        # used, so this consumes it: unit is the +-1.0 of the increment's
+        # sign, low = unit * r as integers, so +-1.0 on a low path and +0.0
+        # on a high one, and unit ^ low the converse
+        a, b, unit = batch_state[:3]
+        unit_bits, low_bits = batch_state[4], regime.view(np.uint64)
         np.bitwise_and(increments.view(np.uint64), _SIGN, out=unit_bits)
         np.bitwise_or(unit_bits, _ONE, out=unit_bits)
         np.multiply(unit_bits, low_bits, out=low_bits)
-        np.add(b, low_f, out=b)
+        np.add(b, low_bits.view(np.float64), out=b)
         np.bitwise_xor(unit_bits, low_bits, out=unit_bits)
         np.add(a, unit, out=a)
         return batch_state
@@ -858,6 +860,8 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
         rng.uniforms_at(key, ctr_base, step - 1, out=words if table.sampler is None else u,
                         scratch=scratch, sign_only=fair)
         regime = kernel.batch_regime(step, state)
+        if regime is not None and regime.dtype != np.intp:
+            raise KernelError(f"step {step}: batch_regime returned {regime.dtype}, not intp")
         for t, mom in out.moments.items():
             moments = np.array([dist.moment(t) for dist in laws])
             mom[:, step - 1] = moments[0] if table.regimes == 1 else table.select(

@@ -675,6 +675,20 @@ def test_invalid_regime_is_named():
     assert "mean" in str(err.value) and "(regime 1)" in str(err.value)
 
 
+@pytest.mark.parametrize("dtype", [np.bool_, np.int32, np.uint64])
+def test_a_regime_index_that_is_not_intp_is_refused(dtype):
+    # the two-regime selection multiplies the regime's bits, so a bool or
+    # narrower index would select wrong values instead of failing
+    class Narrow(_SignSwitchKernel):
+        def batch_regime(self, step, batch_state):
+            return super().batch_regime(step, batch_state).astype(dtype)
+
+    kernel = Narrow(n=4)
+    for run in (sample_terminal, sample_paths):
+        with pytest.raises(KernelError, match="step 1: batch_regime returned"):
+            run(kernel, 1, 8)
+
+
 @pytest.mark.parametrize("name, params, p", [
     ("iid_gaussian", {"n": 64}, 1.5),
     ("variance_drift", {"n": 64, "d": 0.2}, 1.5),

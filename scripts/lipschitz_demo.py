@@ -31,7 +31,7 @@ def main():
     while n <= args.nmax:
         model = make_model("rademacher_average", n=n)
         pair = epsilon_delta_n(model)
-        support, probs = exact_distribution(model, normalized=True)
+        support, probs = exact_distribution(model)
         d = exact_kolmogorov_discrete(support, probs)
         func = pair.epsilon_n * abs(math.log(pair.epsilon_n)) + pair.delta_n
         print(f"{n:>4} {pair.epsilon_n:>9.5f} {pair.delta_n:>8.1f} {d:>9.5f} {d/func:>8.3f}")

@@ -527,7 +527,7 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
             params.setdefault("rho", cfg.rho)
             ref["params"] = params
         model = model_from_config(ref)
-        support, probs = exact_distribution(model, normalized=True)
+        support, probs = exact_distribution(model)
         d_exact = exact_kolmogorov_discrete(support, probs)
         try:
             pair = epsilon_delta_n(model)

@@ -98,14 +98,16 @@ class ConditionReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def _checked_law(kernel, step, state) -> StepDistribution:
-    dist = kernel.law_from_state(step, state)
+def _checked_law(step, dist: StepDistribution) -> tuple:
+    """``(law, E xi^2, its (value, probability, |value|) atoms of nonzero
+    probability)``, once the law is known valid and exact-mode."""
     reason = dist._check_cached
     if reason is not None:
         raise InvalidKernelError(step, (), reason)
     if dist.mode != "exact":
         raise KernelError("exhaustive certification requires an exact-mode kernel")
-    return dist
+    atoms = tuple((v, p, abs(v)) for v, p in zip(dist.values, dist.probs) if p != 0.0)
+    return dist, dist._m2_cached, atoms
 
 
 def _ratio(dist: StepDistribution, rho: float) -> float:
@@ -118,58 +120,68 @@ def _ratio(dist: StepDistribution, rho: float) -> float:
     return value
 
 
-def _walk(kernel: ConditionalKernel, key, visit=None) -> list[float]:
+def _walk(kernel: ConditionalKernel, key, visit=None) -> list[list]:
     """Breadth-first walk of the reachable history tree, one level per step.
 
-    Histories whose ``key(state, <X>)`` agree share one node, the first one
-    reached.  ``visit(step, law)`` sees the law at every node; the return
-    value is <X>_n at every node of the terminal level.
+    A node is ``[state, <X>, probability, max |xi|, count]`` and stands for
+    ``count`` histories.  Histories whose ``key(state, <X>, probability,
+    max |xi|)`` agree share one node: the first one reached keeps its fields
+    and the counts add up.  ``visit(step, law)`` sees each distinct law of a
+    level once; the return value is the nodes of the terminal level.
     """
     init = kernel.initial_state()
-    level = {key(init, 0.0): (init, 0.0)}
+    level = {key(init, 0.0, 1.0, 0.0): [init, 0.0, 1.0, 0.0, 1]}
     nodes = 0
     for step in range(1, kernel.n + 1):
         nxt: dict = {}
-        for state, acc in level.values():
-            dist = _checked_law(kernel, step, state)
-            if visit is not None:
-                visit(step, dist)
-            new_acc = acc + dist._m2_cached
-            for value, p in zip(dist.values, dist.probs):
-                if p == 0.0:
-                    continue
+        # each law of the level is checked once, keyed on its id: hashing a
+        # law hashes its value tuples; the table holds the law, so no other
+        # law can take its id during the level
+        laws: dict[int, tuple] = {}
+        for state, acc, prob, top, count in level.values():
+            dist = kernel.law_from_state(step, state)
+            law = laws.get(id(dist))
+            if law is None:
+                law = laws[id(dist)] = _checked_law(step, dist)
+                if visit is not None:
+                    visit(step, dist)
+            new_acc = acc + law[1]
+            for value, p, size in law[2]:
                 child = kernel.transition(state, value)
-                child_key = key(child, new_acc)
-                if child_key not in nxt:
-                    nxt[child_key] = (child, new_acc)
-                    nodes += 1
-                    if nodes > NODE_GUARD:
-                        raise WalkGuardExceeded(
-                            f"history walk exceeded {NODE_GUARD} nodes at step {step}"
-                        )
+                child_prob = prob * p
+                child_top = top if top >= size else size  # max(top, |value|)
+                child_key = key(child, new_acc, child_prob, child_top)
+                node = nxt.get(child_key)
+                if node is not None:
+                    node[4] += count
+                    continue
+                nxt[child_key] = [child, new_acc, child_prob, child_top, count]
+                nodes += 1
+                if nodes > NODE_GUARD:
+                    raise WalkGuardExceeded(
+                        f"history walk exceeded {NODE_GUARD} nodes at step {step}"
+                    )
         level = nxt
-    return [acc for _, acc in level.values()]
+    return list(level.values())
 
 
 def _walk_epsilon(kernel: ConditionalKernel, rho: float) -> list[float]:
     """Worst per-step ratio over all reachable histories (state-deduplicated)."""
     per_step = [0.0] * kernel.n
-    ratios: dict[StepDistribution, float] = {}  # one ratio per distinct law
 
     def visit(step, dist):
-        ratio = ratios.get(dist)
-        if ratio is None:
-            ratio = ratios[dist] = _ratio(dist, rho)
-        per_step[step - 1] = max(per_step[step - 1], ratio)
+        per_step[step - 1] = max(per_step[step - 1], _ratio(dist, rho))
 
-    _walk(kernel, lambda state, acc: kernel.state_key(state), visit)
+    _walk(kernel, lambda state, acc, prob, top: kernel.state_key(state), visit)
     return per_step
 
 
 def _walk_delta(kernel: ConditionalKernel) -> float:
     """Sup over reachable histories of |<X>_n - 1| (state+variance dedup)."""
-    terminal = _walk(kernel, lambda state, acc: (kernel.state_key(state), round(acc, 14)))
-    return max(abs(acc - 1.0) for acc in terminal)
+    terminal = _walk(
+        kernel, lambda state, acc, prob, top: (kernel.state_key(state), round(acc, 14))
+    )
+    return max(abs(acc - 1.0) for _, acc, _, _, _ in terminal)
 
 
 def _simulated_ratios(kernel, rho, source: SimulatedHistories):

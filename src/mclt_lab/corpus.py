@@ -17,6 +17,8 @@ from .kernels import StepDistribution
 
 __all__ = ["random_mean_zero_distribution", "random_joint_law"]
 
+JOINT_SIDE = 5  # a random joint law has 2..JOINT_SIDE atoms per axis
+
 
 def random_mean_zero_distribution(seed: int, index: int) -> StepDistribution:
     """A random finite-support mean-zero law with 2..5 atoms.
@@ -36,15 +38,16 @@ def random_mean_zero_distribution(seed: int, index: int) -> StepDistribution:
     return StepDistribution(values=tuple(values.tolist()), probs=tuple(probs.tolist()))
 
 
-def random_joint_law(seed: int, index: int, max_side: int = 5) -> JointLaw:
-    """A random finite joint law on a grid of at most max_side x max_side atoms."""
+def random_joint_law(seed: int, index: int) -> JointLaw:
+    """A random finite joint law on a grid of at most JOINT_SIDE x JOINT_SIDE atoms."""
     key = rng.stream_key(seed, rng.STREAM_CORPUS)
-    u = rng.uniforms(key, index + (1 << 32), np.arange(2 + 2 * max_side + max_side * max_side))
-    kx = 2 + int(u[0] * (max_side - 1))
-    ky = 2 + int(u[1] * (max_side - 1))
+    u = rng.uniforms(key, index + (1 << 32),
+                     np.arange(2 + 2 * JOINT_SIDE + JOINT_SIDE * JOINT_SIDE))
+    kx = 2 + int(u[0] * (JOINT_SIDE - 1))
+    ky = 2 + int(u[1] * (JOINT_SIDE - 1))
     xs = -2.0 + 4.0 * u[2 : 2 + kx]
-    ys = -2.0 + 4.0 * u[2 + max_side : 2 + max_side + ky]
-    cells = u[2 + 2 * max_side : 2 + 2 * max_side + kx * ky] + 0.02
+    ys = -2.0 + 4.0 * u[2 + JOINT_SIDE : 2 + JOINT_SIDE + ky]
+    cells = u[2 + 2 * JOINT_SIDE : 2 + 2 * JOINT_SIDE + kx * ky] + 0.02
     cells = cells / math.fsum(cells.tolist())
     x_flat = []
     y_flat = []

@@ -410,7 +410,7 @@ class VarianceDriftKernel(ConditionalKernel):
         # both regimes are reachable for n >= 2 (step 1 is high; a first
         # negative step makes step 2 low); each regime's ratio equals its
         # magnitude because the support has a single magnitude
-        return self.high_mag if self.n >= 1 else None
+        return self.high_mag
 
     def certified_delta(self):
         # sup |<X>_n - 1| = d, attained by paths that never leave the

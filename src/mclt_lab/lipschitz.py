@@ -65,6 +65,7 @@ __all__ = [
 ENUM_GUARD = 10_000_000
 _BLOCK_ROWS = 1 << 14  # outcome rows per call of f
 TOL = 1e-12
+SANDWICH_PAIRS = 10_000  # outcome pairs checked per coordinate swap
 
 
 class EnumerationGuardExceeded(RuntimeError):
@@ -153,11 +154,11 @@ class LipschitzModel:
         for c in self.coords:
             c.validate()
 
-    def check_metric_sandwich(self, max_pairs: int = 10_000) -> bool:
+    def check_metric_sandwich(self) -> bool:
         """Spot-check d1 <= |coordinate change of f| <= d2 on support swaps.
 
-        Full verification when the product space fits the guard; otherwise a
-        deterministic subsample of swap pairs per coordinate.
+        Full verification when a swap has at most SANDWICH_PAIRS outcome
+        pairs; otherwise a deterministic subsample of them.
         """
         enum = _enumeration(self)
         ok = True
@@ -169,8 +170,8 @@ class LipschitzModel:
             for a in range(k):
                 for b in range(a + 1, k):
                     diff = np.abs(moved[:, a] - moved[:, b])
-                    if diff.size > max_pairs:
-                        step = diff.size // max_pairs + 1
+                    if diff.size > SANDWICH_PAIRS:
+                        step = diff.size // SANDWICH_PAIRS + 1
                         diff = diff[::step]
                     lo = self.d1[i](coord.values[a], coord.values[b])
                     hi = self.d2[i](coord.values[a], coord.values[b])
@@ -443,14 +444,12 @@ def verify_a1_lipschitz(model: LipschitzModel) -> list[dict]:
     return report
 
 
-def exact_distribution(model: LipschitzModel, normalized: bool = True):
-    """Support and probabilities of (f - E f), optionally variance-normalized."""
+def exact_distribution(model: LipschitzModel):
+    """Support and probabilities of (f - E f) / sqrt(Var f)."""
     enum = _enumeration(model)
-    centered = (enum.f_values - enum.mean).reshape(-1)
-    if normalized:
-        if enum.variance <= 0.0:
-            raise ValueError("degenerate functional: zero variance")
-        centered = centered / math.sqrt(enum.variance)
+    if enum.variance <= 0.0:
+        raise ValueError("degenerate functional: zero variance")
+    centered = (enum.f_values - enum.mean).reshape(-1) / math.sqrt(enum.variance)
     return centered, enum.probs.reshape(-1)
 
 

@@ -2,8 +2,9 @@
 
 Two tools live here:
 
-* a depth-first enumeration of every realizable path of an exact-mode kernel
-  (full support tree, feasible for small n), yielding exact terminal moments;
+* exact terminal moments of an exact-mode kernel, read from the history walk
+  of :mod:`conditions` with histories merged only when every leaf term agrees
+  bit for bit (the walk's node guard bounds it, not 2^n);
 * a lattice dynamic program for the variance-drift family, exact at any n.
   A drift path's randomness is its sign sequence, and its position after any
   prefix is ``a*h + b*l`` where (a, b) are net signed counts of high/low
@@ -11,27 +12,26 @@ Two tools live here:
   functions of that integer state, so the chain (a, b, #high steps) carries
   the full law of the terminal conditional variance.
 
-The DP is validated against the path enumeration at small n in the tests,
-then run at large n where enumeration is impossible.
+The DP is validated against the exact terminal moments at small n in the
+tests, then run at large n where the walk's node count grows too large.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .conditions import _walk
 from .kernels import ConditionalKernel, VarianceDriftKernel
 
 __all__ = [
     "exact_terminal_moments",
-    "enumerate_terminal_variances",
     "variance_drift_mean_abs_deviation",
     "ExactTerminalMoments",
 ]
-
-NODE_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -44,49 +44,29 @@ class ExactTerminalMoments:
     leaves: int
 
 
-def _walk(kernel: ConditionalKernel, step, state, prob, var_acc, max_abs, counter, out):
-    if step > kernel.n:
-        out.append((prob, var_acc, max_abs))
-        return
-    dist = kernel.law_from_state(step, state)
-    if dist.mode != "exact":
-        raise ValueError("exact enumeration requires an exact-mode kernel")
-    m2 = dist.moment(2)
-    for value, p in zip(dist.values, dist.probs):
-        if p == 0.0:
-            continue
-        counter[0] += 1
-        if counter[0] > NODE_GUARD:
-            raise ValueError("enumeration exceeds the node guard")
-        _walk(
-            kernel,
-            step + 1,
-            kernel.transition(state, value),
-            prob * p,
-            var_acc + m2,
-            max(max_abs, abs(value)),
-            counter,
-            out,
-        )
-
-
-def enumerate_terminal_variances(kernel: ConditionalKernel) -> list[tuple[float, float, float]]:
-    """All leaves of the path tree as (probability, <X>_n, max |xi|)."""
-    out: list[tuple[float, float, float]] = []
-    _walk(kernel, 1, kernel.initial_state(), 1.0, 0.0, 0.0, [0], out)
-    return out
+def _counted_sum(terms) -> float:
+    """Sum of ``count * term`` over (count, term) pairs, rounded once, as
+    ``math.fsum`` rounds the sum of every term repeated count times."""
+    terms = list(terms)
+    if not all(math.isfinite(t) for _, t in terms):
+        return math.fsum(t for _, t in terms)  # inf or nan at any count
+    return float(sum(count * Fraction(t) for count, t in terms))
 
 
 def exact_terminal_moments(kernel: ConditionalKernel, p: float = 1.0) -> ExactTerminalMoments:
-    leaves = enumerate_terminal_variances(kernel)
-    mean_dev = math.fsum(pr * abs(v - 1.0) ** p for pr, v, _ in leaves)
-    mean_max = math.fsum(pr * m ** (2.0 * p) for pr, _, m in leaves)
-    max_dev = max(abs(v - 1.0) for _, v, _ in leaves)
+    """Exact moments over every history of an exact-mode kernel.
+
+    Histories share a walk node only when state, <X>, probability and
+    max |xi| all agree, so each node's terms are each of its histories' own.
+    """
+    nodes = _walk(kernel, lambda state, acc, prob, top: (kernel.state_key(state), acc, prob, top))
+    mean_dev = _counted_sum((c, pr * abs(v - 1.0) ** p) for _, v, pr, _, c in nodes)
+    mean_max = _counted_sum((c, pr * m ** (2.0 * p)) for _, _, pr, m, c in nodes)
     return ExactTerminalMoments(
         mean_var_dev_p=mean_dev,
         mean_max_inc_2p=mean_max,
-        max_var_dev=max_dev,
-        leaves=len(leaves),
+        max_var_dev=max(abs(v - 1.0) for _, v, _, _, _ in nodes),
+        leaves=sum(c for _, _, _, _, c in nodes),
     )
 
 

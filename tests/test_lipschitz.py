@@ -278,7 +278,7 @@ def test_normalized_distribution_and_clt_ratio():
     for n in (4, 16, 64, 256):
         model = make_model("rademacher_average", n=n)
         if n <= 16:
-            support, probs = exact_distribution(model, normalized=True)
+            support, probs = exact_distribution(model)
         else:
             support, probs = _binomial_average_law(n)
         d = exact_kolmogorov_discrete(support, probs)
@@ -294,7 +294,7 @@ def test_normalized_distribution_and_clt_ratio():
 
 def test_enumeration_agrees_with_binomial_oracle():
     model = make_model("rademacher_average", n=12)
-    support, probs = exact_distribution(model, normalized=True)
+    support, probs = exact_distribution(model)
     d_model = exact_kolmogorov_discrete(support, probs)
     d_binom = exact_kolmogorov_discrete(*_binomial_average_law(12))
     assert d_model == pytest.approx(d_binom, abs=1e-12)
@@ -312,7 +312,7 @@ def test_one_evaluation_of_f_per_model():
     model = LipschitzModel(
         coords=(RADEMACHER,) * 3, f=f, d1=(metric,) * 3, d2=(metric,) * 3
     )
-    support, probs = exact_distribution(model, normalized=True)
+    support, probs = exact_distribution(model)
     sandwich = variance_sandwich(model)
     assert calls == [(8, 3)]
     assert sandwich.variance == pytest.approx(0.25 + 1.0 + 4.0, rel=1e-12)

@@ -13,7 +13,6 @@ from .conditions import (
     EXHAUSTIVE,
     ConditionReport,
     SimulatedHistories,
-    check_bernstein,
     minimal_delta,
     minimal_epsilon,
     verify_moment_lemmas,
@@ -31,11 +30,9 @@ from .kernels import (
     PathCollection,
     StepDistribution,
     TerminalStatistics,
-    conditional_moment,
     make_kernel,
     sample_paths,
     sample_terminal,
-    terminal_statistics,
 )
 from .lipschitz import (
     LipschitzModel,
@@ -62,7 +59,6 @@ __all__ = [
     "EXHAUSTIVE",
     "ConditionReport",
     "SimulatedHistories",
-    "check_bernstein",
     "minimal_delta",
     "minimal_epsilon",
     "verify_moment_lemmas",
@@ -76,11 +72,9 @@ __all__ = [
     "PathCollection",
     "StepDistribution",
     "TerminalStatistics",
-    "conditional_moment",
     "make_kernel",
     "sample_paths",
     "sample_terminal",
-    "terminal_statistics",
     "LipschitzModel",
     "doob_decompose",
     "epsilon_delta_n",

@@ -111,13 +111,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     if "seed" not in doc:
         raise ConfigError("seed is mandatory (no wall-clock seeding)")
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError("seed must be an integer") from None
+    seed = _config_value(doc, "seed", None, int)
     grid = doc.get("grid", [])
-    if not isinstance(grid, list):
-        raise ConfigError("grid must be a list")
+    if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
+        raise ConfigError("grid must be a list of objects")
     if kind in ("rates", "bounds-table", "lipschitz") and not grid:
         raise ConfigError(f"{kind} experiments need a non-empty grid")
     bounds = tuple(doc.get("bounds", ()))
@@ -131,9 +128,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         grid=[dict(g) for g in grid],
         kernel=doc.get("kernel"),
         model=doc.get("model"),
-        rho=float(doc.get("rho", 1.0)),
-        p=float(doc.get("p", 1.0)),
-        alpha=float(doc.get("alpha", 0.05)),
+        rho=_config_value(doc, "rho", 1.0),
+        p=_config_value(doc, "p", 1.0),
+        alpha=_config_value(doc, "alpha", 0.05),
         bounds=bounds,
         out=doc.get("out"),
     )
@@ -149,11 +146,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for entry in cfg.grid:
             if "n" not in entry or "M" not in entry:
                 raise ConfigError("rates grid entries need 'n' and 'M'")
-            if int(entry["M"]) < 1000:
+            if _config_value(entry, "M", None, int) < 1000:
                 raise ConfigError("rate experiments require M >= 1000")
             _kernel_for_entry(cfg, entry)
-    if kind == "lipschitz" and cfg.model is None:
-        raise ConfigError("lipschitz experiments need a model reference")
+    if kind == "lipschitz":
+        if cfg.model is None:
+            raise ConfigError("lipschitz experiments need a model reference")
+        for entry in cfg.grid:
+            _model_for_entry(cfg, entry)
+    if kind == "lemma-suite":
+        _lemma_settings(cfg)
     if kind == "transforms-check":
         if cfg.kernel is None:
             raise ConfigError("transforms-check experiments need a kernel reference")
@@ -179,6 +181,29 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(doc)
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not finite")
+    return number
+
+
+def _finite_list(values) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError("not a list")
+    return [_finite(v) for v in values]
+
+
+def _config_value(doc: dict, key: str, default, convert=_finite):
+    """``convert`` applied to ``doc[key]`` (or to the default); a value it
+    cannot convert is a config error."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} has an invalid value {value!r}") from None
+
+
 def _kernel_for_entry(cfg: ExperimentConfig, entry: dict):
     """The kernel of one grid entry; one that cannot be built or simulated is a config error."""
     if not isinstance(cfg.kernel, dict) or "name" not in cfg.kernel:
@@ -190,7 +215,7 @@ def _kernel_for_entry(cfg: ExperimentConfig, entry: dict):
             params["n"] = int(entry["n"])
         kernel = kernel_from_config({"name": cfg.kernel["name"], "params": params})
     # KernelError, a parameter of the wrong form, or one the family does not take
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"kernel reference invalid: {exc}") from None
     if kernel.n >= rng.MAX_DRAWS_PER_PATH:
         raise ConfigError(f"kernel reference invalid: n={kernel.n} exceeds the per-path draw budget")
@@ -201,8 +226,44 @@ def _transforms_entry(cfg: ExperimentConfig) -> dict:
     if cfg.grid:
         return cfg.grid[0]
     if "n" in cfg.raw:
-        return {"n": int(cfg.raw["n"])}
+        return {"n": cfg.raw["n"]}
     raise ConfigError("transforms-check needs a grid entry or a top-level 'n'")
+
+
+def _model_for_entry(cfg: ExperimentConfig, entry: dict):
+    """The model of one grid entry; one that cannot be built is a config error.
+
+    A registry family takes the entry's keys but ``M`` as params, over the
+    reference's own; the expression form ignores the entry.
+    """
+    if not isinstance(cfg.model, dict):
+        raise ConfigError("model reference must be an object")
+    ref = dict(cfg.model)
+    try:
+        if "name" in ref:
+            params = dict(ref.get("params", {}))
+            params.update({k: v for k, v in entry.items() if k != "M"})
+            params.setdefault("rho", cfg.rho)
+            ref["params"] = params
+        model = model_from_config(ref)
+        model.validate()
+    except KeyError as exc:
+        raise ConfigError(f"model reference invalid: missing field {exc}") from None
+    # an unknown family, functional or metric kind, a field or parameter of
+    # the wrong form or one the family does not take, an invalid coordinate law
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"model reference invalid: {exc}") from None
+    return model
+
+
+def _lemma_settings(cfg: ExperimentConfig) -> tuple[int, float, list[float], list[float]]:
+    """corpus_size, s, t_grid and p_values of a lemma-suite config."""
+    return (
+        _config_value(cfg.raw, "corpus_size", 100, int),
+        _config_value(cfg.raw, "s", 4.0),
+        _config_value(cfg.raw, "t_grid", (2.25, 2.5, 3.0, 3.5), _finite_list),
+        _config_value(cfg.raw, "p_values", (1.0, 2.0), _finite_list),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +489,7 @@ def _run_bounds_table(cfg: ExperimentConfig, stager: OutputStager) -> dict:
 
 
 def _run_lemma_suite(cfg: ExperimentConfig, stager: OutputStager) -> dict:
-    size = int(cfg.raw.get("corpus_size", 100))
-    s = float(cfg.raw.get("s", 4.0))
-    t_grid = [float(t) for t in cfg.raw.get("t_grid", (2.25, 2.5, 3.0, 3.5))]
-    p_values = [float(p) for p in cfg.raw.get("p_values", (1.0, 2.0))]
+    size, s, t_grid, p_values = _lemma_settings(cfg)
     rows: list[list] = []
     records: list[dict] = []
     failures = []
@@ -520,13 +578,7 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
     records: list[dict] = []
     rows: list[list] = []
     for entry in cfg.grid:
-        params = dict(cfg.model.get("params", {})) if "name" in cfg.model else {}
-        ref = dict(cfg.model)
-        if "name" in ref:
-            params.update({k: v for k, v in entry.items() if k != "M"})
-            params.setdefault("rho", cfg.rho)
-            ref["params"] = params
-        model = model_from_config(ref)
+        model = _model_for_entry(cfg, entry)
         support, probs = exact_distribution(model)
         d_exact = exact_kolmogorov_discrete(support, probs)
         try:

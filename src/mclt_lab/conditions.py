@@ -40,7 +40,6 @@ __all__ = [
     "minimal_delta",
     "MomentLemmaReport",
     "verify_moment_lemmas",
-    "check_bernstein",
     "WalkGuardExceeded",
 ]
 
@@ -317,26 +316,3 @@ def verify_moment_lemmas(
         variance_cap={"m2": m2, "bound": cap_bound, "holds": cap_holds},
         all_hold=ok,
     )
-
-
-def check_bernstein(
-    dist: StepDistribution, epsilon: float, k_max: int
-) -> tuple[bool, int | None]:
-    """Check ``|E[xi^k]| <= k!/2 eps^(k-2) E[xi^2]`` for 3 <= k <= k_max.
-
-    Returns (all hold, first violated k or None).  k_max is capped at 20;
-    factorials are exact integers and moment sums use compensated summation.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if not 3 <= k_max <= 20:
-        raise ValueError("k_max must lie in [3, 20]")
-    if dist.mode != "exact":
-        raise ValueError("exact-mode distribution required")
-    m2 = dist.moment(2)
-    for k in range(3, k_max + 1):
-        lhs = abs(dist.signed_moment(k))
-        rhs = 0.5 * math.factorial(k) * epsilon ** (k - 2) * m2
-        if lhs > rhs * (1.0 + REL_TOL):
-            return False, k
-    return True, None

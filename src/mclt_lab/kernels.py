@@ -1,10 +1,12 @@
 """Martingale difference kernels and the simulation engine.
 
 A :class:`ConditionalKernel` defines a martingale difference sequence through
-per-step conditional laws: ``law(i, history)`` returns the distribution of
-increment i given the realized increments before it.  Exact-mode laws carry a
-finite support and answer moment queries by finite summation; sampled-mode
-laws carry an inverse-CDF sampler plus a declared moment oracle.
+per-step conditional laws: ``law_from_state(i, state)`` returns the
+distribution of increment i given the kernel's summary of the realized
+increments before it (``initial_state`` folded through ``transition``).
+Exact-mode laws carry a finite support and answer moment queries by finite
+summation; sampled-mode laws carry an inverse-CDF sampler plus a declared
+moment oracle.
 
 Simulation produces :class:`PathBundle` objects holding the increments, the
 partial sums ``X_0..X_n`` and the predictable variance ``<X>_0..<X>_n``
@@ -38,9 +40,6 @@ __all__ = [
     "check_bundle",
     "sample_paths",
     "sample_terminal",
-    "terminal_statistics",
-    "conditional_moment",
-    "conditional_moment_sampled",
     "KERNEL_FAMILIES",
 ]
 
@@ -86,15 +85,13 @@ class StepDistribution:
 
     Exact mode: ``values``/``probs`` give a finite support; moments are finite
     sums.  Sampled mode: ``sampler`` maps uniforms in [0,1) to variates via an
-    inverse CDF, ``declared_moment(t)`` is a trusted oracle for E|xi|^t, and
-    ``budget`` is the inner Monte Carlo budget for estimated moments.
+    inverse CDF and ``declared_moment(t)`` is a trusted oracle for E|xi|^t.
     """
 
     values: tuple[float, ...] = ()
     probs: tuple[float, ...] = ()
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
     declared_moment: Callable[[float], float] | None = None
-    budget: int = 0
 
     @property
     def mode(self) -> str:
@@ -115,15 +112,13 @@ class StepDistribution:
         are different increments."""
         return (np.asarray(self.values, dtype=float).tobytes(),
                 np.asarray(self.probs, dtype=float).tobytes(),
-                self.sampler, self.declared_moment, self.budget)
+                self.sampler, self.declared_moment)
 
     def check(self) -> str | None:
         """Return a violation description, or None if the invariants hold."""
         if self.mode == "sampled":
             if self.declared_moment is None:
                 return "sampled-mode distribution lacks a declared moment oracle"
-            if self.budget < 1:
-                return "sampled-mode distribution lacks a positive inner budget"
             return None
         if len(self.values) != len(self.probs) or not self.values:
             return "support and probability lists disagree or are empty"
@@ -149,12 +144,6 @@ class StepDistribution:
             # bit-identically between scalar and batch code
             return math.fsum(p * v * v for v, p in zip(self.values, self.probs))
         return math.fsum(p * abs(v) ** t for v, p in zip(self.values, self.probs))
-
-    def signed_moment(self, k: int) -> float:
-        """E[xi^k] for integer k, exact mode only."""
-        if self.mode == "sampled":
-            raise KernelError("signed moments require an exact-mode distribution")
-        return math.fsum(p * v**k for v, p in zip(self.values, self.probs))
 
     @cached_property
     def _cumprobs(self) -> np.ndarray:
@@ -197,9 +186,8 @@ class ConditionalKernel:
     """Base class: a pure per-step conditional law plus a Markov summary.
 
     Subclasses provide ``law_from_state`` together with ``initial_state`` /
-    ``transition`` (the declared history summary).  ``law`` replays the raw
-    history through the summary, so kernels whose law depends only on a small
-    state get O(1)-state walks for free.
+    ``transition`` (the declared history summary), so kernels whose law
+    depends only on a small state get O(1)-state walks for free.
     """
 
     label: str = "kernel"
@@ -217,15 +205,6 @@ class ConditionalKernel:
 
     def law_from_state(self, step: int, state) -> StepDistribution:
         raise NotImplementedError
-
-    def law(self, step: int, history: Sequence[float]) -> StepDistribution:
-        """Distribution of increment ``step`` (1-based) given the history."""
-        if not 1 <= step <= self.n:
-            raise KernelError(f"step {step} outside 1..{self.n}")
-        state = self.initial_state()
-        for value in history:
-            state = self.transition(state, value)
-        return self.law_from_state(step, state)
 
     # -- batch (engine) interface ----------------------------------------
     # Default implementation covers kernels whose law at each step takes one
@@ -468,7 +447,7 @@ def _make_variance_drift(n: int, d: float) -> ConditionalKernel:
     return VarianceDriftKernel(n, d)
 
 
-def _make_iid_gaussian(n: int, budget: int = 4096) -> ConditionalKernel:
+def _make_iid_gaussian(n: int) -> ConditionalKernel:
     sigma = 1.0 / math.sqrt(n)
 
     def sampler(u: np.ndarray) -> np.ndarray:
@@ -477,9 +456,7 @@ def _make_iid_gaussian(n: int, budget: int = 4096) -> ConditionalKernel:
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
         return sigma * ndtri(u)
 
-    dist = StepDistribution(
-        sampler=sampler, declared_moment=_gaussian_moment(sigma), budget=int(budget)
-    )
+    dist = StepDistribution(sampler=sampler, declared_moment=_gaussian_moment(sigma))
     return _IidKernel(f"iid_gaussian(n={n})", n, dist)
 
 
@@ -577,10 +554,10 @@ class PathCollection:
 
 @dataclass(frozen=True)
 class TerminalStatistics:
-    """Mergeable terminal-sample statistics for one simulation.
+    """Terminal-sample statistics of one simulation (see ``sample_terminal``).
 
-    Sample means are exposed as properties; the stored fields are raw sums so
-    that statistics from disjoint collections merge associatively.
+    The stored fields are raw sums over the paths; sample means are exposed
+    as properties.
     """
 
     p: float
@@ -611,20 +588,6 @@ class TerminalStatistics:
     def mean_total_inc_2p(self) -> float:
         """Estimate of sum_i E|xi_i|^(2p)."""
         return self.sum_total_inc_2p / self.count
-
-    def merge(self, other: "TerminalStatistics") -> "TerminalStatistics":
-        if other.p != self.p:
-            raise ValueError("cannot merge statistics computed at different p")
-        return TerminalStatistics(
-            p=self.p,
-            count=self.count + other.count,
-            terminal=np.concatenate([self.terminal, other.terminal]),
-            sum_var_dev_p=self.sum_var_dev_p + other.sum_var_dev_p,
-            sum_var_dev_2p=self.sum_var_dev_2p + other.sum_var_dev_2p,
-            sum_max_inc_2p=self.sum_max_inc_2p + other.sum_max_inc_2p,
-            sum_total_inc_2p=self.sum_total_inc_2p + other.sum_total_inc_2p,
-            max_var_dev=max(self.max_var_dev, other.max_var_dev),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1066,88 +1029,3 @@ def _block_sums(values: np.ndarray, power: float = 1.0) -> list[float]:
     the power is taken a block at a time, so no temporary outgrows a block."""
     blocks = (values[i : i + _REDUCE_BLOCK] for i in range(0, len(values), _REDUCE_BLOCK))
     return [float(np.sum(b if power == 1.0 else b**power)) for b in blocks]
-
-
-def terminal_statistics(paths: PathCollection | Sequence[PathBundle], p: float) -> TerminalStatistics:
-    """Terminal statistics of an existing collection (mergeable); a sequence
-    of equal-length bundles is stacked into one collection first."""
-    if p < 1.0:
-        raise KernelError("p must be >= 1")
-    if not isinstance(paths, PathCollection):
-        bundles = list(paths)
-        if not bundles:
-            raise KernelError("empty collection")
-        paths = PathCollection(
-            kernel_label="bundles",
-            seed=0,
-            increments=np.stack([b.increments for b in bundles]),
-            sums=np.stack([b.sums for b in bundles]),
-            variances=np.stack([b.variances for b in bundles]),
-        )
-    if len(paths) == 0:
-        raise KernelError("empty collection")
-    terminal = paths.sums[:, -1].copy()
-    dev = np.abs(paths.variances[:, -1] - 1.0)
-    max_abs = np.max(np.abs(paths.increments), axis=1)
-    total = np.sum(np.abs(paths.increments) ** (2.0 * p), axis=1)
-    return TerminalStatistics(
-        p=float(p),
-        count=len(terminal),
-        terminal=terminal,
-        sum_var_dev_p=float(np.sum(dev**p)),
-        sum_var_dev_2p=float(np.sum(dev ** (2.0 * p))),
-        sum_max_inc_2p=float(np.sum(max_abs ** (2.0 * p))),
-        sum_total_inc_2p=float(np.sum(total)),
-        max_var_dev=float(np.max(dev)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# conditional moment oracles
-
-
-def conditional_moment(
-    kernel: ConditionalKernel, step: int, history: Sequence[float], t: float
-) -> float:
-    """E[|xi_step|^t | history], exact finite sum (exact-mode kernels)."""
-    if t < 1.0:
-        raise KernelError("moment order t must be >= 1")
-    dist = kernel.law(step, history)
-    reason = dist.check()
-    if reason is not None:
-        raise InvalidKernelError(step, history, reason)
-    if dist.mode != "exact":
-        raise KernelError(
-            "kernel is sampled-mode at this step; use conditional_moment_sampled"
-        )
-    value = dist.moment(t)
-    if not math.isfinite(value):
-        raise KernelError(f"non-finite conditional moment at step {step}")
-    return value
-
-
-def conditional_moment_sampled(
-    kernel: ConditionalKernel,
-    step: int,
-    history: Sequence[float],
-    t: float,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo conditional moment with its standard error (sampled mode).
-
-    Averages ``dist.budget`` inverse-CDF draws from a dedicated oracle stream.
-    """
-    if t < 1.0:
-        raise KernelError("moment order t must be >= 1")
-    dist = kernel.law(step, history)
-    reason = dist.check()
-    if reason is not None:
-        raise InvalidKernelError(step, history, reason)
-    if dist.mode == "exact":
-        return dist.moment(t), 0.0
-    key = rng.stream_key(seed, rng.STREAM_ORACLE)
-    u = rng.uniforms(key, step, np.arange(dist.budget))
-    draws = np.abs(dist.sampler(u)) ** t
-    value = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(dist.budget)) if dist.budget > 1 else math.inf
-    return value, stderr

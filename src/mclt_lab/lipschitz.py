@@ -25,20 +25,17 @@ diagnostic, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
-
-from . import rng
 
 __all__ = [
     "CoordinateDistribution",
     "LipschitzModel",
     "DoobDecomposition",
     "doob_decompose",
-    "doob_decompose_sampled",
     "EpsilonDelta",
     "epsilon_delta_n",
     "VarianceSandwich",
@@ -65,11 +62,10 @@ __all__ = [
 ENUM_GUARD = 10_000_000
 _BLOCK_ROWS = 1 << 14  # outcome rows per call of f
 TOL = 1e-12
-SANDWICH_PAIRS = 10_000  # outcome pairs checked per coordinate swap
 
 
 class EnumerationGuardExceeded(RuntimeError):
-    pass
+    """The model's product space has more than ENUM_GUARD outcomes."""
 
 
 class DegenerateMetricError(ValueError):
@@ -154,31 +150,6 @@ class LipschitzModel:
         for c in self.coords:
             c.validate()
 
-    def check_metric_sandwich(self) -> bool:
-        """Spot-check d1 <= |coordinate change of f| <= d2 on support swaps.
-
-        Full verification when a swap has at most SANDWICH_PAIRS outcome
-        pairs; otherwise a deterministic subsample of them.
-        """
-        enum = _enumeration(self)
-        ok = True
-        for i, coord in enumerate(self.coords):
-            k = len(coord.values)
-            # group outcomes by all-but-coordinate-i; within a group, f varies
-            # only through coordinate i
-            moved = np.moveaxis(enum.f_values, i, -1).reshape(-1, k)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    diff = np.abs(moved[:, a] - moved[:, b])
-                    if diff.size > SANDWICH_PAIRS:
-                        step = diff.size // SANDWICH_PAIRS + 1
-                        diff = diff[::step]
-                    lo = self.d1[i](coord.values[a], coord.values[b])
-                    hi = self.d2[i](coord.values[a], coord.values[b])
-                    if np.any(diff < lo - TOL) or np.any(diff > hi + TOL):
-                        ok = False
-        return ok
-
 
 @dataclass(frozen=True)
 class _Enumeration:
@@ -208,7 +179,8 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
         size *= d
         if size > ENUM_GUARD:
             raise EnumerationGuardExceeded(
-                f"product support size exceeds {ENUM_GUARD}; use the sampled path"
+                f"product support size exceeds {ENUM_GUARD} outcomes; "
+                "use fewer coordinates or smaller supports"
             )
     axes = [np.asarray(c.values, dtype=float) for c in model.coords]
     # f maps each outcome row on its own, so it runs on blocks of rows: the
@@ -262,7 +234,6 @@ class DoobDecomposition:
     increments: tuple[float, ...]
     centered_value: float  # f(realization) - E f
     conditional_values: tuple[float, ...]  # g_0..g_n along the realization
-    standard_errors: tuple[float, ...] = field(default_factory=tuple)
 
     @property
     def telescoping_defect(self) -> float:
@@ -293,50 +264,6 @@ def doob_decompose(model: LipschitzModel, realization: Sequence[float]) -> DoobD
         increments=increments,
         centered_value=g_along[-1] - g_along[0],
         conditional_values=tuple(g_along),
-    )
-
-
-def doob_decompose_sampled(
-    model: LipschitzModel,
-    realization: Sequence[float],
-    budget: int,
-    seed: int = 0,
-) -> DoobDecomposition:
-    """Nested Monte Carlo decomposition for models beyond the guard.
-
-    Each g_k is estimated by ``budget`` suffix draws; increment standard
-    errors combine the two adjacent estimates in quadrature.
-    """
-    model.validate()
-    if budget < 2:
-        raise ValueError("budget must be >= 2")
-    realization = [float(v) for v in realization]
-    key = rng.stream_key(seed, rng.STREAM_ORACLE)
-    n = model.n
-    g_hat = np.empty(n + 1)
-    g_se = np.empty(n + 1)
-    for k in range(n + 1):
-        draws = np.empty((budget, n))
-        draws[:, :k] = np.asarray(realization[:k])
-        for j in range(k, n):
-            u = rng.uniforms(key, k * (n + 1) + j, np.arange(budget))
-            coord = model.coords[j]
-            cum = np.cumsum(coord.probs)
-            pick = np.searchsorted(cum, u, side="right")
-            pick = np.minimum(pick, len(coord.values) - 1)
-            draws[:, j] = np.asarray(coord.values)[pick]
-        values = np.asarray(model.f(draws), dtype=float)
-        g_hat[k] = values.mean()
-        g_se[k] = values.std(ddof=1) / math.sqrt(budget) if k < n else 0.0
-    increments = tuple(float(g_hat[k] - g_hat[k - 1]) for k in range(1, n + 1))
-    ses = tuple(
-        float(math.hypot(g_se[k], g_se[k - 1])) for k in range(1, n + 1)
-    )
-    return DoobDecomposition(
-        increments=increments,
-        centered_value=float(g_hat[-1] - g_hat[0]),
-        conditional_values=tuple(g_hat.tolist()),
-        standard_errors=ses,
     )
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "STREAM_SIMULATION",
     "STREAM_PADDING",
     "STREAM_CORPUS",
-    "STREAM_ORACLE",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -42,7 +41,6 @@ MAX_DRAWS_PER_PATH = 1 << _DRAW_BITS
 STREAM_SIMULATION = 0
 STREAM_PADDING = 1
 STREAM_CORPUS = 2
-STREAM_ORACLE = 3
 
 
 def _mix_into(z: np.ndarray, scratch: np.ndarray, sign_only: bool = False) -> None:

@@ -168,6 +168,71 @@ def test_unbuildable_kernel_reference_is_config_error(tmp_path, kernel):
     assert not out.exists()
 
 
+LIPSCHITZ_CONFIG = {
+    "kind": "lipschitz",
+    "model": {"name": "rademacher_average", "params": {}},
+    "grid": [{"n": 4}],
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("model, grid", [
+    ({"f": {"kind": "sum"}}, None),  # expression form without coords
+    ({"name": "rademacher_average", "params": {"zz": 1}}, None),  # a parameter the family does not take
+    ({"name": "no_such_family", "params": {}}, None),
+    ({"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}], "f": {"kind": "median"}}, None),
+    ({"coords": [{"values": [-1.0, 1.0], "probs": [0.6, 0.6]}], "f": {"kind": "sum"}}, None),
+    ({"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}], "f": {"kind": "sum"},
+      "metrics": []}, None),
+    ("rademacher_average", None),  # not an object
+    (None, [{"n": 4}, {"n": 4, "zz": 1}]),  # only a later grid entry is unbuildable
+    (None, [{"n": 0}]),  # scale 1/sqrt(n)
+], ids=["no-coords", "unknown-param", "unknown-family", "unknown-f-kind", "invalid-coord-law",
+        "metrics-not-object", "not-an-object", "later-entry", "zero-coordinates"])
+def test_unbuildable_model_reference_is_config_error(tmp_path, model, grid):
+    doc = dict(LIPSCHITZ_CONFIG)
+    if model is not None:
+        doc["model"] = model
+    if grid is not None:
+        doc["grid"] = grid
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["lipschitz", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+LEMMA_CONFIG = {"kind": "lemma-suite", "seed": 7, "corpus_size": 2}
+TRANSFORMS_CONFIG = {
+    "kind": "transforms-check",
+    "kernel": {"name": "variance_drift", "params": {"d": 0.2}},
+    "count": 10,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("rates", dict(RATES_CONFIG, rho="abc")),
+    ("rates", dict(RATES_CONFIG, p=[2.0])),
+    ("rates", dict(RATES_CONFIG, alpha={})),
+    ("rates", dict(RATES_CONFIG, rho=float("nan"))),  # json reads NaN
+    ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": "abc"}])),
+    ("rates", dict(RATES_CONFIG, grid=[{"n": float("inf"), "M": 2000}])),  # json reads Infinity
+    ("rates", dict(RATES_CONFIG, grid=[5])),
+    ("verify", dict(LEMMA_CONFIG, corpus_size="abc")),
+    ("verify", dict(LEMMA_CONFIG, s="abc")),
+    ("verify", dict(LEMMA_CONFIG, t_grid=["x"])),
+    ("verify", dict(LEMMA_CONFIG, t_grid=3.0)),
+    ("verify", dict(LEMMA_CONFIG, p_values="12")),  # a string, not a list of numbers
+    ("verify", dict(TRANSFORMS_CONFIG, n="abc")),
+], ids=["rho", "p", "alpha", "rho-nan", "M", "n-infinite", "grid-entry", "corpus_size", "s", "t_grid-entry",
+        "t_grid-scalar", "p_values-string", "transforms-n"])
+def test_malformed_number_is_config_error(tmp_path, command, doc):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [
     0,
     50_000_000 // 16 + 1,  # count * n just over the bundle memory guard, no epsilon

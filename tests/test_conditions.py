@@ -11,7 +11,6 @@ import mclt_lab as m
 from mclt_lab import corpus
 from mclt_lab.conditions import (
     SimulatedHistories,
-    check_bernstein,
     minimal_delta,
     minimal_epsilon,
     verify_moment_lemmas,
@@ -163,19 +162,6 @@ def test_interpolation_property_two_point(a, s, t):
     dist = rademacher_two_point(a)
     report = verify_moment_lemmas(dist, s=s, t_grid=[t])
     assert report.all_hold
-
-
-def test_bernstein_examples():
-    ok, first = check_bernstein(rademacher_two_point(0.3), epsilon=0.3, k_max=10)
-    assert ok and first is None
-    ok, first = check_bernstein(StepDistribution(values=(0.0,), probs=(1.0,)), 0.5, 10)
-    assert ok
-    heavy = StepDistribution(values=(-10.0, 0.0, 10.0), probs=(5e-5, 1.0 - 1e-4, 5e-5))
-    ok, first = check_bernstein(heavy, epsilon=0.5, k_max=8)
-    assert not ok
-    assert first == 4  # E xi^4 = 1.0 > (4!/2) 0.5^2 E xi^2 = 0.03
-    with pytest.raises(ValueError):
-        check_bernstein(heavy, epsilon=0.5, k_max=25)
 
 
 def test_nonfinite_moment_rejected():

@@ -1,6 +1,5 @@
 """Kernel registry, simulation determinism, and terminal statistics."""
 
-import dataclasses
 import math
 import sys
 
@@ -17,15 +16,40 @@ from mclt_lab.kernels import (
     KernelError,
     StepDistribution,
     TableKernel,
+    TerminalStatistics,
     VarianceDriftKernel,
     _word_thresholds,
-    conditional_moment,
-    conditional_moment_sampled,
     rademacher_two_point,
     sample_paths,
     sample_terminal,
-    terminal_statistics,
 )
+
+
+def _law(kernel, step, history):
+    """The law of increment ``step`` given the realized ``history``, by
+    replaying the history through the kernel's declared summary."""
+    state = kernel.initial_state()
+    for value in history:
+        state = kernel.transition(state, value)
+    return kernel.law_from_state(step, state)
+
+
+def _collection_statistics(paths, p):
+    """Terminal statistics of a simulated collection, each sum taken over all
+    paths at once: the reference for the streaming sums of ``sample_terminal``."""
+    dev = np.abs(paths.variances[:, -1] - 1.0)
+    max_abs = np.max(np.abs(paths.increments), axis=1)
+    total = np.sum(np.abs(paths.increments) ** (2.0 * p), axis=1)
+    return TerminalStatistics(
+        p=float(p),
+        count=len(paths),
+        terminal=paths.sums[:, -1].copy(),
+        sum_var_dev_p=float(np.sum(dev**p)),
+        sum_var_dev_2p=float(np.sum(dev ** (2.0 * p))),
+        sum_max_inc_2p=float(np.sum(max_abs ** (2.0 * p))),
+        sum_total_inc_2p=float(np.sum(total)),
+        max_var_dev=float(np.max(dev)),
+    )
 
 
 def test_rademacher_paths_have_unit_terminal_variance():
@@ -80,24 +104,19 @@ def test_variance_drift_terminal_variance_band():
 def test_conditional_moment_examples():
     n = 16
     k = m.make_kernel("iid_rademacher", n=n)
-    assert conditional_moment(k, 3, [], 3.0) == pytest.approx(n**-1.5, rel=1e-14)
+    assert _law(k, 3, []).moment(3.0) == pytest.approx(n**-1.5, rel=1e-14)
     three = m.make_kernel("three_point", n=8, b=2.0, q=0.1)
     for t in (1.0, 2.0, 2.7, 4.0):
-        assert conditional_moment(three, 1, [], t) == pytest.approx(0.1 * 2.0**t, rel=1e-14)
+        assert _law(three, 1, []).moment(t) == pytest.approx(0.1 * 2.0**t, rel=1e-14)
     two = m.make_kernel("two_point", n=4, a=0.3)
-    assert conditional_moment(two, 2, [0.3], 2.0) == pytest.approx(0.09, rel=1e-14)
-    with pytest.raises(KernelError):
-        conditional_moment(k, 1, [], 0.5)
+    assert _law(two, 2, [0.3]).moment(2.0) == pytest.approx(0.09, rel=1e-14)
 
 
 def test_conditional_moment_sampled_gaussian():
-    k = m.make_kernel("iid_gaussian", n=4, budget=40_000)
+    k = m.make_kernel("iid_gaussian", n=4)
     sigma = 0.5
-    value, stderr = conditional_moment_sampled(k, 1, [], 2.0, seed=5)
-    assert stderr > 0.0
-    assert abs(value - sigma**2) < 4 * stderr + 1e-3
     # the declared oracle is exact
-    dist = k.law(1, [])
+    dist = _law(k, 1, [])
     assert dist.moment(2.0) == pytest.approx(sigma**2, rel=1e-12)
     assert dist.moment(3.0) == pytest.approx(sigma**3 * 2 * math.sqrt(2 / math.pi), rel=1e-12)
 
@@ -105,7 +124,7 @@ def test_conditional_moment_sampled_gaussian():
 def test_terminal_statistics_rademacher_exact():
     k = m.make_kernel("iid_rademacher", n=4)
     paths = sample_paths(k, seed=3, count=200)
-    stats = terminal_statistics(paths, p=1.0)
+    stats = _collection_statistics(paths, p=1.0)
     assert stats.mean_var_dev_p == 0.0
     assert stats.mean_max_inc_2p == 0.25  # (1/sqrt(4))^2 exactly
     assert stats.max_var_dev == 0.0
@@ -114,38 +133,8 @@ def test_terminal_statistics_rademacher_exact():
 def test_terminal_statistics_p2():
     k = m.make_kernel("iid_rademacher", n=4)
     paths = sample_paths(k, seed=3, count=10)
-    stats = terminal_statistics(paths, p=2.0)
+    stats = _collection_statistics(paths, p=2.0)
     assert stats.mean_max_inc_2p == pytest.approx(0.0625, rel=1e-14)
-
-
-def test_terminal_statistics_merge_matches_pooled():
-    k = m.make_kernel("variance_drift", n=32, d=0.3)
-    paths = sample_paths(k, seed=5, count=120)
-    bundles = list(paths)
-    pooled = terminal_statistics(bundles, p=2.0)
-    merged = terminal_statistics(bundles[:47], p=2.0).merge(
-        terminal_statistics(bundles[47:], p=2.0)
-    )
-    assert merged.count == pooled.count
-    assert np.array_equal(merged.terminal, pooled.terminal)
-    assert merged.sum_var_dev_p == pytest.approx(pooled.sum_var_dev_p, abs=1e-12)
-    assert merged.sum_max_inc_2p == pytest.approx(pooled.sum_max_inc_2p, abs=1e-12)
-    assert merged.max_var_dev == pooled.max_var_dev
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-def test_terminal_statistics_of_bundles_equal_the_collection(p):
-    paths = sample_paths(m.make_kernel("variance_drift", n=32, d=0.3), seed=6, count=150)
-    from_bundles = terminal_statistics(list(paths), p=p)
-    from_collection = terminal_statistics(paths, p=p)
-    for field in dataclasses.fields(from_collection):
-        a, b = getattr(from_bundles, field.name), getattr(from_collection, field.name)
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
-
-
-def test_empty_collection_rejected():
-    with pytest.raises(KernelError):
-        terminal_statistics([], p=1.0)
 
 
 def test_determinism_and_partition_independence():
@@ -168,7 +157,7 @@ def test_determinism_and_partition_independence():
 def test_streaming_matches_bundle_statistics():
     k = m.make_kernel("three_point", n=20, b=0.4, q=0.3)
     paths = sample_paths(k, seed=21, count=500)
-    pooled = terminal_statistics(paths, p=1.0)
+    pooled = _collection_statistics(paths, p=1.0)
     stream = sample_terminal(k, seed=21, count=500, p=1.0, with_sum_inc=True)
     assert np.array_equal(stream.terminal, pooled.terminal)
     assert stream.sum_var_dev_p == pytest.approx(pooled.sum_var_dev_p, abs=1e-12)
@@ -182,7 +171,7 @@ def test_variance_additivity_against_conditional_moments():
     for b in paths:
         acc = 0.0
         for step in range(1, k.n + 1):
-            acc += conditional_moment(k, step, b.increments[: step - 1], 2.0)
+            acc += _law(k, step, b.increments[: step - 1]).moment(2.0)
         assert abs(acc - b.terminal_variance) < 1e-12
 
 
@@ -191,7 +180,7 @@ def test_batch_stepper_consistent_with_law():
     paths = sample_paths(k, seed=31, count=50)
     for b in list(paths)[:10]:
         for step in range(1, k.n + 1):
-            dist = k.law(step, b.increments[: step - 1])
+            dist = _law(k, step, b.increments[: step - 1])
             assert b.increments[step - 1] in dist.values
             m2 = dist.moment(2)
             assert b.variances[step] - b.variances[step - 1] == pytest.approx(m2, abs=1e-15)
@@ -199,7 +188,7 @@ def test_batch_stepper_consistent_with_law():
 
 def test_iid_scaled_normalizes_variance():
     k = m.make_kernel("iid_scaled", n=9, values=[-2.0, 1.0], probs=[1.0 / 3.0, 2.0 / 3.0])
-    dist = k.law(1, [])
+    dist = _law(k, 1, [])
     assert dist.moment(2) == pytest.approx(1.0 / 9.0, rel=1e-12)
     paths = sample_paths(k, seed=1, count=10)
     assert np.all(np.abs(paths.variances[:, -1] - 1.0) < 1e-12)
@@ -240,25 +229,11 @@ def test_two_runs_identical(seed, count):
     assert np.array_equal(a.increments, b.increments)
 
 
-@settings(max_examples=20)
-@given(split=st.integers(min_value=1, max_value=99))
-def test_merge_associativity(split):
-    k = m.make_kernel("variance_drift", n=16, d=0.3)
-    paths = sample_paths(k, seed=4, count=100)
-    bundles = list(paths)
-    pooled = terminal_statistics(bundles, p=1.0)
-    merged = terminal_statistics(bundles[:split], p=1.0).merge(
-        terminal_statistics(bundles[split:], p=1.0)
-    )
-    assert merged.sum_var_dev_p == pytest.approx(pooled.sum_var_dev_p, abs=1e-12)
-    assert merged.sum_max_inc_2p == pytest.approx(pooled.sum_max_inc_2p, abs=1e-12)
-
-
 def test_law_is_pure():
     k = m.make_kernel("variance_drift", n=8, d=0.2)
     history = [k.high_mag, -k.high_mag, -k.low_mag]
-    a = k.law(4, history)
-    b = k.law(4, history)
+    a = _law(k, 4, history)
+    b = _law(k, 4, history)
     assert a.values == b.values and a.probs == b.probs
 
 

@@ -14,11 +14,11 @@ from mclt_lab.distance import exact_kolmogorov_discrete
 from mclt_lab.lipschitz import (
     CoordinateDistribution,
     DegenerateMetricError,
+    EnumerationGuardExceeded,
     LipschitzModel,
     abs_metric,
     discrete_metric,
     doob_decompose,
-    doob_decompose_sampled,
     epsilon_delta_n,
     exact_distribution,
     functional_sum,
@@ -141,16 +141,34 @@ def test_a1_transfer_reports():
     assert rows[0]["vacuous"] and rows[0]["holds"]
 
 
+def _metric_sandwich_holds(model):
+    """d1 <= |change of f| <= d2 on every swap of two support points of one
+    coordinate, the others held fixed, over the model's whole product space."""
+    f_values = lipschitz._enumeration(model).f_values
+    for i, coord in enumerate(model.coords):
+        k = len(coord.values)
+        # rows fix every coordinate but i; along a row f varies only through i
+        moved = np.moveaxis(f_values, i, -1).reshape(-1, k)
+        for a in range(k):
+            for b in range(a + 1, k):
+                diff = np.abs(moved[:, a] - moved[:, b])
+                lo = model.d1[i](coord.values[a], coord.values[b])
+                hi = model.d2[i](coord.values[a], coord.values[b])
+                if np.any(diff < lo - lipschitz.TOL) or np.any(diff > hi + lipschitz.TOL):
+                    return False
+    return True
+
+
 def test_metric_sandwich_spot_check():
-    assert make_model("max_of_bits", n=3).check_metric_sandwich()
-    assert _linear_model(4).check_metric_sandwich()
+    assert _metric_sandwich_holds(make_model("max_of_bits", n=3))
+    assert _metric_sandwich_holds(_linear_model(4))
     bad = LipschitzModel(
         coords=(RADEMACHER,) * 2,
         f=functional_sum(),
         d1=(abs_metric(),) * 2,
         d2=(zero_metric(),) * 2,  # upper metric smaller than the true change
     )
-    assert not bad.check_metric_sandwich()
+    assert not _metric_sandwich_holds(bad)
 
 
 def _enumerate_exact(model):
@@ -246,17 +264,14 @@ def test_random_table_functionals_are_martingales(data):
     for o in outcomes:
         dec = doob_decompose(model, o)
         assert dec.telescoping_defect <= 1e-10
-    assert model.check_metric_sandwich()
+    assert _metric_sandwich_holds(model)
     assert variance_sandwich(model).upper_holds
 
 
-def test_sampled_decomposition_tracks_exact():
-    model = make_model("max_of_bits", n=2)
-    exact = doob_decompose(model, (0.0, 1.0))
-    sampled = doob_decompose_sampled(model, (0.0, 1.0), budget=20_000, seed=3)
-    for ex, got, se in zip(exact.increments, sampled.increments, sampled.standard_errors):
-        assert abs(got - ex) < 5 * max(se, 1e-4)
-    assert sampled.standard_errors[0] > 0.0
+def test_enumeration_guard_names_the_way_out():
+    # 2^24 outcomes: refused before any array is built
+    with pytest.raises(EnumerationGuardExceeded, match="fewer coordinates or smaller supports"):
+        doob_decompose(make_model("rademacher_average", n=24), (1.0,) * 24)
 
 
 def _binomial_average_law(n):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .distance import exact_kolmogorov_discrete
@@ -264,6 +265,24 @@ class SmoothingCheck:
         return self.rhs - self.lhs
 
 
+@lru_cache(maxsize=1)
+def _smoothing_distances(joint: JointLaw) -> tuple[float, float]:
+    """D(X) and D(X + Y) of a valid joint law; they do not depend on p.
+
+    Cached for the latest law (laws are frozen), so checking one law at
+    several p computes them once.  Laws that compare equal, ones that differ
+    only in the sign of a zero included, give the same distances:
+    ``_marginal`` merges atoms by float equality and ``ndtr(-0.0) ==
+    ndtr(0.0)``.
+    """
+    joint.validate()
+    xs, xp = _marginal(joint.x, joint.probs)
+    sums, sp = _marginal(
+        [a + b for a, b in zip(joint.x, joint.y)], joint.probs
+    )
+    return exact_kolmogorov_discrete(xs, xp), exact_kolmogorov_discrete(sums, sp)
+
+
 def verify_smoothing_lemma(joint: JointLaw, p: float) -> SmoothingCheck:
     """Exact two-sided evaluation of the smoothing inequality
     ``D(X+Y) <= 2 D(X) + 3 ||E[|Y|^(2p) | X]||_1^(1/(2p+1))`` on a finite law.
@@ -274,13 +293,7 @@ def verify_smoothing_lemma(joint: JointLaw, p: float) -> SmoothingCheck:
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    joint.validate()
-    xs, xp = _marginal(joint.x, joint.probs)
-    sums, sp = _marginal(
-        [a + b for a, b in zip(joint.x, joint.y)], joint.probs
-    )
-    d_x = exact_kolmogorov_discrete(xs, xp)
-    d_sum = exact_kolmogorov_discrete(sums, sp)
+    d_x, d_sum = _smoothing_distances(joint)
     moment = math.fsum(
         pr * abs(b) ** (2.0 * p) for b, pr in zip(joint.y, joint.probs)
     )

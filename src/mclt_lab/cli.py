@@ -59,6 +59,8 @@ from .kernels import (
 )
 from .lipschitz import (
     DegenerateMetricError,
+    EnumerationGuardExceeded,
+    check_enumeration,
     epsilon_delta_n,
     exact_distribution,
     model_from_config,
@@ -117,7 +119,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("grid must be a list of objects")
     if kind in ("rates", "bounds-table", "lipschitz") and not grid:
         raise ConfigError(f"{kind} experiments need a non-empty grid")
-    bounds = tuple(doc.get("bounds", ()))
+    bounds = doc.get("bounds", ())
+    if not isinstance(bounds, (list, tuple)) or not all(isinstance(b, str) for b in bounds):
+        raise ConfigError(f"bounds must be a list of bound ids, got {bounds!r}")
+    bounds = tuple(bounds)
     for bound_id in bounds:
         if bound_id not in BOUNDS:
             raise ConfigError(f"unknown bound id {bound_id!r}")
@@ -247,23 +252,32 @@ def _model_for_entry(cfg: ExperimentConfig, entry: dict):
             ref["params"] = params
         model = model_from_config(ref)
         model.validate()
+        check_enumeration(model)
     except KeyError as exc:
         raise ConfigError(f"model reference invalid: missing field {exc}") from None
     # an unknown family, functional or metric kind, a field or parameter of
-    # the wrong form or one the family does not take, an invalid coordinate law
-    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
+    # the wrong form or one the family does not take, an invalid coordinate
+    # law, or a product space over the enumeration guard
+    except (AttributeError, TypeError, ValueError, ArithmeticError,
+            EnumerationGuardExceeded) as exc:
         raise ConfigError(f"model reference invalid: {exc}") from None
     return model
 
 
 def _lemma_settings(cfg: ExperimentConfig) -> tuple[int, float, list[float], list[float]]:
-    """corpus_size, s, t_grid and p_values of a lemma-suite config."""
-    return (
-        _config_value(cfg.raw, "corpus_size", 100, int),
-        _config_value(cfg.raw, "s", 4.0),
-        _config_value(cfg.raw, "t_grid", (2.25, 2.5, 3.0, 3.5), _finite_list),
-        _config_value(cfg.raw, "p_values", (1.0, 2.0), _finite_list),
-    )
+    """corpus_size, s, t_grid and p_values of a lemma-suite config; values
+    outside the lemmas' hypotheses are config errors."""
+    size = _config_value(cfg.raw, "corpus_size", 100, int)
+    s = _config_value(cfg.raw, "s", 4.0)
+    t_grid = _config_value(cfg.raw, "t_grid", (2.25, 2.5, 3.0, 3.5), _finite_list)
+    p_values = _config_value(cfg.raw, "p_values", (1.0, 2.0), _finite_list)
+    if s <= 2.0:
+        raise ConfigError(f"s must exceed 2, got {s!r}")
+    if any(t < 2.0 or t >= s for t in t_grid):
+        raise ConfigError(f"t_grid entries must lie in [2, s) = [2, {s!r}), got {t_grid!r}")
+    if any(p < 1.0 for p in p_values):
+        raise ConfigError(f"p_values entries must be >= 1, got {p_values!r}")
+    return size, s, t_grid, p_values
 
 
 # ---------------------------------------------------------------------------

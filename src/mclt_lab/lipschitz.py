@@ -53,6 +53,7 @@ __all__ = [
     "MODEL_FAMILIES",
     "DegenerateMetricError",
     "EnumerationGuardExceeded",
+    "check_enumeration",
 ]
 
 #: Outcomes in a model's product space.  The enumeration holds about 24 B
@@ -151,6 +152,20 @@ class LipschitzModel:
             c.validate()
 
 
+def check_enumeration(model: LipschitzModel) -> int:
+    """The number of outcomes in ``model``'s product space; more than
+    ``ENUM_GUARD`` is refused, before any of them is built."""
+    size = 1
+    for c in model.coords:
+        size *= len(c.values)
+        if size > ENUM_GUARD:
+            raise EnumerationGuardExceeded(
+                f"product support size exceeds {ENUM_GUARD} outcomes; "
+                "use fewer coordinates or smaller supports"
+            )
+    return size
+
+
 @dataclass(frozen=True)
 class _Enumeration:
     dims: tuple[int, ...]
@@ -173,15 +188,8 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
     model share the k^n tensor; the shared arrays are read-only.
     """
     model.validate()
+    size = check_enumeration(model)
     dims = tuple(len(c.values) for c in model.coords)
-    size = 1
-    for d in dims:
-        size *= d
-        if size > ENUM_GUARD:
-            raise EnumerationGuardExceeded(
-                f"product support size exceeds {ENUM_GUARD} outcomes; "
-                "use fewer coordinates or smaller supports"
-            )
     axes = [np.asarray(c.values, dtype=float) for c in model.coords]
     # f maps each outcome row on its own, so it runs on blocks of rows: the
     # trailing coordinates whose support product fits a block vary inside it

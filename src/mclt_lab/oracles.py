@@ -85,14 +85,17 @@ def variance_drift_mean_abs_deviation(d: float, n: int, p: float = 1.0) -> float
     # H and b that of k - H, so the array is indexed [i, j] with a = 2i - H
     # and b = 2j - (k - H), and holds no cell that no history reaches
     slabs: dict[int, np.ndarray] = {0: np.ones((1, 1))}
+    # high[a + n, b + n]: a path at (a, b) sits on the high side, by the
+    # kernel's own float formula; a slab's cells are a strided block of it
+    r = np.arange(-n, n + 1)
+    high = (r[:, None] * h + r[None, :] * l) >= 0.0
     for k in range(n):
         new: dict[int, np.ndarray] = {}
         for H, P in slabs.items():
-            a = np.arange(-H, H + 1, 2)[:, None]
-            b = np.arange(-(k - H), (k - H) + 1, 2)[None, :]
-            pos = a * h + b * l
-            up = np.where(pos >= 0.0, P, 0.0) * 0.5
-            dn = np.where(pos < 0.0, P, 0.0) * 0.5
+            m = high[n - H : n + H + 1 : 2, n - (k - H) : n + (k - H) + 1 : 2]
+            half = P * 0.5
+            up = np.where(m, half, 0.0)
+            dn = np.where(m, 0.0, half)
             if up.any():
                 # high step: a -> a -/+ 1 is i -> i, i + 1 in slab H+1; b is unchanged
                 tgt = new.setdefault(H + 1, np.zeros((H + 2, k - H + 1)))

@@ -13,6 +13,8 @@ frozen in the test suite against an independent pure-integer implementation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -70,8 +72,13 @@ def mix64(z: np.ndarray | int) -> np.ndarray | np.uint64:
     return z if z.ndim else z[()]
 
 
+@lru_cache(maxsize=128)
 def stream_key(seed: int, stream: int = STREAM_SIMULATION) -> np.uint64:
-    """Derive the 64-bit key for one (seed, stream) pair."""
+    """Derive the 64-bit key for one (seed, stream) pair.
+
+    Cached: the key is a pure function of the two integers, and callers such
+    as the verification corpora ask for the same one once per item.
+    """
     base = mix64(np.uint64(int(seed) & _U64_MASK))
     with np.errstate(over="ignore"):
         salt = np.uint64(int(stream) & _U64_MASK) * _GOLDEN

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclt_lab import corpus
+from mclt_lab import bounds, corpus
 from mclt_lab.bounds import (
     BOUNDS,
     BoundParameterError,
@@ -204,3 +204,34 @@ def test_smoothing_rejects_invalid_joint():
         verify_smoothing_lemma(
             JointLaw(x=(0.0, 1.0), y=(0.0, 0.0), probs=(1.2, -0.2)), 1.0
         )
+
+
+def test_smoothing_distances_once_per_law(monkeypatch):
+    calls = []
+    original = bounds.exact_kolmogorov_discrete
+
+    def counting(support, probs):
+        calls.append(len(support))
+        return original(support, probs)
+
+    monkeypatch.setattr(bounds, "exact_kolmogorov_discrete", counting)
+    bounds._smoothing_distances.cache_clear()
+    law = corpus.random_joint_law(23, 5)
+    checks = [verify_smoothing_lemma(law, p) for p in (1.0, 2.0)]
+    assert len(calls) == 2  # D(X) and D(X + Y), not once more per p
+    bounds._smoothing_distances.cache_clear()
+    assert verify_smoothing_lemma(law, 2.0) == checks[1]
+    assert len(calls) == 4
+
+
+def test_smoothing_laws_equal_up_to_signed_zeros():
+    # equal laws share the cached distances; computed apart they agree too
+    plus = JointLaw(x=(0.0, 0.0, 1.0), y=(0.0, 0.5, -0.0), probs=(0.25, 0.25, 0.5))
+    minus = JointLaw(x=(-0.0, 0.0, 1.0), y=(-0.0, 0.5, 0.0), probs=(0.25, 0.25, 0.5))
+    assert plus == minus
+    margins = []
+    for law in (plus, minus):
+        bounds._smoothing_distances.cache_clear()
+        margins.append(verify_smoothing_lemma(law, 1.5).margin)
+    margins.append(verify_smoothing_lemma(plus, 1.5).margin)  # cached from minus
+    assert [m.hex() for m in margins] == [margins[0].hex()] * 3

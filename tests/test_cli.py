@@ -233,6 +233,36 @@ def test_malformed_number_is_config_error(tmp_path, command, doc):
     assert not out.exists()
 
 
+BOUNDS_CONFIG = {
+    "kind": "bounds-table",
+    "bounds": ["T1"],
+    "grid": [{"rho": 1.0, "epsilon": 0.1, "delta": 0.0}],
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("bounds", dict(BOUNDS_CONFIG, bounds=5), "bounds must be a list of bound ids"),
+    ("bounds", dict(BOUNDS_CONFIG, bounds="T1"), "bounds must be a list of bound ids"),
+    ("bounds", dict(BOUNDS_CONFIG, bounds=["T1", 2]), "bounds must be a list of bound ids"),
+    ("verify", dict(LEMMA_CONFIG, s=1.5), "s must exceed 2"),
+    ("verify", dict(LEMMA_CONFIG, s=2.0), "s must exceed 2"),
+    ("verify", dict(LEMMA_CONFIG, t_grid=[1.5]), "t_grid entries must lie in [2, s)"),
+    ("verify", dict(LEMMA_CONFIG, s=3.0, t_grid=[2.5, 3.0]), "t_grid entries must lie in [2, s)"),
+    ("verify", dict(LEMMA_CONFIG, p_values=[1.0, 0.5]), "p_values entries must be >= 1"),
+    ("lipschitz", dict(LIPSCHITZ_CONFIG, grid=[{"n": 4}, {"n": 30}]),
+     "product support size exceeds 10000000 outcomes"),
+], ids=["bounds-int", "bounds-string", "bounds-entry", "s-below-2", "s-at-2", "t-below-2",
+        "t-at-s", "p-below-1", "lipschitz-over-guard"])
+def test_value_outside_hypotheses_is_config_error(tmp_path, capsys, command, doc, message):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 @pytest.mark.parametrize("count", [
     0,
     50_000_000 // 16 + 1,  # count * n just over the bundle memory guard, no epsilon

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from mclt_lab import distance, rng
+from mclt_lab import distance, lipschitz, rng
 from mclt_lab.distance import (
     KolmogorovEstimate,
     dkw_halfwidth,
@@ -103,6 +103,93 @@ def test_discrete_law_total_holds_no_float_per_atom():
     finally:
         tracemalloc.stop()
     assert peak <= 2 << 20
+
+
+def _sorted_scan_reference(support, probs) -> float:
+    """The earlier ``exact_kolmogorov_discrete``: a stable argsort, sorted
+    copies of support and probabilities, np.add.at over the duplicate runs."""
+    v = np.asarray(support, dtype=float).ravel()
+    p = np.asarray(probs, dtype=float).ravel()
+    if v.size != p.size or v.size == 0:
+        raise ValueError("support and probabilities must be equal-length and non-empty")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+        raise ValueError("non-finite support value or probability")
+    if np.any(p < 0.0):
+        raise ValueError("negative probabilities")
+    total = math.fsum(p.tolist())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    p = p[order]
+    keep = np.concatenate([[True], np.diff(v) != 0.0])
+    idx = np.cumsum(keep) - 1
+    merged_v = v[keep]
+    merged_p = np.zeros(merged_v.size)
+    np.add.at(merged_p, idx, p)
+    cdf = np.cumsum(merged_p)
+    phi = ndtr(merged_v)
+    left = np.concatenate([[0.0], cdf[:-1]])
+    d = max(np.max(np.abs(cdf - phi)), np.max(np.abs(left - phi)))
+    return float(min(max(d, 0.0), 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -1.0, 1.0, 0.25, 1.0 / 3.0]),
+                      st.floats(min_value=-6.0, max_value=6.0)),
+            st.integers(min_value=0, max_value=7),
+        ),
+        min_size=1, max_size=40,
+    ),
+)
+def test_sort_and_bin_equals_sorted_scan(atoms):
+    # unsorted supports with repeated values, both signed zeros, a single
+    # atom and zero-probability atoms: every bit of the distance is kept
+    support = np.array([v for v, _ in atoms])
+    weights = np.array([float(w) for _, w in atoms])
+    if not weights.any():
+        weights[-1] = 1.0
+    probs = weights / weights.sum()
+    want = _sorted_scan_reference(support, probs)
+    assert exact_kolmogorov_discrete(support, probs).hex() == want.hex()
+
+
+@pytest.mark.parametrize("size", [2, 1000, 1 << 17])
+@pytest.mark.parametrize("offset, accepted", [
+    (0.9e-12, True), (-0.9e-12, True), (1.1e-12, False), (-1.1e-12, False),
+])
+def test_total_near_the_tolerance(size, offset, accepted):
+    # numpy's pairwise total only settles totals well inside the tolerance;
+    # the rest take the correctly rounded sum, and its message
+    probs = np.full(size, 1.0 / size)
+    probs[size // 2] += offset
+    total = math.fsum(probs.tolist())
+    support = np.linspace(-1.0, 1.0, size)
+    if accepted:
+        want = _sorted_scan_reference(support, probs)
+        assert exact_kolmogorov_discrete(support, probs).hex() == want.hex()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"probabilities sum to {total!r}, not 1")):
+            exact_kolmogorov_discrete(support, probs)
+
+
+def test_exact_distance_peak_per_atom():
+    # the 2^20-atom law of rademacher_average at n=20 (51 distinct values):
+    # the values sort (8 B per atom) is freed before the group index (8 B)
+    # and bincount's copy of the read-only weights (8 B) are made
+    model = lipschitz.model_from_config({"name": "rademacher_average", "params": {"n": 20}})
+    support, probs = lipschitz.exact_distribution(model)
+    tracemalloc.start()
+    try:
+        d = exact_kolmogorov_discrete(support, probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == _sorted_scan_reference(support, probs)
+    assert peak <= 24 * support.size
 
 
 def test_invalid_discrete_laws_rejected():

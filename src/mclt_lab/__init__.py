@@ -26,7 +26,6 @@ from .distance import (
 )
 from .kernels import (
     ConditionalKernel,
-    PathBundle,
     PathCollection,
     StepDistribution,
     TerminalStatistics,
@@ -45,9 +44,7 @@ from .lipschitz import (
 from .transforms import (
     INF_GE_1,
     SUP_LE_1,
-    pad_to_unit_variance,
     restrict_to_v,
-    stop_time_v,
 )
 
 __all__ = [
@@ -68,7 +65,6 @@ __all__ = [
     "kolmogorov_distance",
     "standard_normal_cdf",
     "ConditionalKernel",
-    "PathBundle",
     "PathCollection",
     "StepDistribution",
     "TerminalStatistics",
@@ -83,7 +79,5 @@ __all__ = [
     "verify_a1_lipschitz",
     "INF_GE_1",
     "SUP_LE_1",
-    "pad_to_unit_variance",
     "restrict_to_v",
-    "stop_time_v",
 ]

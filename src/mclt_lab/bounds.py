@@ -246,14 +246,6 @@ class JointLaw:
             raise ValueError(f"joint probabilities sum to {total!r}, not 1")
 
 
-def _marginal(values: Sequence[float], probs: Sequence[float]) -> tuple[list[float], list[float]]:
-    agg: dict[float, float] = {}
-    for v, p in zip(values, probs):
-        agg[v] = agg.get(v, 0.0) + p
-    support = sorted(agg)
-    return support, [agg[v] for v in support]
-
-
 @dataclass(frozen=True)
 class SmoothingCheck:
     lhs: float  # D(X + Y)
@@ -272,15 +264,13 @@ def _smoothing_distances(joint: JointLaw) -> tuple[float, float]:
     Cached for the latest law (laws are frozen), so checking one law at
     several p computes them once.  Laws that compare equal, ones that differ
     only in the sign of a zero included, give the same distances:
-    ``_marginal`` merges atoms by float equality and ``ndtr(-0.0) ==
-    ndtr(0.0)``.
+    ``exact_kolmogorov_discrete`` merges atoms by float equality and
+    ``ndtr(-0.0) == ndtr(0.0)``.
     """
     joint.validate()
-    xs, xp = _marginal(joint.x, joint.probs)
-    sums, sp = _marginal(
-        [a + b for a, b in zip(joint.x, joint.y)], joint.probs
-    )
-    return exact_kolmogorov_discrete(xs, xp), exact_kolmogorov_discrete(sums, sp)
+    sums = [a + b for a, b in zip(joint.x, joint.y)]
+    return (exact_kolmogorov_discrete(joint.x, joint.probs),
+            exact_kolmogorov_discrete(sums, joint.probs))
 
 
 def verify_smoothing_lemma(joint: JointLaw, p: float) -> SmoothingCheck:

@@ -271,6 +271,8 @@ def _lemma_settings(cfg: ExperimentConfig) -> tuple[int, float, list[float], lis
     s = _config_value(cfg.raw, "s", 4.0)
     t_grid = _config_value(cfg.raw, "t_grid", (2.25, 2.5, 3.0, 3.5), _finite_list)
     p_values = _config_value(cfg.raw, "p_values", (1.0, 2.0), _finite_list)
+    if size < 1:
+        raise ConfigError(f"corpus_size must be >= 1, got {size!r}")
     if s <= 2.0:
         raise ConfigError(f"s must exceed 2, got {s!r}")
     if any(t < 2.0 or t >= s for t in t_grid):

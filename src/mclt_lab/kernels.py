@@ -8,11 +8,11 @@ Exact-mode laws carry a finite support and answer moment queries by finite
 summation; sampled-mode laws carry an inverse-CDF sampler plus a declared
 moment oracle.
 
-Simulation produces :class:`PathBundle` objects holding the increments, the
-partial sums ``X_0..X_n`` and the predictable variance ``<X>_0..<X>_n``
-(the running sum of conditional second moments).  All randomness is
-counter-based (see :mod:`mclt_lab.rng`), so results are reproducible and
-independent of chunking or thread count.
+Simulation produces a :class:`PathCollection`, matrices with one row per
+path: the increments, the partial sums ``X_0..X_n`` and the predictable
+variance ``<X>_0..<X>_n`` (the running sum of conditional second moments).
+All randomness is counter-based (see :mod:`mclt_lab.rng`), so results are
+reproducible and independent of chunking or thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from . import rng
 __all__ = [
     "StepDistribution",
     "ConditionalKernel",
-    "PathBundle",
     "PathCollection",
     "TerminalStatistics",
     "KernelError",
@@ -505,33 +504,9 @@ def kernel_from_config(ref: dict) -> ConditionalKernel:
 
 
 @dataclass(frozen=True)
-class PathBundle:
-    """One realized path: increments, partial sums, predictable variance."""
-
-    increments: np.ndarray  # xi_1..xi_n
-    sums: np.ndarray  # X_0..X_n
-    variances: np.ndarray  # <X>_0..<X>_n
-    conditional_moments: dict[float, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return len(self.increments)
-
-    @property
-    def terminal(self) -> float:
-        return float(self.sums[-1])
-
-    @property
-    def terminal_variance(self) -> float:
-        return float(self.variances[-1])
-
-
-@dataclass(frozen=True)
 class PathCollection:
-    """A batch of paths stored columnwise; rows are PathBundle views."""
+    """A batch of paths, one row per path."""
 
-    kernel_label: str
-    seed: int
     increments: np.ndarray  # (count, n)
     sums: np.ndarray  # (count, n+1)
     variances: np.ndarray  # (count, n+1)
@@ -539,17 +514,6 @@ class PathCollection:
 
     def __len__(self) -> int:
         return self.increments.shape[0]
-
-    def bundle(self, i: int) -> PathBundle:
-        return PathBundle(
-            increments=self.increments[i],
-            sums=self.sums[i],
-            variances=self.variances[i],
-            conditional_moments={t: m[i] for t, m in self.conditional_moments.items()},
-        )
-
-    def __iter__(self) -> Iterator[PathBundle]:
-        return (self.bundle(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -951,8 +915,6 @@ def sample_paths(
         [np.zeros((count, 1)), np.cumsum(increments, axis=1)], axis=1
     )
     return PathCollection(
-        kernel_label=kernel.label,
-        seed=int(seed),
         increments=increments,
         sums=sums,
         variances=variances,

@@ -81,6 +81,9 @@ class CoordinateDistribution:
     def validate(self) -> None:
         if len(self.values) != len(self.probs) or not self.values:
             raise ValueError("coordinate support and probabilities disagree")
+        # NaN fails every comparison below, so it has to be refused here
+        if not all(math.isfinite(x) for x in (*self.values, *self.probs)):
+            raise ValueError("non-finite coordinate value or probability")
         if any(p < 0.0 for p in self.probs):
             raise ValueError("negative coordinate probability")
         if abs(math.fsum(self.probs) - 1.0) > TOL:

@@ -1,40 +1,36 @@
-"""Executable path surgeries: unit-variance padding and stopping rules.
+"""Executable path surgeries on path matrices: unit-variance padding and
+stopping rules.
 
-``pad_to_unit_variance`` extends a realized path so the padded conditional
-variance lands exactly on 1: keep increments up to the last index tau at
-which the running conditional variance is still <= 1, append
+``pad_collection`` extends every path of a collection so the padded
+conditional variance lands exactly on 1: keep increments up to the last
+index tau at which the running conditional variance is still <= 1, append
 ``r = floor((1 - <X>_tau) / eps^2)`` fair-sign steps of size eps, one
 residual step of size ``sqrt(1 - <X>_tau - r eps^2)``, and zeros up to the
-fixed length ``N = n + floor(1/eps^2) + 1``.  Each padded step has a
-two-point conditional law, so the moment-domination ratio is available in
-closed form: equality at eps-sized steps, slack at the residual.
-``pad_collection`` pads every path of a collection at once into (count, N)
-matrices, and ``pad_to_unit_variance`` is its one-row case.
+fixed length ``N = n + floor(1/eps^2) + 1``, all rows at once into (count, N)
+matrices.  Each padded step has a two-point conditional law, so the
+moment-domination ratio is available in closed form: equality at eps-sized
+steps, slack at the residual.
 
-``stop_time_v`` / ``restrict_to_v`` implement the two stopping variants
-(last index with variance <= 1, first with variance >= 1) and check the
-stopped variance stays within eps^2 of 1.
+``restrict_to_v`` stops every path by one of the two stopping variants
+(last index with variance <= 1, first with variance >= 1) and reports how
+far the stopped variance lies from 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import kernels, rng
-from .kernels import PathBundle, PathCollection
+from .kernels import PathCollection
 
 __all__ = [
-    "PaddedPath",
     "PaddedCollection",
     "check_padding",
-    "pad_to_unit_variance",
     "pad_collection",
     "padding_ratio_report",
-    "stop_time_v",
     "restrict_to_v",
     "StoppedSample",
     "SUP_LE_1",
@@ -44,46 +40,17 @@ __all__ = [
 SUP_LE_1 = "sup_le_1"
 INF_GE_1 = "inf_ge_1"
 
-UNIT_VARIANCE_TOL = 1e-9
 RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PaddedPath:
-    """A path extended to conditional variance exactly 1.
-
-    ``step_scales[i]`` is the conditional standard deviation of padded step
-    i+1 given its past (the original kernel's magnitude for i < tau, eps for
-    the fair-sign padding, the residual once, then 0), so the padded variance
-    path is ``cumsum(step_scales**2)``.
-    """
-
-    epsilon: float
-    tau: int
-    pad_count: int
-    residual: float
-    total_length: int
-    increments: np.ndarray  # xi'_1..xi'_N
-    step_scales: np.ndarray  # conditional std of each padded step
-    original_terminal: float
-
-    @property
-    def terminal(self) -> float:
-        return float(np.sum(self.increments))
-
-    @property
-    def padded_variances(self) -> np.ndarray:
-        """<X'>_0..<X'>_N."""
-        return np.concatenate([[0.0], np.cumsum(self.step_scales**2)])
-
-    @property
-    def terminal_variance(self) -> float:
-        return float(self.padded_variances[-1])
-
-
-@dataclass(frozen=True)
 class PaddedCollection:
-    """Padded paths stored as (count, N) matrices; rows are PaddedPath views."""
+    """Padded paths stored as (count, N) matrices, one row per path.
+
+    ``step_scales[j, i]`` is the conditional standard deviation of padded
+    step i+1 of path j given its past: the original kernel's magnitude for
+    i < tau, eps for the fair-sign padding, the residual once, then 0.
+    """
 
     epsilon: float
     tau: np.ndarray  # (count,) kept original steps
@@ -96,41 +63,39 @@ class PaddedCollection:
     def __len__(self) -> int:
         return self.increments.shape[0]
 
-    def __getitem__(self, i: int) -> PaddedPath:
-        return PaddedPath(
-            epsilon=self.epsilon,
-            tau=int(self.tau[i]),
-            pad_count=int(self.pad_count[i]),
-            residual=float(self.residual[i]),
-            total_length=self.increments.shape[1],
-            increments=self.increments[i],
-            step_scales=self.step_scales[i],
-            original_terminal=float(self.original_terminal[i]),
-        )
-
-    def __iter__(self) -> Iterator[PaddedPath]:
-        return (self[i] for i in range(len(self)))
-
     @property
     def terminal_variances(self) -> np.ndarray:
-        """<X'>_N of every path.  Summed left to right, as the cumsum of
-        ``PaddedPath.padded_variances`` does; ``np.sum`` adds pairwise and
-        would round differently."""
+        """<X'>_N of every path, its squared step scales summed left to
+        right; ``np.sum`` adds pairwise and would round differently."""
         total = np.zeros(len(self))
         for column in self.step_scales.T:
             total += column * column
         return total
 
 
-def _pad(
-    increments: np.ndarray,
-    variances: np.ndarray,
-    epsilon: float,
-    seed: int,
-    first_path: int,
-) -> PaddedCollection:
-    """Pad every row of a (count, n) path matrix; row j draws its signs from
-    padding stream ``first_path + j``."""
+def check_padding(n: int, count: int, epsilon: float) -> None:
+    """Reject padding ``count`` paths of length ``n`` at ``epsilon`` unless
+    eps lies in (0, 1/2], the padded length N = n + floor(1/eps^2) + 1 fits
+    the per-path draw budget, and ``count * N`` fits the bundle memory guard
+    (``kernels.check_bundle``)."""
+    if not 0.0 < epsilon <= 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2]")
+    total_length = n + math.floor(1.0 / (epsilon * epsilon)) + 1
+    if total_length >= rng.MAX_DRAWS_PER_PATH:
+        raise ValueError("padded length exceeds the per-path draw budget")
+    kernels.check_bundle(count, total_length)
+
+
+def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCollection:
+    """Pad every path of a collection; path i uses padding stream i.
+
+    ``epsilon`` must lie in (0, 1/2] and should be (at least) the kernel's
+    certified moment-domination eps; smaller values leave the kept original
+    steps outside the padded ratio guarantee, which the ratio report will
+    surface.
+    """
+    check_padding(paths.increments.shape[1], len(paths), epsilon)
+    increments, variances = paths.increments, paths.variances
     count, n = increments.shape
     eps2 = epsilon * epsilon
     budget = math.floor(1.0 / eps2)
@@ -150,7 +115,7 @@ def _pad(
     owner = np.repeat(rows, draws)
     step = np.arange(ends[-1]) - np.repeat(ends - draws, draws)
     key = rng.stream_key(seed, rng.STREAM_PADDING)
-    signs = np.where(rng.uniforms(key, first_path + owner, step) < 0.5, -1.0, 1.0)
+    signs = np.where(rng.uniforms(key, owner, step) < 0.5, -1.0, 1.0)
     magnitude = np.full(ends[-1], epsilon)
     magnitude[ends - 1] = residual
     total_length = n + budget + 1
@@ -175,49 +140,18 @@ def _pad(
     )
 
 
-def check_padding(n: int, count: int, epsilon: float) -> None:
-    """Reject padding ``count`` paths of length ``n`` at ``epsilon`` unless
-    eps lies in (0, 1/2], the padded length N = n + floor(1/eps^2) + 1 fits
-    the per-path draw budget, and ``count * N`` fits the bundle memory guard
-    (``kernels.check_bundle``)."""
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2]")
-    total_length = n + math.floor(1.0 / (epsilon * epsilon)) + 1
-    if total_length >= rng.MAX_DRAWS_PER_PATH:
-        raise ValueError("padded length exceeds the per-path draw budget")
-    kernels.check_bundle(count, total_length)
-
-
-def pad_to_unit_variance(path: PathBundle, epsilon: float, seed: int, path_index: int = 0) -> PaddedPath:
-    """Pad one path to terminal conditional variance exactly 1.
-
-    ``epsilon`` must lie in (0, 1/2] and should be (at least) the kernel's
-    certified moment-domination eps; smaller values leave the kept original
-    steps outside the padded ratio guarantee, which the ratio report will
-    surface.
-    """
-    check_padding(path.n, 1, epsilon)
-    return _pad(path.increments[None, :], path.variances[None, :], epsilon, seed, path_index)[0]
-
-
-def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCollection:
-    """Pad every path of a collection; path i uses padding stream i."""
-    check_padding(paths.increments.shape[1], len(paths), epsilon)
-    return _pad(paths.increments, paths.variances, epsilon, seed, 0)
-
-
-def padding_ratio_report(padded: PaddedPath | PaddedCollection, rho: float) -> dict:
+def padding_ratio_report(padded: PaddedCollection, rho: float) -> dict:
     """Moment-domination check for every padded step, in closed form.
 
     A step with conditional std m and a symmetric two-point law has
     ``E|xi|^(2+rho) = m^rho * E[xi^2]``, so the condition at level eps holds
     iff m <= eps, with equality exactly when m == eps.  Zero steps pass
-    vacuously.  For a ``PaddedCollection``, ``holds``, ``worst_ratio`` and
-    ``equality_steps`` are arrays with one entry per path.
+    vacuously.  ``holds``, ``worst_ratio`` and ``equality_steps`` are arrays
+    with one entry per path.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    scales = np.atleast_2d(padded.step_scales)
+    scales = padded.step_scales
     eps_rho = padded.epsilon**rho
     # m**rho (= E|xi|^(2+rho) / E[xi^2]) in Python floats, once per distinct
     # scale: np.power can differ from it in the last ulp
@@ -228,8 +162,6 @@ def padding_ratio_report(padded: PaddedPath | PaddedCollection, rho: float) -> d
     equality_steps = np.count_nonzero((powers == eps_rho)[cell], axis=1)
     # a NaN scale (from a variance dip in the kept steps) fails no comparison
     worst_ratio = np.fmax.reduce((powers / eps_rho)[cell], axis=1, initial=0.0)
-    if isinstance(padded, PaddedPath):
-        holds, worst_ratio, equality_steps = bool(holds[0]), worst_ratio[0], int(equality_steps[0])
     return {
         "holds": holds,
         "worst_ratio": worst_ratio,
@@ -255,19 +187,6 @@ def _stop_indices(variances: np.ndarray, variant: str) -> np.ndarray:
     raise ValueError(f"unknown stopping variant {variant!r}")
 
 
-def stop_time_v(variance_path, variant: str) -> int:
-    """Stopping index on a realized conditional-variance path.
-
-    ``sup_le_1``: the largest k with <X>_k <= 1 (well-defined: <X>_0 = 0).
-    ``inf_ge_1``: the smallest k with <X>_k >= 1, or n when the path never
-    reaches 1 (out-of-hypothesis inputs take the boundary convention).
-    """
-    v = np.asarray(variance_path, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("variance path must be a 1-d sequence <X>_0..<X>_n")
-    return int(_stop_indices(v[None, :], variant)[0])
-
-
 @dataclass(frozen=True)
 class StoppedSample:
     """Terminal values at the stopping index with the variance residuals."""
@@ -287,6 +206,11 @@ class StoppedSample:
 def restrict_to_v(paths: PathCollection, variant: str) -> StoppedSample:
     """Stop every path at v(n) and report the stopped-variance residuals.
 
+    ``sup_le_1``: v(n) is the largest k with <X>_k <= 1 (well-defined:
+    <X>_0 = 0).  ``inf_ge_1``: the smallest k with <X>_k >= 1, or n when the
+    path never reaches 1 (out-of-hypothesis inputs take the boundary
+    convention).  A variance path that falls by more than 1e-12, or an
+    unknown variant, is a ``ValueError``.
     Paths with <X>_n < 1 violate the hypothesis of the stopped-martingale
     bound; they are flagged rather than rejected, and excluded from the
     in-hypothesis residual summary.

@@ -17,7 +17,7 @@ from mclt_lab import cli, corpus, oracles
 from mclt_lab.bounds import evaluate_rate, verify_smoothing_lemma
 from mclt_lab.conditions import minimal_epsilon, verify_moment_lemmas
 from mclt_lab.distance import KolmogorovEstimate, fit_rate, kolmogorov_distance
-from mclt_lab.kernels import sample_paths, sample_terminal
+from mclt_lab.kernels import PathCollection, sample_paths, sample_terminal
 from mclt_lab.lipschitz import (
     epsilon_delta_n,
     make_model,
@@ -27,7 +27,6 @@ from mclt_lab.transforms import (
     INF_GE_1,
     SUP_LE_1,
     pad_collection,
-    pad_to_unit_variance,
     padding_ratio_report,
     restrict_to_v,
 )
@@ -93,24 +92,23 @@ def test_criterion_04_padding_construction():
     eps = eps_report.epsilon
     paths = sample_paths(kernel, seed=404, count=count)
     padded = pad_collection(paths, eps, seed=404)
-    worst_unit = max(abs(p.terminal_variance - 1.0) for p in padded)
-    ratios_ok = all(padding_ratio_report(p, rho=1.0)["holds"] for p in padded)
-    # worked example: variance 0.9 at tau, eps = 0.2
-    from mclt_lab.kernels import PathBundle
-
-    example = PathBundle(
-        increments=np.sqrt(np.diff([0.0, 0.3, 0.6, 0.9])),
-        sums=np.zeros(4),
-        variances=np.array([0.0, 0.3, 0.6, 0.9]),
+    worst_unit = float(np.max(np.abs(padded.terminal_variances - 1.0)))
+    ratios_ok = bool(padding_ratio_report(padded, rho=1.0)["holds"].all())
+    # worked example: variance 0.9 at tau, eps = 0.2, as a one-row collection
+    example = PathCollection(
+        increments=np.sqrt(np.diff([[0.0, 0.3, 0.6, 0.9]])),
+        sums=np.zeros((1, 4)),
+        variances=np.array([[0.0, 0.3, 0.6, 0.9]]),
     )
-    ex = pad_to_unit_variance(example, epsilon=0.2, seed=1)
-    example_ok = ex.pad_count == 2 and abs(ex.residual - 0.141421) < 1e-6
+    padded_example = pad_collection(example, epsilon=0.2, seed=1)
+    r, residual = int(padded_example.pad_count[0]), float(padded_example.residual[0])
+    example_ok = r == 2 and abs(residual - 0.141421) < 1e-6
     elapsed = time.time() - start
     report(
         4,
         worst_unit <= 1e-9 and ratios_ok and example_ok and elapsed < 10.0,
         f"{count} padded paths: max |<X'>_N - 1| = {worst_unit:.2e}, ratios ok, "
-        f"worked example r={ex.pad_count} residual={ex.residual:.6f}, {elapsed:.1f}s",
+        f"worked example r={r} residual={residual:.6f}, {elapsed:.1f}s",
     )
 
 

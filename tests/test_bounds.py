@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclt_lab import bounds, corpus
+from mclt_lab.distance import exact_kolmogorov_discrete
 from mclt_lab.bounds import (
     BOUNDS,
     BoundParameterError,
@@ -235,3 +236,45 @@ def test_smoothing_laws_equal_up_to_signed_zeros():
         margins.append(verify_smoothing_lemma(law, 1.5).margin)
     margins.append(verify_smoothing_lemma(plus, 1.5).margin)  # cached from minus
     assert [m.hex() for m in margins] == [margins[0].hex()] * 3
+
+
+def _merged_marginal(values, probs):
+    """Equal atoms merged by a dict, each group summed in input order from
+    0.0, then sorted: the merge the smoothing check once did itself."""
+    agg = {}
+    for v, p in zip(values, probs):
+        agg[v] = agg.get(v, 0.0) + p
+    support = sorted(agg)
+    return support, [agg[v] for v in support]
+
+
+# few distinct atoms, signed zeros among them, so that X and X + Y repeat atoms
+_ATOMS = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _joint_laws(draw):
+    if draw(st.booleans()):
+        return corpus.random_joint_law(draw(st.sampled_from([0, 1, 7, 12345])),
+                                       draw(st.integers(min_value=0, max_value=999)))
+    k = draw(st.integers(min_value=1, max_value=12))
+    x = draw(st.lists(_ATOMS, min_size=k, max_size=k))
+    y = draw(st.lists(_ATOMS, min_size=k, max_size=k))
+    raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=k, max_size=k))
+    total = math.fsum(raw)
+    return JointLaw(x=tuple(x), y=tuple(y), probs=tuple(r / total for r in raw))
+
+
+@settings(max_examples=80)
+@given(law=_joint_laws(), p=st.sampled_from([1.0, 1.5, 2.0]))
+def test_smoothing_distances_equal_those_of_merged_marginals(law, p):
+    # the distance merges atoms itself, to the same bits as merging first
+    d_x = exact_kolmogorov_discrete(*_merged_marginal(law.x, law.probs))
+    sums = [a + b for a, b in zip(law.x, law.y)]
+    d_sum = exact_kolmogorov_discrete(*_merged_marginal(sums, law.probs))
+    bounds._smoothing_distances.cache_clear()
+    check = verify_smoothing_lemma(law, p)
+    moment = math.fsum(pr * abs(b) ** (2.0 * p) for b, pr in zip(law.y, law.probs))
+    margin = 2.0 * d_x + 3.0 * moment ** (1.0 / (2.0 * p + 1.0)) - d_sum
+    assert [d.hex() for d in bounds._smoothing_distances(law)] == [d_x.hex(), d_sum.hex()]
+    assert check.margin.hex() == margin.hex()

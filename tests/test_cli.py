@@ -182,13 +182,16 @@ LIPSCHITZ_CONFIG = {
     ({"name": "no_such_family", "params": {}}, None),
     ({"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}], "f": {"kind": "median"}}, None),
     ({"coords": [{"values": [-1.0, 1.0], "probs": [0.6, 0.6]}], "f": {"kind": "sum"}}, None),
+    # json reads NaN and Infinity
+    ({"coords": [{"values": [-1.0, 1.0], "probs": [float("nan"), 0.5]}], "f": {"kind": "sum"}}, None),
+    ({"coords": [{"values": [0.0, float("inf")], "probs": [0.5, 0.5]}], "f": {"kind": "sum"}}, None),
     ({"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}], "f": {"kind": "sum"},
       "metrics": []}, None),
     ("rademacher_average", None),  # not an object
     (None, [{"n": 4}, {"n": 4, "zz": 1}]),  # only a later grid entry is unbuildable
     (None, [{"n": 0}]),  # scale 1/sqrt(n)
 ], ids=["no-coords", "unknown-param", "unknown-family", "unknown-f-kind", "invalid-coord-law",
-        "metrics-not-object", "not-an-object", "later-entry", "zero-coordinates"])
+        "nan-coord-prob", "infinite-coord-value", "metrics-not-object", "not-an-object", "later-entry", "zero-coordinates"])
 def test_unbuildable_model_reference_is_config_error(tmp_path, model, grid):
     doc = dict(LIPSCHITZ_CONFIG)
     if model is not None:
@@ -245,6 +248,8 @@ BOUNDS_CONFIG = {
     ("bounds", dict(BOUNDS_CONFIG, bounds=5), "bounds must be a list of bound ids"),
     ("bounds", dict(BOUNDS_CONFIG, bounds="T1"), "bounds must be a list of bound ids"),
     ("bounds", dict(BOUNDS_CONFIG, bounds=["T1", 2]), "bounds must be a list of bound ids"),
+    ("verify", dict(LEMMA_CONFIG, corpus_size=0), "corpus_size must be >= 1"),
+    ("verify", dict(LEMMA_CONFIG, corpus_size=-3), "corpus_size must be >= 1"),
     ("verify", dict(LEMMA_CONFIG, s=1.5), "s must exceed 2"),
     ("verify", dict(LEMMA_CONFIG, s=2.0), "s must exceed 2"),
     ("verify", dict(LEMMA_CONFIG, t_grid=[1.5]), "t_grid entries must lie in [2, s)"),
@@ -252,7 +257,8 @@ BOUNDS_CONFIG = {
     ("verify", dict(LEMMA_CONFIG, p_values=[1.0, 0.5]), "p_values entries must be >= 1"),
     ("lipschitz", dict(LIPSCHITZ_CONFIG, grid=[{"n": 4}, {"n": 30}]),
      "product support size exceeds 10000000 outcomes"),
-], ids=["bounds-int", "bounds-string", "bounds-entry", "s-below-2", "s-at-2", "t-below-2",
+], ids=["bounds-int", "bounds-string", "bounds-entry", "corpus_size-0", "corpus_size-negative",
+        "s-below-2", "s-at-2", "t-below-2",
         "t-at-s", "p-below-1", "lipschitz-over-guard"])
 def test_value_outside_hypotheses_is_config_error(tmp_path, capsys, command, doc, message):
     cfg = write_config(tmp_path, doc)

@@ -107,6 +107,18 @@ def test_degenerate_lower_metric_reported():
         epsilon_delta_n(model)
 
 
+@pytest.mark.parametrize("values, probs", [
+    ((-1.0, 1.0), (math.nan, 0.5)),
+    ((0.0, math.inf), (0.5, 0.5)),
+    ((-1.0, math.nan), (0.5, 0.5)),
+    ((-1.0, 1.0), (-math.inf, math.inf)),
+], ids=["nan-prob", "infinite-value", "nan-value", "infinite-probs"])
+def test_non_finite_coordinate_law_is_refused(values, probs):
+    # NaN fails every comparison, so the sign and sum checks alone let it pass
+    with pytest.raises(ValueError, match="non-finite"):
+        CoordinateDistribution(values=values, probs=probs).validate()
+
+
 def test_linear_sandwich_is_tight():
     sandwich = variance_sandwich(_linear_model(2))
     assert sandwich.lower == pytest.approx(2.0, rel=1e-12)

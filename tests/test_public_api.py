@@ -26,7 +26,6 @@ PACKAGE_EXPORTS = [
     "kolmogorov_distance",
     "standard_normal_cdf",
     "ConditionalKernel",
-    "PathBundle",
     "PathCollection",
     "StepDistribution",
     "TerminalStatistics",
@@ -41,9 +40,7 @@ PACKAGE_EXPORTS = [
     "verify_a1_lipschitz",
     "INF_GE_1",
     "SUP_LE_1",
-    "pad_to_unit_variance",
     "restrict_to_v",
-    "stop_time_v",
 ]
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mclt_lab.__path__))

@@ -9,69 +9,63 @@ from hypothesis import strategies as st
 
 import mclt_lab as m
 from mclt_lab import kernels, rng
-from mclt_lab.kernels import PathBundle, PathCollection, sample_paths
+from mclt_lab.kernels import PathCollection, sample_paths
 from mclt_lab.transforms import (
     INF_GE_1,
     RATIO_TOL,
     SUP_LE_1,
     pad_collection,
-    pad_to_unit_variance,
     padding_ratio_report,
     restrict_to_v,
-    stop_time_v,
 )
 
 
-def _bundle_from_variances(variances, increments=None):
-    variances = np.asarray(variances, dtype=float)
+def _paths_from_variances(variances, increments=None):
+    """A collection with one row per variance path (one row for a 1-d
+    sequence); by default every row steps up by +sigma."""
+    variances = np.atleast_2d(np.asarray(variances, dtype=float))
     if increments is None:
-        increments = np.sqrt(np.diff(variances))  # one +sigma path
-    increments = np.asarray(increments, dtype=float)
-    return PathBundle(
-        increments=increments,
-        sums=np.concatenate([[0.0], np.cumsum(increments)]),
-        variances=variances,
-    )
+        increments = np.sqrt(np.diff(variances, axis=1))
+    increments = np.atleast_2d(np.asarray(increments, dtype=float))
+    sums = np.concatenate([np.zeros((len(increments), 1)), np.cumsum(increments, axis=1)], axis=1)
+    return PathCollection(increments=increments, sums=sums, variances=variances)
 
 
 def test_pad_worked_example():
     # variance 0.9 after three steps, eps = 0.2: two eps pads plus a residual
-    b = _bundle_from_variances([0.0, 0.3, 0.6, 0.9])
-    p = pad_to_unit_variance(b, epsilon=0.2, seed=5)
-    assert p.tau == 3
-    assert p.pad_count == 2
-    assert p.residual == pytest.approx(math.sqrt(0.02), abs=1e-12)
-    assert p.residual == pytest.approx(0.141421, abs=1e-6)
-    assert abs(p.terminal_variance - 1.0) <= 1e-9
-    assert p.total_length == 3 + math.floor(1.0 / 0.2**2) + 1
+    p = pad_collection(_paths_from_variances([0.0, 0.3, 0.6, 0.9]), epsilon=0.2, seed=5)
+    assert p.tau[0] == 3
+    assert p.pad_count[0] == 2
+    assert p.residual[0] == pytest.approx(math.sqrt(0.02), abs=1e-12)
+    assert p.residual[0] == pytest.approx(0.141421, abs=1e-6)
+    assert abs(p.terminal_variances[0] - 1.0) <= 1e-9
+    assert p.increments.shape == (1, 3 + math.floor(1.0 / 0.2**2) + 1)
 
 
 def test_pad_already_normalized_path_is_identity_plus_zeros():
     k = m.make_kernel("iid_rademacher", n=16)
     paths = sample_paths(k, seed=2, count=5)
-    for i, b in enumerate(paths):
-        p = pad_to_unit_variance(b, epsilon=0.25, seed=9, path_index=i)
-        assert p.tau == 16
-        assert p.pad_count == 0
-        assert p.residual == 0.0
-        assert np.array_equal(p.increments[:16], b.increments)
-        assert np.all(p.increments[16:] == 0.0)
-        assert p.terminal == pytest.approx(b.terminal, abs=0.0)
-        assert p.terminal_variance == pytest.approx(1.0, abs=1e-12)
+    p = pad_collection(paths, epsilon=0.25, seed=9)
+    assert np.all(p.tau == 16)
+    assert np.all(p.pad_count == 0)
+    assert np.all(p.residual == 0.0)
+    assert np.array_equal(p.increments[:, :16], paths.increments)
+    assert np.all(p.increments[:, 16:] == 0.0)
+    assert np.array_equal(np.sum(p.increments, axis=1), paths.sums[:, -1])
+    assert np.all(np.abs(p.terminal_variances - 1.0) <= 1e-12)
 
 
 def test_padding_epsilon_range_enforced():
-    b = _bundle_from_variances([0.0, 0.5])
+    paths = _paths_from_variances([0.0, 0.5])
     for eps in (0.0, -0.1, 0.6):
         with pytest.raises(ValueError):
-            pad_to_unit_variance(b, epsilon=eps, seed=1)
+            pad_collection(paths, epsilon=eps, seed=1)
 
 
 def test_residual_stays_below_epsilon():
-    b = _bundle_from_variances([0.0, 0.37, 0.81])
-    p = pad_to_unit_variance(b, epsilon=0.17, seed=3)
-    assert 0.0 <= p.residual <= 0.17
-    assert abs(p.terminal_variance - 1.0) <= 1e-9
+    p = pad_collection(_paths_from_variances([0.0, 0.37, 0.81]), epsilon=0.17, seed=3)
+    assert 0.0 <= p.residual[0] <= 0.17
+    assert abs(p.terminal_variances[0] - 1.0) <= 1e-9
 
 
 def test_padded_ratio_equality_and_slack():
@@ -80,28 +74,23 @@ def test_padded_ratio_equality_and_slack():
     eps = k.certified_epsilon(1.0)
     paths = sample_paths(k, seed=13, count=50)
     padded = pad_collection(paths, eps, seed=13)
-    for p in padded:
-        report = padding_ratio_report(p, rho=1.0)
-        assert report["holds"]
-        # the kept high-variance steps and the eps pads sit exactly at the bound
-        assert report["worst_ratio"] <= 1.0 + 1e-12
-        if p.pad_count > 0:
-            assert report["equality_steps"] >= p.pad_count
+    report = padding_ratio_report(padded, rho=1.0)
+    assert report["holds"].all()
+    # the kept high-variance steps and the eps pads sit exactly at the bound
+    assert np.all(report["worst_ratio"] <= 1.0 + 1e-12)
+    assert np.all(report["equality_steps"] >= padded.pad_count)
 
 
 def test_padding_ratio_flags_undersized_epsilon():
-    b = _bundle_from_variances([0.0, 0.3, 0.6, 0.9])  # step std ~ 0.55
-    p = pad_to_unit_variance(b, epsilon=0.2, seed=5)
-    report = padding_ratio_report(p, rho=1.0)
-    assert not report["holds"]
+    paths = _paths_from_variances([0.0, 0.3, 0.6, 0.9])  # step std ~ 0.55
+    report = padding_ratio_report(pad_collection(paths, epsilon=0.2, seed=5), rho=1.0)
+    assert not report["holds"][0]
 
 
 def test_padding_signs_are_mean_zero():
-    b = _bundle_from_variances([0.0, 0.25])  # needs r = 12 pads at eps = 0.25
-    values = []
-    for i in range(4000):
-        p = pad_to_unit_variance(b, epsilon=0.25, seed=77, path_index=i)
-        values.append(p.increments[1])
+    # r = 12 pads at eps = 0.25 on every row; row j reads padding stream j
+    paths = _paths_from_variances(np.tile([0.0, 0.25], (4000, 1)))
+    values = pad_collection(paths, epsilon=0.25, seed=77).increments[:, 1]
     mean = np.mean(values)
     assert abs(mean) < 4 * 0.25 / math.sqrt(len(values))
 
@@ -110,9 +99,8 @@ def test_terminal_unchanged_when_variance_complete():
     # <X>_n = 1 exactly: X'_N = X_n because padding contributes literal zeros
     k = m.make_kernel("iid_rademacher", n=64)
     paths = sample_paths(k, seed=5, count=10)
-    for i, b in enumerate(paths):
-        p = pad_to_unit_variance(b, epsilon=0.125, seed=1, path_index=i)
-        assert p.terminal == b.terminal
+    p = pad_collection(paths, epsilon=0.125, seed=1)
+    assert np.array_equal(np.sum(p.increments, axis=1), paths.sums[:, -1])
 
 
 @settings(max_examples=40)
@@ -124,14 +112,13 @@ def test_terminal_unchanged_when_variance_complete():
 def test_padding_invariants_random_variance_paths(steps, eps100, seed):
     eps = eps100 / 100.0
     variances = np.concatenate([[0.0], np.cumsum(steps)])
-    b = _bundle_from_variances(variances)
-    p = pad_to_unit_variance(b, epsilon=eps, seed=seed)
-    assert abs(p.terminal_variance - 1.0) <= 1e-9
-    assert 0.0 <= p.residual <= eps
-    assert p.pad_count <= math.floor(1.0 / eps**2)
-    assert p.total_length == b.n + math.floor(1.0 / eps**2) + 1
+    p = pad_collection(_paths_from_variances(variances), epsilon=eps, seed=seed)
+    assert abs(p.terminal_variances[0] - 1.0) <= 1e-9
+    assert 0.0 <= p.residual[0] <= eps
+    assert p.pad_count[0] <= math.floor(1.0 / eps**2)
+    assert p.increments.shape[1] == len(steps) + math.floor(1.0 / eps**2) + 1
     # increments beyond tau + r + 1 are literal zeros
-    assert np.all(p.increments[p.tau + p.pad_count + 1 :] == 0.0)
+    assert np.all(p.increments[0, p.tau[0] + p.pad_count[0] + 1 :] == 0.0)
 
 
 def _reference_pad(increments, variances, epsilon, seed, path_index):
@@ -192,22 +179,19 @@ def _assert_padding_matches_reference(paths, epsilon, seed, rhos):
     assert len(padded) == len(paths)
     reports = {rho: padding_ratio_report(padded, rho) for rho in rhos}
     totals = padded.terminal_variances
-    for i, bundle in enumerate(paths):
-        ref = _reference_pad(bundle.increments, bundle.variances, epsilon, seed, i)
-        for row in (padded[i], pad_to_unit_variance(bundle, epsilon, seed, path_index=i)):
-            assert (row.tau, row.pad_count) == (ref["tau"], ref["pad_count"])
-            assert _bits(row.residual) == _bits(ref["residual"])
-            assert _bits(row.increments) == _bits(ref["increments"])
-            assert _bits(row.step_scales) == _bits(ref["step_scales"])
-            assert _bits(row.original_terminal) == _bits(ref["original_terminal"])
-            assert _bits(row.terminal_variance) == _bits(ref["terminal_variance"])
+    for i in range(len(paths)):
+        ref = _reference_pad(paths.increments[i], paths.variances[i], epsilon, seed, i)
+        assert (padded.tau[i], padded.pad_count[i]) == (ref["tau"], ref["pad_count"])
+        assert _bits(padded.residual[i]) == _bits(ref["residual"])
+        assert _bits(padded.increments[i]) == _bits(ref["increments"])
+        assert _bits(padded.step_scales[i]) == _bits(ref["step_scales"])
+        assert _bits(padded.original_terminal[i]) == _bits(ref["original_terminal"])
         assert _bits(totals[i]) == _bits(ref["terminal_variance"])
         for rho, report in reports.items():
             holds, worst, equality_steps = _reference_ratio(ref["step_scales"], epsilon, rho)
-            single = padding_ratio_report(padded[i], rho)
-            assert report["holds"][i] == single["holds"] == holds
-            assert _bits(report["worst_ratio"][i]) == _bits(single["worst_ratio"]) == _bits(worst)
-            assert report["equality_steps"][i] == single["equality_steps"] == equality_steps
+            assert report["holds"][i] == holds
+            assert _bits(report["worst_ratio"][i]) == _bits(worst)
+            assert report["equality_steps"][i] == equality_steps
     return padded, reports
 
 
@@ -254,8 +238,7 @@ def test_matrix_padding_matches_reference_on_random_variance_paths(rows, n, eps1
     signs = np.where(np.arange(rows * n).reshape(rows, n) % 3 == 0, -1.0, 1.0)
     increments = signs * np.sqrt(np.diff(variances, axis=1))
     sums = np.concatenate([np.zeros((rows, 1)), np.cumsum(increments, axis=1)], axis=1)
-    paths = PathCollection(kernel_label="rows", seed=0, increments=increments,
-                           sums=sums, variances=variances)
+    paths = PathCollection(increments=increments, sums=sums, variances=variances)
     _assert_padding_matches_reference(paths, eps100 / 100.0, seed, (rho,))
 
 
@@ -264,32 +247,38 @@ def test_padding_with_a_variance_dip_matches_reference():
     # check skips it, as the per-step loop does
     variances = np.array([[0.0, 0.5, 0.5 - 4e-13, 0.8], [0.0, 0.2, 0.4, 0.6]])
     increments = np.diff(variances, axis=1)
-    paths = PathCollection(kernel_label="rows", seed=0, increments=increments,
-                           sums=np.cumsum(variances, axis=1), variances=variances)
+    paths = PathCollection(increments=increments, sums=np.cumsum(variances, axis=1),
+                           variances=variances)
     with np.errstate(invalid="ignore"):
         padded, reports = _assert_padding_matches_reference(paths, 0.25, 4, (1.0, 0.7))
     assert np.isnan(padded.step_scales[0, 1])
     assert reports[1.0]["worst_ratio"][0] > 0.0
 
 
+def _stop_index(variances, variant):
+    """v(n) of one variance path, stopped as a one-row collection."""
+    paths = _paths_from_variances(variances, increments=np.diff(variances))
+    return int(restrict_to_v(paths, variant).indices[0])
+
+
 def test_stop_time_examples():
-    assert stop_time_v([0.0, 0.4, 0.8, 1.2], SUP_LE_1) == 2
-    assert stop_time_v([0.0, 0.4, 0.8, 1.2], INF_GE_1) == 3
+    assert _stop_index([0.0, 0.4, 0.8, 1.2], SUP_LE_1) == 2
+    assert _stop_index([0.0, 0.4, 0.8, 1.2], INF_GE_1) == 3
     n = 10
     linear = np.arange(n + 1) / n
-    assert stop_time_v(linear, SUP_LE_1) == n
-    assert stop_time_v(linear, INF_GE_1) == n
+    assert _stop_index(linear, SUP_LE_1) == n
+    assert _stop_index(linear, INF_GE_1) == n
     below = np.arange(n + 1) / (2 * n)
-    assert stop_time_v(below, SUP_LE_1) == n  # never exceeds 1
-    assert stop_time_v(below, INF_GE_1) == n  # boundary convention
+    assert _stop_index(below, SUP_LE_1) == n  # never exceeds 1
+    assert _stop_index(below, INF_GE_1) == n  # boundary convention
     # an accepted dip below 1: four entries are <= 1, the last is index 4
     dip = [0.0, 0.5, 1.0 + 4e-13, 1.0 - 4e-13, 1.0, 1.2]
-    assert stop_time_v(dip, SUP_LE_1) == 4
-    assert stop_time_v(dip, INF_GE_1) == 2
+    assert _stop_index(dip, SUP_LE_1) == 4
+    assert _stop_index(dip, INF_GE_1) == 2
     with pytest.raises(ValueError):
-        stop_time_v([0.0, 0.5, 0.4], SUP_LE_1)
+        _stop_index([0.0, 0.5, 0.4], SUP_LE_1)
     with pytest.raises(ValueError):
-        stop_time_v([0.0, 0.5, 1.0], "nope")
+        _stop_index([0.0, 0.5, 1.0], "nope")
 
 
 def test_restrict_rademacher_is_identity():
@@ -324,7 +313,7 @@ def test_pad_collection_checks_padded_length_before_allocating(monkeypatch):
         pad_collection(paths, epsilon=0.05, seed=1)
     assert len(pad_collection(paths, epsilon=0.25, seed=1)) == 10
     monkeypatch.undo()
-    # the same per-path budget as pad_to_unit_variance: N = 16 + 1234567 + 1
+    # the per-path draw budget: N = 16 + 1234567 + 1
     with pytest.raises(ValueError, match="draw budget"):
         pad_collection(paths, epsilon=0.0009, seed=1)
     with pytest.raises(ValueError, match="epsilon"):
@@ -371,14 +360,11 @@ def test_restrict_matches_per_path_stop_time(n, count, data):
     ]
     variances = np.asarray(rows)
     sums = np.cumsum(np.arange(count * (n + 1), dtype=float).reshape(count, n + 1), axis=1)
-    paths = PathCollection(
-        kernel_label="rows", seed=0, increments=np.diff(sums, axis=1),
-        sums=sums, variances=variances,
-    )
+    paths = PathCollection(increments=np.diff(sums, axis=1), sums=sums, variances=variances)
     for variant in (SUP_LE_1, INF_GE_1):
         stopped = restrict_to_v(paths, variant)
         for i, row in enumerate(variances):
             expected = _reference_stop_index(row, variant)
-            assert stopped.indices[i] == stop_time_v(row, variant) == expected
+            assert stopped.indices[i] == _stop_index(row, variant) == expected
             assert stopped.terminal[i] == sums[i, expected]
             assert stopped.residuals[i] == abs(row[expected] - 1.0)

@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .bounds import BOUNDS, compare_table, evaluate_rate, verify_smoothing_lemma
 from .conditions import (
-    EXHAUSTIVE,
     ConditionReport,
-    SimulatedHistories,
     minimal_delta,
     minimal_epsilon,
     verify_moment_lemmas,
@@ -53,9 +51,7 @@ __all__ = [
     "compare_table",
     "evaluate_rate",
     "verify_smoothing_lemma",
-    "EXHAUSTIVE",
     "ConditionReport",
-    "SimulatedHistories",
     "minimal_delta",
     "minimal_epsilon",
     "verify_moment_lemmas",

@@ -42,13 +42,7 @@ from .bounds import (
     evaluation_notes,
     verify_smoothing_lemma,
 )
-from .conditions import (
-    SimulatedHistories,
-    WalkGuardExceeded,
-    minimal_delta,
-    minimal_epsilon,
-    verify_moment_lemmas,
-)
+from .conditions import minimal_delta, minimal_epsilon, verify_moment_lemmas
 from .distance import KolmogorovEstimate, exact_kolmogorov_discrete, fit_rate, kolmogorov_distance
 from .kernels import (
     KernelError,
@@ -139,6 +133,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         bounds=bounds,
         out=doc.get("out"),
     )
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigError(f"out must be a directory path string, got {cfg.out!r}")
     if cfg.rho <= 0.0:
         raise ConfigError("rho must be positive")
     if cfg.p < 1.0:
@@ -153,12 +149,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError("rates grid entries need 'n' and 'M'")
             if _config_value(entry, "M", None, int) < 1000:
                 raise ConfigError("rate experiments require M >= 1000")
+            if "epsilon" in entry:  # the fit abscissa
+                _config_value(entry, "epsilon", None, _positive)
             _kernel_for_entry(cfg, entry)
     if kind == "lipschitz":
         if cfg.model is None:
             raise ConfigError("lipschitz experiments need a model reference")
         for entry in cfg.grid:
             _model_for_entry(cfg, entry)
+            if "name" not in cfg.model and "n" in entry:  # the abscissa alone
+                _config_value(entry, "n", None, _positive)
     if kind == "lemma-suite":
         _lemma_settings(cfg)
     if kind == "transforms-check":
@@ -190,6 +190,13 @@ def _finite(value) -> float:
     number = float(value)
     if not math.isfinite(number):
         raise ValueError("not finite")
+    return number
+
+
+def _positive(value) -> float:
+    number = _finite(value)
+    if number <= 0.0:
+        raise ValueError("not positive")
     return number
 
 
@@ -353,32 +360,17 @@ def _manifest(cfg: ExperimentConfig, records: list[dict], fit: dict | None, note
 # condition columns
 
 
-def _condition_columns(kernel, cfg: ExperimentConfig, stats, notes: list[str]):
-    eps = kernel.certified_epsilon(cfg.rho)
-    if eps is not None:
-        eps_mode = "certified"
-    else:
-        try:
-            report = minimal_epsilon(kernel, cfg.rho)
-            eps, eps_mode = report.epsilon, report.mode
-        except WalkGuardExceeded:
-            report = minimal_epsilon(
-                kernel, cfg.rho, SimulatedHistories(cfg.seed + 1, min(1000, stats.count))
-            )
-            eps, eps_mode = report.epsilon, report.mode
-            notes.append(f"epsilon for {kernel.label} is a sampled lower bound")
+def _certified_epsilon(kernel, rho: float) -> float:
+    """The family's closed form, else the history walk; a walk over the node
+    guard raises ``WalkGuardExceeded``, which ends the run with exit 1."""
+    eps = kernel.certified_epsilon(rho)
+    return minimal_epsilon(kernel, rho).epsilon if eps is None else eps
+
+
+def _certified_delta(kernel) -> float:
+    """As ``_certified_epsilon``, for delta."""
     delta = kernel.certified_delta()
-    if delta is not None:
-        delta_mode = "certified"
-    else:
-        try:
-            delta_report = minimal_delta(kernel)
-            delta, delta_mode = delta_report.delta, delta_report.mode
-        except WalkGuardExceeded:
-            delta = math.sqrt(stats.max_var_dev)
-            delta_mode = "estimated"
-            notes.append(f"delta for {kernel.label} is a sampled lower bound")
-    return eps, eps_mode, delta, delta_mode
+    return minimal_delta(kernel).delta if delta is None else delta
 
 
 def _bound_columns(cfg, entry, kernel, stats, eps, delta, notes):
@@ -423,16 +415,17 @@ def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int, with_d
         stats = sample_terminal(
             kernel, cfg.seed, m, p=cfg.p, with_sum_inc=need_sum_inc, threads=threads
         )
-        eps, eps_mode, delta, delta_mode = _condition_columns(kernel, cfg, stats, notes)
+        eps = _certified_epsilon(kernel, cfg.rho)
+        delta = _certified_delta(kernel)
         abscissa = float(entry.get("epsilon", entry["n"]))
         record = {
             "grid_point": abscissa,
             "n": kernel.n,
             "M": m,
             "epsilon": eps,
-            "epsilon_mode": eps_mode,
+            "epsilon_mode": "certified",
             "delta": delta,
-            "delta_mode": delta_mode,
+            "delta_mode": "certified",
             "kernel": kernel.label,
             "terminal_mean": float(np.mean(stats.terminal)),
             "terminal_var": float(np.var(stats.terminal)),
@@ -540,11 +533,7 @@ def _run_transforms_check(cfg: ExperimentConfig, stager: OutputStager, threads: 
     count = int(cfg.raw.get("count", 1000))
     paths = sample_paths(kernel, cfg.seed, count, threads=threads)
     eps = cfg.raw.get("epsilon")
-    if eps is None:
-        eps = kernel.certified_epsilon(cfg.rho)
-        if eps is None:
-            eps = minimal_epsilon(kernel, cfg.rho).epsilon
-    eps = float(eps)
+    eps = float(_certified_epsilon(kernel, cfg.rho) if eps is None else eps)
     padded = pad_collection(paths, eps, cfg.seed)
     worst_unit = float(np.max(np.abs(padded.terminal_variances - 1.0)))
     if worst_unit > 1e-9:
@@ -682,8 +671,10 @@ def emit_plot_data(manifest: dict, references: list[str] | None = None) -> str:
     Comparison-table manifests have no distance series; they pass through as
     the functional-value table instead.
     """
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest must be a JSON object")
     records = manifest.get("records", [])
-    if not records or not isinstance(records, list):
+    if not records or not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ConfigError("manifest has no record series")
     if manifest.get("kind") == "bounds-table":
         ids = manifest.get("config", {}).get("bounds") or sorted(
@@ -691,16 +682,24 @@ def emit_plot_data(manifest: dict, references: list[str] | None = None) -> str:
         )
         grid = [dict(r["grid_point"]) for r in records]
         return compare_table(ids, grid).to_csv()
-    usable = [r for r in records if "grid_point" in r and not isinstance(r["grid_point"], dict)]
+    usable = []
+    for i, r in enumerate(records):
+        if "grid_point" in r and not isinstance(r["grid_point"], dict):
+            try:
+                usable.append((_positive(r["grid_point"]), r))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"record {i}: grid_point {r['grid_point']!r} is not a finite positive number"
+                ) from None
     if not usable:
         raise ConfigError("manifest records carry no scalar grid points")
     if references is None:
-        references = sorted({b for r in usable for b in (r.get("bounds") or {})})
+        references = sorted({b for _, r in usable for b in (r.get("bounds") or {})})
     header = ["log_abscissa", "log_d_hat"] + [f"log_{b}" for b in references] + ["warning"]
     rows = []
-    for r in sorted(usable, key=lambda r: float(r["grid_point"])):
+    for abscissa, r in sorted(usable, key=lambda point: point[0]):
         d_hat = r.get("d_hat", r.get("d_exact"))
-        cells: list = [math.log(float(r["grid_point"]))]
+        cells: list = [math.log(abscissa)]
         if d_hat is None or d_hat <= 0.0:
             cells += [None] + [None] * len(references) + ["excluded: d_hat = 0"]
         else:

@@ -9,10 +9,8 @@ Two conditions are certified for a kernel:
 * terminal variance proximity: the smallest delta with
   ``|<X>_n - 1| <= delta^2`` over reachable histories.
 
-Certified reports walk the full reachable history tree, deduplicating
-histories through the kernel's declared Markov summary; estimated reports
-evaluate the same exact ratios along simulated histories and are therefore
-lower bounds on the true sup.
+Reports walk the full reachable history tree, deduplicating histories
+through the kernel's declared Markov summary.
 """
 
 from __future__ import annotations
@@ -22,20 +20,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .kernels import (
     ConditionalKernel,
     InvalidKernelError,
     KernelError,
     StepDistribution,
+    # unused here; perfbench's tracer wraps this binding and its self-test
+    # asserts that it does
     sample_paths,
 )
 
 __all__ = [
     "ConditionReport",
-    "SimulatedHistories",
-    "EXHAUSTIVE",
     "minimal_epsilon",
     "minimal_delta",
     "MomentLemmaReport",
@@ -46,27 +42,16 @@ __all__ = [
 NODE_GUARD = 10_000_000
 RANGE_LIMIT = 0.5  # the conditions are stated for eps, delta in (0, 1/2]
 
-EXHAUSTIVE = "exhaustive"
-
 
 class WalkGuardExceeded(RuntimeError):
     """The reachable history tree is too large for exhaustive certification."""
 
 
 @dataclass(frozen=True)
-class SimulatedHistories:
-    """History source that samples paths instead of enumerating them."""
-
-    seed: int
-    count: int
-
-
-@dataclass(frozen=True)
 class ConditionReport:
-    """Certified or estimated (epsilon, delta) for one kernel.
+    """Certified (epsilon, delta) for one kernel.
 
-    ``mode`` is "certified" only when every reachable history was examined;
-    simulated sources yield "estimated" reports, which lower-bound the sup.
+    ``mode`` is always "certified": every reachable history was examined.
     ``per_step`` carries the worst per-step ratio seen (already raised to the
     1/rho power for the epsilon part).
     """
@@ -183,70 +168,37 @@ def _walk_delta(kernel: ConditionalKernel) -> float:
     return max(abs(acc - 1.0) for _, acc, _, _, _ in terminal)
 
 
-def _simulated_ratios(kernel, rho, source: SimulatedHistories):
-    paths = sample_paths(
-        kernel, source.seed, source.count, moment_orders=(2.0, 2.0 + rho)
-    )
-    m2 = paths.conditional_moments[2.0]
-    mr = paths.conditional_moments[2.0 + rho]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(m2 > 0.0, mr / np.where(m2 > 0.0, m2, 1.0), 0.0)
-    per_step = ratios.max(axis=0)
-    devs = np.abs(paths.variances[:, -1] - 1.0)
-    return per_step.tolist(), float(devs.max())
-
-
-def minimal_epsilon(
-    kernel: ConditionalKernel,
-    rho: float,
-    histories: str | SimulatedHistories = EXHAUSTIVE,
-) -> ConditionReport:
+def minimal_epsilon(kernel: ConditionalKernel, rho: float) -> ConditionReport:
     """Smallest eps satisfying the moment-domination condition at this rho."""
     if rho <= 0.0:
         raise KernelError("rho must be positive")
-    if histories == EXHAUSTIVE:
-        per_step_ratio = _walk_epsilon(kernel, rho)
-        mode = "certified"
-        notes: tuple[str, ...] = ()
-    else:
-        per_step_ratio, _ = _simulated_ratios(kernel, rho, histories)
-        mode = "estimated"
-        notes = ("estimate (lower bound on sup): histories were sampled",)
-    per_step_eps = [r ** (1.0 / rho) for r in per_step_ratio]
+    per_step_eps = [r ** (1.0 / rho) for r in _walk_epsilon(kernel, rho)]
     epsilon = max(per_step_eps) if per_step_eps else 0.0
     table = tuple(
         {"step": i + 1, "epsilon": e} for i, e in enumerate(per_step_eps)
     )
+    notes: tuple[str, ...] = ()
     if epsilon > RANGE_LIMIT:
-        notes = notes + (f"epsilon {epsilon} exceeds the stated range (0, {RANGE_LIMIT}]",)
+        notes = (f"epsilon {epsilon} exceeds the stated range (0, {RANGE_LIMIT}]",)
     return ConditionReport(
-        rho=float(rho), epsilon=float(epsilon), delta=None, mode=mode,
+        rho=float(rho), epsilon=float(epsilon), delta=None, mode="certified",
         per_step=table, notes=notes,
     )
 
 
-def minimal_delta(
-    kernel: ConditionalKernel,
-    histories: str | SimulatedHistories = EXHAUSTIVE,
-) -> ConditionReport:
-    """Smallest delta with |<X>_n - 1| <= delta^2 over examined histories."""
-    if histories == EXHAUSTIVE:
-        dev = _walk_delta(kernel)
-        mode = "certified"
-        notes: tuple[str, ...] = ()
-    else:
-        _, dev = _simulated_ratios(kernel, 1.0, histories)
-        mode = "estimated"
-        notes = ("estimate (lower bound on sup): histories were sampled",)
+def minimal_delta(kernel: ConditionalKernel) -> ConditionReport:
+    """Smallest delta with |<X>_n - 1| <= delta^2 over reachable histories."""
+    dev = _walk_delta(kernel)
     if dev < 1e-12:
         # summation dust on kernels whose variance path is constant 1; the
         # square root would otherwise inflate ~1e-16 into delta ~ 1e-8
         dev = 0.0
     delta = math.sqrt(dev)
+    notes: tuple[str, ...] = ()
     if delta > RANGE_LIMIT:
-        notes = notes + (f"delta {delta} exceeds the stated range (0, {RANGE_LIMIT}]",)
+        notes = (f"delta {delta} exceeds the stated range (0, {RANGE_LIMIT}]",)
     return ConditionReport(
-        rho=None, epsilon=None, delta=float(delta), mode=mode, notes=notes,
+        rho=None, epsilon=None, delta=float(delta), mode="certified", notes=notes,
     )
 
 

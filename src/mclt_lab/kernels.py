@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -157,18 +157,7 @@ class StepDistribution:
         u = np.asarray(u, dtype=float)
         if self.mode == "sampled":
             return self.sampler(u)
-        cum = self._cumprobs
-        # small supports dominate simulation; branchless selects match the
-        # searchsorted(side="right") mapping exactly
-        if len(self.values) == 2:
-            return np.where(u < cum[0], self.values[0], self.values[1])
-        if len(self.values) == 3:
-            return np.where(
-                u < cum[0],
-                self.values[0],
-                np.where(u < cum[1], self.values[1], self.values[2]),
-            )
-        idx = np.searchsorted(cum, u, side="right")
+        idx = np.searchsorted(self._cumprobs, u, side="right")
         idx = np.minimum(idx, len(self.values) - 1)
         return self._values_arr[idx]
 
@@ -510,7 +499,6 @@ class PathCollection:
     increments: np.ndarray  # (count, n)
     sums: np.ndarray  # (count, n+1)
     variances: np.ndarray  # (count, n+1)
-    conditional_moments: dict[float, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.increments.shape[0]
@@ -733,7 +721,6 @@ class _PathOutputs:
     total_2p: np.ndarray | None = None  # sum_i |xi_i|^(2p)
     increments: np.ndarray | None = None  # (count, n)
     variances: np.ndarray | None = None  # (count, n + 1)
-    moments: dict[float, np.ndarray] = field(default_factory=dict)  # (count, n) each
 
     def rows(self, start: int, stop: int) -> "_PathOutputs":
         """Views of rows ``start:stop`` of the per-path sums (streaming outputs)."""
@@ -789,10 +776,6 @@ def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
         regime = kernel.batch_regime(step, state)
         if regime is not None and regime.dtype != np.intp:
             raise KernelError(f"step {step}: batch_regime returned {regime.dtype}, not intp")
-        for t, mom in out.moments.items():
-            moments = np.array([dist.moment(t) for dist in laws])
-            mom[:, step - 1] = moments[0] if table.regimes == 1 else table.select(
-                _by_regime(moments), regime, gathered)
         if xi is None and not fair:
             xi = np.empty(count)
         if table.sampler is not None:
@@ -877,7 +860,6 @@ def sample_paths(
     kernel: ConditionalKernel,
     seed: int,
     count: int,
-    moment_orders: Sequence[float] = (),
     chunk_size: int = DEFAULT_CHUNK,
     threads: int = 1,
 ) -> PathCollection:
@@ -902,7 +884,6 @@ def sample_paths(
             variance=np.zeros(size),
             increments=np.empty((size, n)),
             variances=np.zeros((size, n + 1)),
-            moments={t: np.empty((size, n)) for t in moment_orders},
         ), 1.0)
         for start, size in _chunks(count, chunk_size)
     ]
@@ -910,16 +891,10 @@ def sample_paths(
     outs = [piece[4] for piece in pieces]
     increments = np.concatenate([o.increments for o in outs], axis=0)
     variances = np.concatenate([o.variances for o in outs], axis=0)
-    moments = {t: np.concatenate([o.moments[t] for o in outs], axis=0) for t in moment_orders}
     sums = np.concatenate(
         [np.zeros((count, 1)), np.cumsum(increments, axis=1)], axis=1
     )
-    return PathCollection(
-        increments=increments,
-        sums=sums,
-        variances=variances,
-        conditional_moments=moments,
-    )
+    return PathCollection(increments=increments, sums=sums, variances=variances)
 
 
 def sample_terminal(

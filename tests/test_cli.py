@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mclt_lab import cli
+from mclt_lab import cli, conditions
 
 RATES_CONFIG = {
     "kind": "rates",
@@ -204,6 +204,8 @@ def test_unbuildable_model_reference_is_config_error(tmp_path, model, grid):
     assert not out.exists()
 
 
+EXPRESSION_MODEL = {"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 2,
+                    "f": {"kind": "sum"}}  # grid n is only the fit abscissa
 LEMMA_CONFIG = {"kind": "lemma-suite", "seed": 7, "corpus_size": 2}
 TRANSFORMS_CONFIG = {
     "kind": "transforms-check",
@@ -227,8 +229,13 @@ TRANSFORMS_CONFIG = {
     ("verify", dict(LEMMA_CONFIG, t_grid=3.0)),
     ("verify", dict(LEMMA_CONFIG, p_values="12")),  # a string, not a list of numbers
     ("verify", dict(TRANSFORMS_CONFIG, n="abc")),
+    # a fit abscissa at the second grid point
+    ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": 1000}, {"n": 32, "M": 1000, "epsilon": "abc"}])),
+    ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": 1000, "epsilon": float("nan")}])),
+    ("lipschitz", dict(LIPSCHITZ_CONFIG, model=EXPRESSION_MODEL, grid=[{"n": 2}, {"n": "abc"}])),
 ], ids=["rho", "p", "alpha", "rho-nan", "M", "n-infinite", "grid-entry", "corpus_size", "s", "t_grid-entry",
-        "t_grid-scalar", "p_values-string", "transforms-n"])
+        "t_grid-scalar", "p_values-string", "transforms-n", "rates-epsilon-string", "rates-epsilon-nan",
+        "lipschitz-n-string"])
 def test_malformed_number_is_config_error(tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "never"
@@ -257,9 +264,16 @@ BOUNDS_CONFIG = {
     ("verify", dict(LEMMA_CONFIG, p_values=[1.0, 0.5]), "p_values entries must be >= 1"),
     ("lipschitz", dict(LIPSCHITZ_CONFIG, grid=[{"n": 4}, {"n": 30}]),
      "product support size exceeds 10000000 outcomes"),
+    ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": 1000, "epsilon": 0.0}]),
+     "epsilon has an invalid value 0.0"),
+    ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": 1000, "epsilon": -0.5}]),
+     "epsilon has an invalid value -0.5"),
+    ("lipschitz", dict(LIPSCHITZ_CONFIG, model=EXPRESSION_MODEL, grid=[{"n": 0}]),
+     "n has an invalid value 0"),
 ], ids=["bounds-int", "bounds-string", "bounds-entry", "corpus_size-0", "corpus_size-negative",
         "s-below-2", "s-at-2", "t-below-2",
-        "t-at-s", "p-below-1", "lipschitz-over-guard"])
+        "t-at-s", "p-below-1", "lipschitz-over-guard", "rates-epsilon-zero", "rates-epsilon-negative",
+        "lipschitz-n-zero"])
 def test_value_outside_hypotheses_is_config_error(tmp_path, capsys, command, doc, message):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "never"
@@ -267,6 +281,15 @@ def test_value_outside_hypotheses_is_config_error(tmp_path, capsys, command, doc
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("out_value", [5, ["dir"]], ids=["int", "list"])
+def test_out_that_is_not_a_string_is_config_error(tmp_path, monkeypatch, capsys, out_value):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, dict(BOUNDS_CONFIG, out=out_value))
+    assert cli.main(["bounds", "--config", str(cfg)]) == 2
+    assert "out must be a directory path string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("count", [
@@ -320,6 +343,25 @@ def test_non_finite_kernel_table_is_invariant_violation(tmp_path, capsys):
     assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 1
     assert "non-finite value or probability" in capsys.readouterr().err
     assert not (out / "series.csv").exists()
+
+
+def test_walk_over_the_node_guard_is_invariant_violation(tmp_path, monkeypatch, capsys):
+    # a table kernel has no closed form, so epsilon and delta come from the walk
+    step = {"values": [-0.5, 0.5], "probs": [0.5, 0.5]}
+    doc = {
+        "kind": "rates",
+        "kernel": {"name": "table", "params": {"steps": [step] * 4}},
+        "grid": [{"n": 4, "M": 1000}],
+        "seed": 4,
+    }
+    monkeypatch.setattr(conditions, "NODE_GUARD", 0)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invariant violation: history walk exceeded 0 nodes at step 1\n"
+    )
+    assert not out.exists()
 
 
 def test_bounds_table_run(tmp_path):
@@ -455,6 +497,24 @@ def test_plot_data_excludes_zero_distances():
     assert len(lines) == 4
     assert "excluded: d_hat = 0" in lines[3]
     assert lines[3].split(",")[1] == ""  # no log column for the excluded row
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ([1, 2], "manifest must be a JSON object"),
+    ({"records": [1]}, "manifest has no record series"),
+    ({"records": [{"grid_point": 2.0, "d_hat": 0.5}, {"grid_point": "abc", "d_hat": 0.5}]},
+     "record 1: grid_point 'abc' is not a finite positive number"),
+    ({"records": [{"grid_point": -1, "d_hat": 0.5}]},
+     "record 0: grid_point -1 is not a finite positive number"),
+    ({"records": [{"grid_point": 0.0, "d_hat": 0.5}]},
+     "record 0: grid_point 0.0 is not a finite positive number"),
+], ids=["not-an-object", "record-not-an-object", "grid-point-string", "grid-point-negative", "grid-point-zero"])
+def test_malformed_manifest_is_config_error(tmp_path, capsys, manifest, message):
+    path = write_config(tmp_path, manifest, "manifest.json")
+    out = tmp_path / "never"
+    assert cli.main(["plot-data", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_plot_data_bounds_table_passthrough(tmp_path):

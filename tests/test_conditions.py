@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 import mclt_lab as m
 from mclt_lab import corpus
-from mclt_lab.conditions import (
-    SimulatedHistories,
-    minimal_delta,
-    minimal_epsilon,
-    verify_moment_lemmas,
-)
+from mclt_lab.conditions import minimal_delta, minimal_epsilon, verify_moment_lemmas
 from mclt_lab.kernels import StepDistribution, TableKernel, rademacher_two_point
 
 
@@ -61,17 +56,6 @@ def test_delta_examples():
     # constant terminal variance 1.04 -> delta = 0.2
     k104 = TableKernel([rademacher_two_point(math.sqrt(1.04 / 4))] * 4)
     assert minimal_delta(k104).delta == pytest.approx(0.2, rel=1e-9)
-
-
-def test_simulated_source_is_flagged_lower_bound():
-    k = m.make_kernel("variance_drift", n=16, d=0.2)
-    certified = minimal_epsilon(k, 1.0)
-    estimated = minimal_epsilon(k, 1.0, SimulatedHistories(seed=3, count=50))
-    assert estimated.mode == "estimated"
-    assert estimated.epsilon <= certified.epsilon + 1e-15
-    d_est = minimal_delta(k, SimulatedHistories(seed=3, count=50))
-    assert d_est.mode == "estimated"
-    assert d_est.delta <= minimal_delta(k).delta + 1e-15
 
 
 def test_reports_are_reproducible_and_serializable():

@@ -165,7 +165,7 @@ def test_streaming_matches_bundle_statistics():
     assert stream.sum_total_inc_2p == pytest.approx(pooled.sum_total_inc_2p, abs=1e-12)
 
 
-def test_variance_additivity_against_conditional_moments():
+def test_variance_additivity_against_step_laws():
     k = m.make_kernel("variance_drift", n=12, d=0.4)
     paths = sample_paths(k, seed=2, count=20)
     for increments, variances in zip(paths.increments, paths.variances):

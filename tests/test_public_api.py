@@ -14,9 +14,7 @@ PACKAGE_EXPORTS = [
     "compare_table",
     "evaluate_rate",
     "verify_smoothing_lemma",
-    "EXHAUSTIVE",
     "ConditionReport",
-    "SimulatedHistories",
     "minimal_delta",
     "minimal_epsilon",
     "verify_moment_lemmas",

@@ -8,7 +8,6 @@ only after the run succeeds, so failures leave no partial files.
 Subcommands
 -----------
 ``rates``            simulate a kernel over a grid, estimate D, fit the decay
-``simulate``         the simulation stage of a rates config (no distances)
 ``bounds``           evaluate rate functionals on a parameter grid
 ``lipschitz``        exact distances and normalization pair for models
 ``verify``           lemma-suite / transforms-check verification runs
@@ -27,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,7 @@ from .bounds import (
     evaluation_notes,
     verify_smoothing_lemma,
 )
-from .conditions import minimal_delta, minimal_epsilon, verify_moment_lemmas
+from .conditions import WalkGuardExceeded, minimal_delta, minimal_epsilon, verify_moment_lemmas
 from .distance import KolmogorovEstimate, exact_kolmogorov_discrete, fit_rate, kolmogorov_distance
 from .kernels import (
     KernelError,
@@ -52,6 +51,7 @@ from .kernels import (
     sample_terminal,
 )
 from .lipschitz import (
+    DegenerateFunctionalError,
     DegenerateMetricError,
     EnumerationGuardExceeded,
     check_enumeration,
@@ -86,17 +86,23 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """What the runners read; ``raw`` is only the manifest's config echo.
+
+    ``points``: rates (entry, kernel, M, abscissa), lipschitz (entry, model,
+    abscissa), bounds-table the grid.  ``settings``: transforms-check (kernel,
+    count, epsilon or None), lemma-suite (corpus_size, s, t_grid, p_values).
+    """
+
     kind: str
     raw: dict
     seed: int
-    grid: list[dict]
-    kernel: dict | None = None
-    model: dict | None = None
     rho: float = 1.0
     p: float = 1.0
     alpha: float = 0.05
     bounds: tuple[str, ...] = ()
     out: str | None = None
+    points: list = field(default_factory=list)
+    settings: tuple = ()
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -107,7 +113,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     if "seed" not in doc:
         raise ConfigError("seed is mandatory (no wall-clock seeding)")
-    seed = _config_value(doc, "seed", None, int)
     grid = doc.get("grid", [])
     if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
         raise ConfigError("grid must be a list of objects")
@@ -116,21 +121,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     bounds = doc.get("bounds", ())
     if not isinstance(bounds, (list, tuple)) or not all(isinstance(b, str) for b in bounds):
         raise ConfigError(f"bounds must be a list of bound ids, got {bounds!r}")
-    bounds = tuple(bounds)
     for bound_id in bounds:
         if bound_id not in BOUNDS:
             raise ConfigError(f"unknown bound id {bound_id!r}")
     cfg = ExperimentConfig(
         kind=kind,
         raw=doc,
-        seed=seed,
-        grid=[dict(g) for g in grid],
-        kernel=doc.get("kernel"),
-        model=doc.get("model"),
+        seed=_config_value(doc, "seed", None, int),
         rho=_config_value(doc, "rho", 1.0),
         p=_config_value(doc, "p", 1.0),
         alpha=_config_value(doc, "alpha", 0.05),
-        bounds=bounds,
+        bounds=tuple(bounds),
         out=doc.get("out"),
     )
     if cfg.out is not None and not isinstance(cfg.out, str):
@@ -141,49 +142,49 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("p must be >= 1")
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
+    ref = {"rates": "kernel", "transforms-check": "kernel", "lipschitz": "model"}.get(kind)
+    if ref is not None and doc.get(ref) is None:
+        raise ConfigError(f"{kind} experiments need a {ref} reference")
     if kind == "rates":
-        if cfg.kernel is None:
-            raise ConfigError("rates experiments need a kernel reference")
-        for entry in cfg.grid:
+        for entry in grid:
             if "n" not in entry or "M" not in entry:
                 raise ConfigError("rates grid entries need 'n' and 'M'")
-            if _config_value(entry, "M", None, int) < 1000:
+            m = _config_value(entry, "M", None, int)
+            if m < 1000:
                 raise ConfigError("rate experiments require M >= 1000")
-            if "epsilon" in entry:  # the fit abscissa
-                _config_value(entry, "epsilon", None, _positive)
-            _kernel_for_entry(cfg, entry)
+            # the fit abscissa: epsilon when the entry names one, else n
+            abscissa = _config_value(entry, "epsilon" if "epsilon" in entry else "n", None, _positive)
+            cfg.points.append((entry, _kernel_for_entry(doc["kernel"], entry), m, abscissa))
+    if kind == "bounds-table":
+        cfg.bounds = cfg.bounds or tuple(BOUNDS)
+        cfg.points = _bounds_grid(cfg.bounds, grid)
     if kind == "lipschitz":
-        if cfg.model is None:
-            raise ConfigError("lipschitz experiments need a model reference")
-        for entry in cfg.grid:
-            _model_for_entry(cfg, entry)
-            if "name" not in cfg.model and "n" in entry:  # the abscissa alone
-                _config_value(entry, "n", None, _positive)
+        for entry in grid:
+            model = _model_for_entry(doc, entry, cfg.rho)
+            cfg.points.append((entry, model, _config_value(entry, "n", model.n, _positive)))
     if kind == "lemma-suite":
-        _lemma_settings(cfg)
+        cfg.settings = _lemma_settings(doc)
     if kind == "transforms-check":
-        if cfg.kernel is None:
-            raise ConfigError("transforms-check experiments need a kernel reference")
-        kernel = _kernel_for_entry(cfg, _transforms_entry(cfg))
+        if not grid and "n" not in doc:
+            raise ConfigError("transforms-check needs a grid entry or a top-level 'n'")
+        kernel = _kernel_for_entry(doc["kernel"], grid[0] if grid else {"n": doc["n"]})
         try:
             count = int(doc.get("count", 1000))
             check_bundle(count, kernel.n)
-            if doc.get("epsilon") is not None:
-                check_padding(kernel.n, count, float(doc["epsilon"]))
-        except (TypeError, ValueError) as exc:  # KernelError is a ValueError
+            eps = None if doc.get("epsilon") is None else float(doc["epsilon"])
+            if eps is not None:
+                check_padding(kernel.n, count, eps)
+        except (TypeError, ValueError, OverflowError) as exc:  # KernelError is a ValueError
             raise ConfigError(f"transforms-check count or padding invalid: {exc}") from None
+        cfg.settings = (kernel, count, eps)
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str, what: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_config(doc)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
 def _finite(value) -> float:
@@ -216,16 +217,16 @@ def _config_value(doc: dict, key: str, default, convert=_finite):
         raise ConfigError(f"{key} has an invalid value {value!r}") from None
 
 
-def _kernel_for_entry(cfg: ExperimentConfig, entry: dict):
+def _kernel_for_entry(ref, entry: dict):
     """The kernel of one grid entry; one that cannot be built or simulated is a config error."""
-    if not isinstance(cfg.kernel, dict) or "name" not in cfg.kernel:
+    if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError("kernel reference must be an object with a 'name' field")
     try:
-        params = dict(cfg.kernel.get("params", {}))
+        params = dict(ref.get("params", {}))
         params.update(entry.get("kernel_params", {}))
         if "n" in entry:
             params["n"] = int(entry["n"])
-        kernel = kernel_from_config({"name": cfg.kernel["name"], "params": params})
+        kernel = kernel_from_config({"name": ref["name"], "params": params})
     # KernelError, a parameter of the wrong form, or one the family does not take
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"kernel reference invalid: {exc}") from None
@@ -234,28 +235,20 @@ def _kernel_for_entry(cfg: ExperimentConfig, entry: dict):
     return kernel
 
 
-def _transforms_entry(cfg: ExperimentConfig) -> dict:
-    if cfg.grid:
-        return cfg.grid[0]
-    if "n" in cfg.raw:
-        return {"n": cfg.raw["n"]}
-    raise ConfigError("transforms-check needs a grid entry or a top-level 'n'")
-
-
-def _model_for_entry(cfg: ExperimentConfig, entry: dict):
+def _model_for_entry(doc: dict, entry: dict, rho: float):
     """The model of one grid entry; one that cannot be built is a config error.
 
     A registry family takes the entry's keys but ``M`` as params, over the
     reference's own; the expression form ignores the entry.
     """
-    if not isinstance(cfg.model, dict):
+    if not isinstance(doc["model"], dict):
         raise ConfigError("model reference must be an object")
-    ref = dict(cfg.model)
+    ref = dict(doc["model"])
     try:
         if "name" in ref:
             params = dict(ref.get("params", {}))
             params.update({k: v for k, v in entry.items() if k != "M"})
-            params.setdefault("rho", cfg.rho)
+            params.setdefault("rho", rho)
             ref["params"] = params
         model = model_from_config(ref)
         model.validate()
@@ -271,13 +264,13 @@ def _model_for_entry(cfg: ExperimentConfig, entry: dict):
     return model
 
 
-def _lemma_settings(cfg: ExperimentConfig) -> tuple[int, float, list[float], list[float]]:
+def _lemma_settings(doc: dict) -> tuple[int, float, list[float], list[float]]:
     """corpus_size, s, t_grid and p_values of a lemma-suite config; values
     outside the lemmas' hypotheses are config errors."""
-    size = _config_value(cfg.raw, "corpus_size", 100, int)
-    s = _config_value(cfg.raw, "s", 4.0)
-    t_grid = _config_value(cfg.raw, "t_grid", (2.25, 2.5, 3.0, 3.5), _finite_list)
-    p_values = _config_value(cfg.raw, "p_values", (1.0, 2.0), _finite_list)
+    size = _config_value(doc, "corpus_size", 100, int)
+    s = _config_value(doc, "s", 4.0)
+    t_grid = _config_value(doc, "t_grid", (2.25, 2.5, 3.0, 3.5), _finite_list)
+    p_values = _config_value(doc, "p_values", (1.0, 2.0), _finite_list)
     if size < 1:
         raise ConfigError(f"corpus_size must be >= 1, got {size!r}")
     if s <= 2.0:
@@ -287,6 +280,19 @@ def _lemma_settings(cfg: ExperimentConfig) -> tuple[int, float, list[float], lis
     if any(p < 1.0 for p in p_values):
         raise ConfigError(f"p_values entries must be >= 1, got {p_values!r}")
     return size, s, t_grid, p_values
+
+
+def _bounds_grid(ids: tuple[str, ...], grid: list[dict]) -> list[dict]:
+    """``grid``, once every functional in ``ids`` accepts each point and every value is a number."""
+    for entry in grid:
+        for bound_id in ids:
+            try:
+                evaluate_rate(bound_id, entry)
+            except (TypeError, ValueError, ArithmeticError) as exc:  # BoundParameterError too
+                raise ConfigError(f"{bound_id} at grid point {entry}: {exc}") from None
+        for key in entry:
+            _config_value(entry, key, None, float)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +373,6 @@ def _certified_epsilon(kernel, rho: float) -> float:
     return minimal_epsilon(kernel, rho).epsilon if eps is None else eps
 
 
-def _certified_delta(kernel) -> float:
-    """As ``_certified_epsilon``, for delta."""
-    delta = kernel.certified_delta()
-    return minimal_delta(kernel).delta if delta is None else delta
-
-
 def _bound_columns(cfg, entry, kernel, stats, eps, delta, notes):
     params = {
         "rho": cfg.rho,
@@ -394,30 +394,29 @@ def _bound_columns(cfg, entry, kernel, stats, eps, delta, notes):
             for note in evaluation_notes(bound_id, params):
                 if note not in notes:
                     notes.append(note)
-        except BoundParameterError as exc:
+        except (BoundParameterError, ArithmeticError) as exc:  # a value past float range
             values[bound_id] = None
             notes.append(f"{bound_id} at grid point {entry}: {exc}")
-    return params, values
+    return values
 
 
 # ---------------------------------------------------------------------------
 # runners
 
 
-def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int, with_distance: bool = True) -> dict:
+def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dict:
     notes: list[str] = []
     records: list[dict] = []
     rows: list[list] = []
     need_sum_inc = "HB" in cfg.bounds
-    for entry in cfg.grid:
-        kernel = _kernel_for_entry(cfg, entry)
-        m = int(entry["M"])
+    for entry, kernel, m, abscissa in cfg.points:
         stats = sample_terminal(
             kernel, cfg.seed, m, p=cfg.p, with_sum_inc=need_sum_inc, threads=threads
         )
         eps = _certified_epsilon(kernel, cfg.rho)
-        delta = _certified_delta(kernel)
-        abscissa = float(entry.get("epsilon", entry["n"]))
+        delta = kernel.certified_delta()
+        if delta is None:  # as for epsilon: the closed form, else the walk
+            delta = minimal_delta(kernel).delta
         record = {
             "grid_point": abscissa,
             "n": kernel.n,
@@ -434,28 +433,14 @@ def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int, with_d
             "sum_inc_2p": stats.mean_total_inc_2p if need_sum_inc else None,
             "var_dev_sup": stats.max_var_dev,
         }
-        if with_distance:
-            est = kolmogorov_distance(stats.terminal, alpha=cfg.alpha)
-            record["d_hat"] = est.d_hat
-            record["dkw_band"] = est.dkw_band
-            record["dkw_lo"] = est.lower
-            record["dkw_hi"] = est.upper
-        _, bound_values = _bound_columns(cfg, entry, kernel, stats, eps, delta, notes)
-        record["bounds"] = bound_values
+        est = kolmogorov_distance(stats.terminal, alpha=cfg.alpha)
+        record.update(d_hat=est.d_hat, dkw_band=est.dkw_band, dkw_lo=est.lower, dkw_hi=est.upper)
+        record["bounds"] = bound_values = _bound_columns(cfg, entry, kernel, stats, eps, delta, notes)
         records.append(record)
-        if with_distance:
-            rows.append(
-                [abscissa, m, record["d_hat"], record["dkw_lo"], record["dkw_hi"], eps, delta]
-                + [bound_values[b] for b in cfg.bounds]
-            )
-        else:
-            rows.append(
-                [abscissa, m, record["terminal_mean"], record["terminal_var"],
-                 record["var_dev_p"], record["max_inc_2p"], eps, delta]
-                + [bound_values[b] for b in cfg.bounds]
-            )
+        rows.append([abscissa, m, est.d_hat, est.lower, est.upper, eps, delta]
+                    + [bound_values[b] for b in cfg.bounds])
     fit = None
-    if with_distance and len(records) >= 3:
+    if len(records) >= 3:
         points = [
             (r["grid_point"], KolmogorovEstimate(r["d_hat"], r["M"], cfg.alpha))
             for r in records
@@ -475,20 +460,13 @@ def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int, with_d
             }
         except ValueError as exc:
             notes.append(f"rate fit skipped: {exc}")
-    if with_distance:
-        header = ["grid_point", "M", "d_hat", "dkw_lo", "dkw_hi", "epsilon", "delta"] + list(cfg.bounds)
-    else:
-        header = [
-            "grid_point", "M", "terminal_mean", "terminal_var",
-            "var_dev_p", "max_inc_2p", "epsilon", "delta",
-        ] + list(cfg.bounds)
+    header = ["grid_point", "M", "d_hat", "dkw_lo", "dkw_hi", "epsilon", "delta"] + list(cfg.bounds)
     stager.write_text("series.csv", _csv(header, rows, comment=f"log_convention={LOG_CONVENTION}"))
     return _manifest(cfg, records, fit, notes)
 
 
 def _run_bounds_table(cfg: ExperimentConfig, stager: OutputStager) -> dict:
-    ids = cfg.bounds or tuple(BOUNDS)
-    table = compare_table(ids, cfg.grid)
+    table = compare_table(cfg.bounds, cfg.points)
     stager.write_text("series.csv", table.to_csv())
     records = [
         {"grid_point": dict(point), "bounds": dict(zip(table.ids, row))}
@@ -498,7 +476,7 @@ def _run_bounds_table(cfg: ExperimentConfig, stager: OutputStager) -> dict:
 
 
 def _run_lemma_suite(cfg: ExperimentConfig, stager: OutputStager) -> dict:
-    size, s, t_grid, p_values = _lemma_settings(cfg)
+    size, s, t_grid, p_values = cfg.settings
     rows: list[list] = []
     records: list[dict] = []
     failures = []
@@ -529,10 +507,8 @@ def _run_lemma_suite(cfg: ExperimentConfig, stager: OutputStager) -> dict:
 
 def _run_transforms_check(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dict:
     notes: list[str] = []
-    kernel = _kernel_for_entry(cfg, _transforms_entry(cfg))
-    count = int(cfg.raw.get("count", 1000))
+    kernel, count, eps = cfg.settings
     paths = sample_paths(kernel, cfg.seed, count, threads=threads)
-    eps = cfg.raw.get("epsilon")
     eps = float(_certified_epsilon(kernel, cfg.rho) if eps is None else eps)
     padded = pad_collection(paths, eps, cfg.seed)
     worst_unit = float(np.max(np.abs(padded.terminal_variances - 1.0)))
@@ -582,8 +558,7 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
     notes: list[str] = []
     records: list[dict] = []
     rows: list[list] = []
-    for entry in cfg.grid:
-        model = _model_for_entry(cfg, entry)
+    for entry, model, abscissa in cfg.points:
         support, probs = exact_distribution(model)
         d_exact = exact_kolmogorov_discrete(support, probs)
         try:
@@ -612,7 +587,6 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
             except BoundParameterError as exc:
                 bound_values[bound_id] = None
                 notes.append(f"{bound_id} at {entry}: {exc}")
-        abscissa = float(entry.get("n", model.n))
         records.append({
             "grid_point": abscissa,
             "model": model.label,
@@ -635,14 +609,12 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
     return _manifest(cfg, records, None, notes)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1, with_distance: bool = True
-) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> dict:
     """Run one experiment; write manifest.json and series.csv atomically."""
     stager = OutputStager(out_dir)
     try:
         if cfg.kind == "rates":
-            manifest = _run_rates(cfg, stager, threads, with_distance=with_distance)
+            manifest = _run_rates(cfg, stager, threads)
         elif cfg.kind == "bounds-table":
             manifest = _run_bounds_table(cfg, stager)
         elif cfg.kind == "lemma-suite":
@@ -665,11 +637,19 @@ def run_experiment(
 # plot data
 
 
+def _record_number(i: int, name: str, value, convert=_finite):
+    try:
+        return None if value is None else convert(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "a finite positive" if convert is _positive else "a finite"
+        raise ConfigError(f"record {i}: {name} {value!r} is not {what} number") from None
+
+
 def emit_plot_data(manifest: dict, references: list[str] | None = None) -> str:
     """Log-log plot columns from a manifest (natural logs, sorted abscissae).
 
     Comparison-table manifests have no distance series; they pass through as
-    the functional-value table instead.
+    the ``bounds`` table of their config echo, parsed as ``bounds`` parses it.
     """
     if not isinstance(manifest, dict):
         raise ConfigError("manifest must be a JSON object")
@@ -677,41 +657,41 @@ def emit_plot_data(manifest: dict, references: list[str] | None = None) -> str:
     if not records or not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ConfigError("manifest has no record series")
     if manifest.get("kind") == "bounds-table":
-        ids = manifest.get("config", {}).get("bounds") or sorted(
-            {b for r in records for b in (r.get("bounds") or {})}
-        )
-        grid = [dict(r["grid_point"]) for r in records]
-        return compare_table(ids, grid).to_csv()
+        cfg = parse_config(manifest.get("config"))
+        if cfg.kind != "bounds-table":
+            raise ConfigError(f"a bounds-table manifest echoes a {cfg.kind} config")
+        return compare_table(cfg.bounds, cfg.points).to_csv()
     usable = []
     for i, r in enumerate(records):
-        if "grid_point" in r and not isinstance(r["grid_point"], dict):
-            try:
-                usable.append((_positive(r["grid_point"]), r))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(
-                    f"record {i}: grid_point {r['grid_point']!r} is not a finite positive number"
-                ) from None
+        if r.get("grid_point") is None or isinstance(r["grid_point"], dict):
+            continue
+        bounds = r.get("bounds") or {}
+        if not isinstance(bounds, dict):
+            raise ConfigError(f"record {i}: bounds {bounds!r} is not an object")
+        d_key = "d_hat" if "d_hat" in r else "d_exact"
+        usable.append((_record_number(i, "grid_point", r["grid_point"], _positive),
+                       _record_number(i, d_key, r.get(d_key)),
+                       {b: _record_number(i, f"bound {b}", v) for b, v in bounds.items()}))
     if not usable:
         raise ConfigError("manifest records carry no scalar grid points")
     if references is None:
-        references = sorted({b for _, r in usable for b in (r.get("bounds") or {})})
+        references = sorted({b for _, _, bounds in usable for b in bounds})
     header = ["log_abscissa", "log_d_hat"] + [f"log_{b}" for b in references] + ["warning"]
     rows = []
-    for abscissa, r in sorted(usable, key=lambda point: point[0]):
-        d_hat = r.get("d_hat", r.get("d_exact"))
+    for abscissa, d_hat, bounds in sorted(usable, key=lambda point: point[0]):
         cells: list = [math.log(abscissa)]
         if d_hat is None or d_hat <= 0.0:
             cells += [None] + [None] * len(references) + ["excluded: d_hat = 0"]
         else:
-            cells.append(math.log(float(d_hat)))
+            cells.append(math.log(d_hat))
             warn = ""
             for b in references:
-                value = (r.get("bounds") or {}).get(b)
+                value = bounds.get(b)
                 if value is None or value <= 0.0:
                     cells.append(None)
                     warn = f"missing reference {b}"
                 else:
-                    cells.append(math.log(float(value)))
+                    cells.append(math.log(value))
             cells.append(warn)
         rows.append(cells)
     return _csv(header, rows, comment=f"log_convention={LOG_CONVENTION}")
@@ -741,7 +721,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mclt-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in (
-        ("simulate", "run the simulation stage of a rates config (no distances)"),
         ("rates", "simulate, estimate distances, and fit the decay rate"),
         ("bounds", "evaluate bound functionals on a parameter grid"),
         ("lipschitz", "exact distances and normalization pair for models"),
@@ -760,7 +739,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _COMMAND_KINDS = {
-    "simulate": ("rates",),
     "rates": ("rates",),
     "bounds": ("bounds-table",),
     "lipschitz": ("lipschitz",),
@@ -772,11 +750,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "plot-data":
-            try:
-                manifest = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read manifest: {exc}") from None
-            text = emit_plot_data(manifest, args.reference)
+            text = emit_plot_data(_read_json(args.config, "manifest"), args.reference)
             if args.out:
                 stager = OutputStager(args.out)
                 stager.write_text("plot.csv", text)
@@ -784,7 +758,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(text)
             return EXIT_OK
-        cfg = load_config(args.config)
+        cfg = parse_config(_read_json(args.config, "config"))
         if cfg.kind not in _COMMAND_KINDS[args.command]:
             raise ConfigError(
                 f"subcommand {args.command!r} cannot run configs of kind {cfg.kind!r}"
@@ -794,15 +768,13 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or cfg.out
         if not out_dir:
             raise ConfigError("no output directory: pass --out or set 'out' in the config")
-        threads = _threads_from(args)
-        run_experiment(
-            cfg, out_dir, threads=threads, with_distance=(args.command != "simulate")
-        )
+        run_experiment(cfg, out_dir, threads=_threads_from(args))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantViolation, KernelError, ValueError, RuntimeError) as exc:
+    except (InvariantViolation, KernelError, WalkGuardExceeded, EnumerationGuardExceeded,
+            DegenerateFunctionalError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

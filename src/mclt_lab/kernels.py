@@ -135,14 +135,18 @@ class StepDistribution:
         return None
 
     def moment(self, t: float) -> float:
-        """E|xi|^t.  Exact finite sum in exact mode, declared oracle otherwise."""
-        if self.mode == "sampled":
-            return float(self.declared_moment(t))
-        if t == 2.0:
-            # the t==2 path avoids pow() so conditional variances accumulate
-            # bit-identically between scalar and batch code
-            return math.fsum(p * v * v for v, p in zip(self.values, self.probs))
-        return math.fsum(p * abs(v) ** t for v, p in zip(self.values, self.probs))
+        """E|xi|^t.  Exact finite sum in exact mode, declared oracle otherwise;
+        +inf once a term or the sum leaves the float range."""
+        try:
+            if self.mode == "sampled":
+                return float(self.declared_moment(t))
+            if t == 2.0:
+                # the t==2 path avoids pow() so conditional variances accumulate
+                # bit-identically between scalar and batch code
+                return math.fsum(p * v * v for v, p in zip(self.values, self.probs))
+            return math.fsum(p * abs(v) ** t for v, p in zip(self.values, self.probs))
+        except OverflowError:
+            return math.inf
 
     @cached_property
     def _cumprobs(self) -> np.ndarray:

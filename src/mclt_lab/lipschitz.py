@@ -25,7 +25,7 @@ diagnostic, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
@@ -52,6 +52,7 @@ __all__ = [
     "discrete_metric",
     "MODEL_FAMILIES",
     "DegenerateMetricError",
+    "DegenerateFunctionalError",
     "EnumerationGuardExceeded",
     "check_enumeration",
 ]
@@ -61,6 +62,8 @@ __all__ = [
 #: near 40 B while it takes Var f, whatever n is, so the guard bounds its
 #: memory near 400 MB.
 ENUM_GUARD = 10_000_000
+#: The enumeration's tensors have one axis per coordinate; numpy 1.x allows 32.
+MAX_COORDS = 32
 _BLOCK_ROWS = 1 << 14  # outcome rows per call of f
 TOL = 1e-12
 
@@ -71,6 +74,10 @@ class EnumerationGuardExceeded(RuntimeError):
 
 class DegenerateMetricError(ValueError):
     """The lower metrics are identically zero, so eps_n has no denominator."""
+
+
+class DegenerateFunctionalError(ValueError):
+    """f is not finite, or is constant, so (f - E f) / sd(f) has no law."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ class LipschitzModel:
     d1: tuple[Metric, ...]
     d2: tuple[Metric, ...]
     rho: float = 1.0
-    label: str = "model"
+    label: str = field(default="model", compare=False)  # any JSON value; not hashed
 
     @property
     def n(self) -> int:
@@ -153,11 +160,20 @@ class LipschitzModel:
             raise ValueError("rho must be positive")
         for c in self.coords:
             c.validate()
+        # the enumerated weights are products of n <= MAX_COORDS probabilities;
+        # their total is within 3n * 2^-53 of this one, so it passes TOL too
+        total = math.prod(math.fsum(c.probs) for c in self.coords)
+        if abs(total - 1.0) > TOL - min(self.n, MAX_COORDS) * 2.0**-50:
+            raise ValueError(f"product probabilities sum to {total!r}, not 1")
 
 
 def check_enumeration(model: LipschitzModel) -> int:
     """The number of outcomes in ``model``'s product space; more than
-    ``ENUM_GUARD`` is refused, before any of them is built."""
+    ``ENUM_GUARD`` (or ``MAX_COORDS`` axes) is refused, before any is built."""
+    if model.n > MAX_COORDS:
+        raise EnumerationGuardExceeded(
+            f"{model.n} coordinates exceed the enumeration's {MAX_COORDS} tensor axes"
+        )
     size = 1
     for c in model.coords:
         size *= len(c.values)
@@ -213,7 +229,7 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
     del block  # (rows, n) floats, up to 9 B per outcome at n=18
     f_values = f_values.reshape(dims)
     if not np.all(np.isfinite(f_values)):
-        raise ValueError("functional produced non-finite values")
+        raise DegenerateFunctionalError("functional produced non-finite values")
     weights = tuple(np.asarray(c.probs, dtype=float) for c in model.coords)
     g_tensors: list[np.ndarray] = [f_values]
     g = f_values
@@ -386,7 +402,7 @@ def exact_distribution(model: LipschitzModel):
     """Support and probabilities of (f - E f) / sqrt(Var f)."""
     enum = _enumeration(model)
     if enum.variance <= 0.0:
-        raise ValueError("degenerate functional: zero variance")
+        raise DegenerateFunctionalError("degenerate functional: zero variance")
     centered = (enum.f_values - enum.mean).reshape(-1) / math.sqrt(enum.variance)
     return centered, enum.probs.reshape(-1)
 
@@ -486,7 +502,10 @@ def model_from_config(ref: dict) -> LipschitzModel:
     if kind == "sum":
         f = functional_sum()
     elif kind == "weighted_sum":
-        f = functional_sum([float(w) for w in f_spec["weights"]])
+        weights = [float(w) for w in f_spec["weights"]]
+        if len(weights) != n:
+            raise ValueError("weighted_sum needs one weight per coordinate")
+        f = functional_sum(weights)
     elif kind == "max":
         f = functional_max()
     elif kind == "min":

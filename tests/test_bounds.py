@@ -190,6 +190,13 @@ def test_smoothing_trivial_cases():
     assert check.margin == pytest.approx(0.5, abs=1e-15)
 
 
+def test_smoothing_moment_past_float_range_holds_vacuously():
+    # E|Y|^(2p) = 0.5 * 2^(2^65) overflows a float: the right side is +inf
+    law = JointLaw(x=(-1.0, 1.0), y=(2.0, -2.0), probs=(0.5, 0.5))
+    check = verify_smoothing_lemma(law, p=2.0**64)
+    assert check.rhs == math.inf and check.margin == math.inf
+
+
 def test_smoothing_on_random_corpus():
     for i in range(100):
         law = corpus.random_joint_law(11, i)

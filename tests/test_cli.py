@@ -72,14 +72,6 @@ def test_seed_override_changes_results(tmp_path):
     assert manifest["config"]["seed"] == 10
 
 
-def test_simulate_subcommand(tmp_path):
-    cfg = write_config(tmp_path, RATES_CONFIG)
-    out = tmp_path / "sim"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    header = (out / "series.csv").read_text().strip().split("\n")[1]
-    assert header.startswith("grid_point,M,terminal_mean,terminal_var")
-
-
 def test_empty_grid_is_config_error(tmp_path):
     doc = dict(RATES_CONFIG, grid=[])
     cfg = write_config(tmp_path, doc)
@@ -190,8 +182,16 @@ LIPSCHITZ_CONFIG = {
     ("rademacher_average", None),  # not an object
     (None, [{"n": 4}, {"n": 4, "zz": 1}]),  # only a later grid entry is unbuildable
     (None, [{"n": 0}]),  # scale 1/sqrt(n)
+    # each coordinate sums to 1 within 1e-12, their product law does not
+    ({"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5 + 9e-13]}] * 4, "f": {"kind": "sum"}}, None),
+    ({"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 2,
+      "f": {"kind": "weighted_sum", "weights": [1.0]}}, None),
+    # numpy 1.x arrays have at most 32 axes, one per coordinate
+    ({"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}] + [{"values": [0.0], "probs": [1.0]}] * 32,
+      "f": {"kind": "sum"}}, None),
 ], ids=["no-coords", "unknown-param", "unknown-family", "unknown-f-kind", "invalid-coord-law",
-        "nan-coord-prob", "infinite-coord-value", "metrics-not-object", "not-an-object", "later-entry", "zero-coordinates"])
+        "nan-coord-prob", "infinite-coord-value", "metrics-not-object", "not-an-object", "later-entry",
+        "zero-coordinates", "product-law-total", "weights-count", "over-32-coordinates"])
 def test_unbuildable_model_reference_is_config_error(tmp_path, model, grid):
     doc = dict(LIPSCHITZ_CONFIG)
     if model is not None:
@@ -202,6 +202,14 @@ def test_unbuildable_model_reference_is_config_error(tmp_path, model, grid):
     out = tmp_path / "never"
     assert cli.main(["lipschitz", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+BOUNDS_CONFIG = {
+    "kind": "bounds-table",
+    "bounds": ["T1"],
+    "grid": [{"rho": 1.0, "epsilon": 0.1, "delta": 0.0}],
+    "seed": 0,
+}
 
 
 EXPRESSION_MODEL = {"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 2,
@@ -233,22 +241,18 @@ TRANSFORMS_CONFIG = {
     ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": 1000}, {"n": 32, "M": 1000, "epsilon": "abc"}])),
     ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": 1000, "epsilon": float("nan")}])),
     ("lipschitz", dict(LIPSCHITZ_CONFIG, model=EXPRESSION_MODEL, grid=[{"n": 2}, {"n": "abc"}])),
+    # a bounds-table parameter at the second grid point, one a functional reads and one the table prints
+    ("bounds", dict(BOUNDS_CONFIG, grid=BOUNDS_CONFIG["grid"] + [{"rho": 1.0, "epsilon": "x", "delta": 0.0}])),
+    ("bounds", dict(BOUNDS_CONFIG, grid=BOUNDS_CONFIG["grid"] + [{"rho": 1.0, "epsilon": 0.1, "delta": 0.0,
+                                                                 "n": "x"}])),
 ], ids=["rho", "p", "alpha", "rho-nan", "M", "n-infinite", "grid-entry", "corpus_size", "s", "t_grid-entry",
         "t_grid-scalar", "p_values-string", "transforms-n", "rates-epsilon-string", "rates-epsilon-nan",
-        "lipschitz-n-string"])
+        "lipschitz-n-string", "bounds-epsilon-string", "bounds-table-value-string"])
 def test_malformed_number_is_config_error(tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "never"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
-
-
-BOUNDS_CONFIG = {
-    "kind": "bounds-table",
-    "bounds": ["T1"],
-    "grid": [{"rho": 1.0, "epsilon": 0.1, "delta": 0.0}],
-    "seed": 0,
-}
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -270,10 +274,14 @@ BOUNDS_CONFIG = {
      "epsilon has an invalid value -0.5"),
     ("lipschitz", dict(LIPSCHITZ_CONFIG, model=EXPRESSION_MODEL, grid=[{"n": 0}]),
      "n has an invalid value 0"),
+    ("bounds", dict(BOUNDS_CONFIG, grid=BOUNDS_CONFIG["grid"] + [{"rho": 1.0, "epsilon": 0.7, "delta": 0.0}]),
+     "T1: epsilon 0.7 outside the stated range (0, 0.5]"),
+    ("bounds", dict(BOUNDS_CONFIG, grid=BOUNDS_CONFIG["grid"] + [{"rho": 1.0, "delta": 0.0}]),
+     "T1 at grid point {'rho': 1.0, 'delta': 0.0}: T1 requires parameter 'epsilon'"),
 ], ids=["bounds-int", "bounds-string", "bounds-entry", "corpus_size-0", "corpus_size-negative",
         "s-below-2", "s-at-2", "t-below-2",
         "t-at-s", "p-below-1", "lipschitz-over-guard", "rates-epsilon-zero", "rates-epsilon-negative",
-        "lipschitz-n-zero"])
+        "lipschitz-n-zero", "bounds-epsilon-out-of-range", "bounds-epsilon-missing"])
 def test_value_outside_hypotheses_is_config_error(tmp_path, capsys, command, doc, message):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "never"
@@ -295,6 +303,7 @@ def test_out_that_is_not_a_string_is_config_error(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("count", [
     0,
     50_000_000 // 16 + 1,  # count * n just over the bundle memory guard, no epsilon
+    float("inf"),  # json reads Infinity
 ])
 def test_transforms_check_count_out_of_range_is_config_error(tmp_path, count):
     doc = {
@@ -361,6 +370,31 @@ def test_walk_over_the_node_guard_is_invariant_violation(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == (
         "invariant violation: history walk exceeded 0 nodes at step 1\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f, message", [
+    ({"kind": "weighted_sum", "weights": [0.0, 0.0]}, "degenerate functional: zero variance"),
+    ({"kind": "weighted_sum", "weights": [1e308, 1e308]}, "functional produced non-finite values"),
+], ids=["constant", "overflowing"])
+def test_degenerate_functional_is_invariant_violation(tmp_path, capsys, f, message):
+    doc = dict(LIPSCHITZ_CONFIG, model={"coords": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 2, "f": f})
+    out = tmp_path / "never"
+    assert cli.main(["lipschitz", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, RuntimeError])
+def test_unexpected_exception_is_not_an_invariant_violation(tmp_path, monkeypatch, capsys, error):
+    def broken(cfg, stager):
+        raise error("a bug, not a lab result")
+
+    monkeypatch.setattr(cli, "_run_bounds_table", broken)
+    out = tmp_path / "never"
+    with pytest.raises(error):
+        cli.main(["bounds", "--config", str(write_config(tmp_path, BOUNDS_CONFIG)), "--out", str(out)])
+    assert "invariant violation" not in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -508,7 +542,25 @@ def test_plot_data_excludes_zero_distances():
      "record 0: grid_point -1 is not a finite positive number"),
     ({"records": [{"grid_point": 0.0, "d_hat": 0.5}]},
      "record 0: grid_point 0.0 is not a finite positive number"),
-], ids=["not-an-object", "record-not-an-object", "grid-point-string", "grid-point-negative", "grid-point-zero"])
+    ({"records": [{"grid_point": 2.0, "d_hat": 0.5}, {"grid_point": 4.0, "d_hat": "x"}]},
+     "record 1: d_hat 'x' is not a finite number"),
+    ({"records": [{"grid_point": 2.0, "d_exact": float("nan")}]},
+     "record 0: d_exact nan is not a finite number"),
+    ({"records": [{"grid_point": 2.0, "d_hat": 0.5, "bounds": {"T1": "x"}}]},
+     "record 0: bound T1 'x' is not a finite number"),
+    ({"records": [{"grid_point": 2.0, "d_hat": 0.5, "bounds": [1]}]},
+     "record 0: bounds [1] is not an object"),
+    ({"kind": "bounds-table", "records": [{"grid_point": 5, "bounds": {}}]},
+     "config must be a JSON object"),
+    ({"kind": "bounds-table", "config": [], "records": [{"grid_point": 5, "bounds": {}}]},
+     "config must be a JSON object"),
+    ({"kind": "bounds-table", "config": dict(BOUNDS_CONFIG, grid=[{"rho": 1.0, "epsilon": 0.7, "delta": 0.0}]),
+      "records": [{"grid_point": {}, "bounds": {}}]},
+     "T1 at grid point {'rho': 1.0, 'epsilon': 0.7, 'delta': 0.0}: "
+     "T1: epsilon 0.7 outside the stated range (0, 0.5]"),
+], ids=["not-an-object", "record-not-an-object", "grid-point-string", "grid-point-negative", "grid-point-zero",
+        "d-hat-string", "d-exact-nan", "bound-string", "bounds-not-object", "table-without-config",
+        "table-config-list", "table-config-invalid"])
 def test_malformed_manifest_is_config_error(tmp_path, capsys, manifest, message):
     path = write_config(tmp_path, manifest, "manifest.json")
     out = tmp_path / "never"
@@ -518,18 +570,23 @@ def test_malformed_manifest_is_config_error(tmp_path, capsys, manifest, message)
 
 
 def test_plot_data_bounds_table_passthrough(tmp_path):
-    doc = {
+    point = {"rho": 1.0, "epsilon": 0.1, "delta": 0.0, "n": 100.0, "p": 1.0, "var_dev_p": 0.01,
+             "max_inc_2p": 0.02, "sum_inc_2p": 0.03, "var_dev_l1": 0.01, "var_dev_linf": 0.04}
+    named = {
         "kind": "bounds-table",
         "bounds": ["T1", "BOLT_A"],
         "grid": [{"rho": 1.0, "epsilon": 0.1, "delta": 0.0, "n": 100.0}],
         "seed": 0,
     }
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "t"
-    assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    passthrough = cli.emit_plot_data(manifest)
-    assert passthrough == (out / "series.csv").read_text()
+    # without "bounds" the table has every functional, in BOUNDS order
+    every = {"kind": "bounds-table", "grid": [point, dict(point, epsilon=0.2, n=7)], "seed": 0}
+    for name, doc in (("named", named), ("every", every)):
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        passthrough = cli.emit_plot_data(manifest)
+        assert passthrough == (out / "series.csv").read_text()
 
 
 def test_lipschitz_run(tmp_path):

@@ -70,6 +70,13 @@ def test_invalid_probability_sum_rejected_with_step():
     assert "sum" in str(err.value)
 
 
+def test_moment_past_float_range_is_infinite():
+    dist = StepDistribution(values=(-1e200, 1e200), probs=(0.5, 0.5))
+    assert dist.moment(3.0) == math.inf  # 1e600
+    assert dist.moment(2.0) == math.inf  # v * v, no pow
+    assert StepDistribution(values=(-0.5, 0.5), probs=(0.5, 0.5)).moment(2.0**64) == 0.0
+
+
 def test_nonzero_mean_rejected():
     bad = StepDistribution(values=(1.0, 0.0), probs=(0.5, 0.5))
     kernel = TableKernel([bad])

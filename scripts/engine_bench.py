@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Nanoseconds per path-step of the streaming simulation engine.
 
-Times ``kernels.sample_terminal`` on one thread for four kernel families
-(the fair single-regime step, the two-regime ``variance_drift`` step with
-its ``sum_inc`` and non-integer power accumulators, a three-atom table and
-a sampled-mode law), and writes every sample, the best of each, and the
-machine and library versions to a JSON file.  Each kernel gets one
-untimed warm-up call first.
+Times ``kernels.sample_terminals`` on one thread for four kernel families
+at n=256 (the fair single-regime step, the two-regime ``variance_drift``
+step with its ``sum_inc`` and non-integer power accumulators, a three-atom
+table and a sampled-mode law) and for one rates grid (fair-coin sums at
+n = 64 .. 4096 in one step loop, whose path-steps are the grid's sum of n),
+and writes every sample, the best of each, and the machine and library
+versions to a JSON file.  Each case gets one untimed warm-up call first.
 """
 
 import argparse
@@ -29,13 +30,18 @@ SEED = 1
 
 
 def cases():
-    """(name, kernel, sample_terminal keywords) for each timed kernel."""
-    yield "iid_rademacher", kernels.make_kernel("iid_rademacher", n=N), {}
-    yield ("variance_drift", kernels.make_kernel("variance_drift", n=N, d=0.2),
-           {"p": 1.5, "with_sum_inc": True})
-    b = 0.1  # jump probability q = 1 / (n b^2): unit total variance
-    yield "three_point", kernels.make_kernel("three_point", n=N, b=b, q=1.0 / (N * b * b)), {}
-    yield "iid_gaussian", kernels.make_kernel("iid_gaussian", n=N), {}
+    """(name, label, kernels, sample_terminals keywords) for each timed case."""
+    for name, kernel, options in (
+        ("iid_rademacher", kernels.make_kernel("iid_rademacher", n=N), {}),
+        ("variance_drift", kernels.make_kernel("variance_drift", n=N, d=0.2),
+         {"p": 1.5, "with_sum_inc": True}),
+        # jump probability q = 1 / (n b^2) with b = 0.1: unit total variance
+        ("three_point", kernels.make_kernel("three_point", n=N, b=0.1, q=1.0 / (N * 0.01)), {}),
+        ("iid_gaussian", kernels.make_kernel("iid_gaussian", n=N), {}),
+    ):
+        yield name, kernel.label, (kernel,), options
+    grid = [kernels.make_kernel("iid_rademacher", n=2**e) for e in range(6, 13)]
+    yield "rates_iid_grid", "iid_rademacher(n=64..4096)", grid, {}
 
 
 def git(*argv) -> str | None:
@@ -87,19 +93,20 @@ def main():
     if args.paths < 1 or args.repeat < 1:
         sys.exit("--paths and --repeat must be positive")
 
-    steps = N * args.paths
     results = {}
     print(f"{'kernel':<16} {'best wall':>10} {'best cpu':>10}  (ns per path-step)")
-    for name, kernel, options in cases():
-        kernels.sample_terminal(kernel, SEED, min(args.paths, 1024), threads=1, **options)
+    for name, label, grid, options in cases():
+        steps = sum(kernel.n for kernel in grid) * args.paths
+        kernels.sample_terminals(grid, SEED, min(args.paths, 1024), threads=1, **options)
         wall, cpu = [], []
         for _ in range(args.repeat):
             w0, c0 = time.perf_counter_ns(), time.process_time_ns()
-            kernels.sample_terminal(kernel, SEED, args.paths, threads=1, **options)
+            kernels.sample_terminals(grid, SEED, args.paths, threads=1, **options)
             wall.append((time.perf_counter_ns() - w0) / steps)
             cpu.append((time.process_time_ns() - c0) / steps)
         results[name] = {
-            "label": kernel.label,
+            "label": label,
+            "path_steps_per_path": steps // args.paths,
             "options": options,
             "wall_ns_per_path_step": wall,
             "cpu_ns_per_path_step": cpu,
@@ -110,7 +117,7 @@ def main():
 
     record = {
         "bench": "engine",
-        "what": "sample_terminal, one thread, ns per path-step",
+        "what": "sample_terminals, one thread, ns per path-step",
         "n": N,
         "paths": args.paths,
         "repeat": args.repeat,

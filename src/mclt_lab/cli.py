@@ -48,7 +48,10 @@ from .kernels import (
     check_bundle,
     kernel_from_config,
     sample_paths,
+    # unused here; perfbench's tracer wraps this binding and its self-test
+    # asserts that it does
     sample_terminal,
+    sample_terminals,
 )
 from .lipschitz import (
     DegenerateFunctionalError,
@@ -232,6 +235,16 @@ def _kernel_for_entry(ref, entry: dict):
         raise ConfigError(f"kernel reference invalid: {exc}") from None
     if kernel.n >= rng.MAX_DRAWS_PER_PATH:
         raise ConfigError(f"kernel reference invalid: n={kernel.n} exceeds the per-path draw budget")
+    # a law past float range would overflow the simulated sums; a NaN is
+    # left for the run, which names the invalid law and its step
+    seen: set[int] = set()
+    for step in range(1, kernel.n + 1):
+        for dist in kernel.step_regimes(step):
+            if id(dist) not in seen:
+                seen.add(id(dist))
+                if dist.moment(2) == math.inf:
+                    raise ConfigError(f"kernel reference invalid: E xi^2 of step {step} "
+                                      "is not a finite float")
     return kernel
 
 
@@ -404,41 +417,65 @@ def _bound_columns(cfg, entry, kernel, stats, eps, delta, notes):
 # runners
 
 
+#: Terminal cells (paths times grid points) that one group of a ``rates``
+#: grid may hold at once: 2**23 float64 cells, 64 MiB.  A single point over
+#: it forms a group of its own.
+GROUP_CELLS = 1 << 23
+
+
+def _rate_groups(points: list) -> list[list]:
+    """The rates grid points in order, cut into runs of consecutive points
+    with equal ``M`` and at most ``GROUP_CELLS`` terminal cells each."""
+    groups: list[list] = []
+    for point in points:
+        m = point[2]
+        group = groups[-1] if groups else None
+        if group is None or group[0][2] != m or (len(group) + 1) * m > GROUP_CELLS:
+            groups.append([point])
+        else:
+            group.append(point)
+    return groups
+
+
 def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dict:
     notes: list[str] = []
     records: list[dict] = []
     rows: list[list] = []
     need_sum_inc = "HB" in cfg.bounds
-    for entry, kernel, m, abscissa in cfg.points:
-        stats = sample_terminal(
-            kernel, cfg.seed, m, p=cfg.p, with_sum_inc=need_sum_inc, threads=threads
-        )
-        eps = _certified_epsilon(kernel, cfg.rho)
-        delta = kernel.certified_delta()
-        if delta is None:  # as for epsilon: the closed form, else the walk
-            delta = minimal_delta(kernel).delta
-        record = {
-            "grid_point": abscissa,
-            "n": kernel.n,
-            "M": m,
-            "epsilon": eps,
-            "epsilon_mode": "certified",
-            "delta": delta,
-            "delta_mode": "certified",
-            "kernel": kernel.label,
-            "terminal_mean": float(np.mean(stats.terminal)),
-            "terminal_var": float(np.var(stats.terminal)),
-            "var_dev_p": stats.mean_var_dev_p,
-            "max_inc_2p": stats.mean_max_inc_2p,
-            "sum_inc_2p": stats.mean_total_inc_2p if need_sum_inc else None,
-            "var_dev_sup": stats.max_var_dev,
-        }
-        est = kolmogorov_distance(stats.terminal, alpha=cfg.alpha)
-        record.update(d_hat=est.d_hat, dkw_band=est.dkw_band, dkw_lo=est.lower, dkw_hi=est.upper)
-        record["bounds"] = bound_values = _bound_columns(cfg, entry, kernel, stats, eps, delta, notes)
-        records.append(record)
-        rows.append([abscissa, m, est.d_hat, est.lower, est.upper, eps, delta]
-                    + [bound_values[b] for b in cfg.bounds])
+    for group in _rate_groups(cfg.points):
+        # every point reads the config seed's counter streams, so the group
+        # draws each step's words once for all of its points
+        group_stats = sample_terminals([kernel for _, kernel, _, _ in group], cfg.seed,
+                                       group[0][2], p=cfg.p, with_sum_inc=need_sum_inc,
+                                       threads=threads)
+        for entry, kernel, m, abscissa in group:
+            stats = group_stats.pop(0)  # a point's terminals go once its record is made
+            eps = _certified_epsilon(kernel, cfg.rho)
+            delta = kernel.certified_delta()
+            if delta is None:  # as for epsilon: the closed form, else the walk
+                delta = minimal_delta(kernel).delta
+            record = {
+                "grid_point": abscissa,
+                "n": kernel.n,
+                "M": m,
+                "epsilon": eps,
+                "epsilon_mode": "certified",
+                "delta": delta,
+                "delta_mode": "certified",
+                "kernel": kernel.label,
+                "terminal_mean": float(np.mean(stats.terminal)),
+                "terminal_var": float(np.var(stats.terminal)),
+                "var_dev_p": stats.mean_var_dev_p,
+                "max_inc_2p": stats.mean_max_inc_2p,
+                "sum_inc_2p": stats.mean_total_inc_2p if need_sum_inc else None,
+                "var_dev_sup": stats.max_var_dev,
+            }
+            est = kolmogorov_distance(stats.terminal, alpha=cfg.alpha)
+            record.update(d_hat=est.d_hat, dkw_band=est.dkw_band, dkw_lo=est.lower, dkw_hi=est.upper)
+            record["bounds"] = bound_values = _bound_columns(cfg, entry, kernel, stats, eps, delta, notes)
+            records.append(record)
+            rows.append([abscissa, m, est.d_hat, est.lower, est.upper, eps, delta]
+                        + [bound_values[b] for b in cfg.bounds])
     fit = None
     if len(records) >= 3:
         points = [

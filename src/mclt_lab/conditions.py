@@ -225,6 +225,22 @@ class MomentLemmaReport:
     all_hold: bool
 
 
+def _lemma_epsilon(dist: StepDistribution, s: float, m2: float) -> float:
+    """(E|X|^s / m2)^(1/(s-2)), the least eps of the s-moment hypothesis.
+
+    When E|X|^s is no normal float (it underflows or overflows at large s),
+    the ratio is taken in log space around the largest |atom| A of positive
+    probability: log eps = (s log A + log sum_i p_i (|x_i|/A)^s - log m2) / (s - 2).
+    """
+    ms = dist.moment(s)
+    if 2.0**-1022 <= ms < math.inf:  # the least normal float
+        return (ms / m2) ** (1.0 / (s - 2.0))
+    atoms = [(p, abs(v)) for v, p in zip(dist.values, dist.probs) if p > 0.0 and v != 0.0]
+    top = max(a for _, a in atoms)
+    spread = math.fsum(p * (a / top) ** s for p, a in atoms)
+    return math.exp(math.log(top) * (s / (s - 2.0)) + (math.log(spread) - math.log(m2)) / (s - 2.0))
+
+
 def verify_moment_lemmas(
     dist: StepDistribution,
     s: float,
@@ -248,7 +264,7 @@ def verify_moment_lemmas(
             s=float(s), epsilon=0.0, vacuous=True, interpolation=(),
             variance_cap={"m2": 0.0, "bound": 0.0, "holds": True}, all_hold=True,
         )
-    eps = (dist.moment(s) / m2) ** (1.0 / (s - 2.0)) if epsilon is None else float(epsilon)
+    eps = _lemma_epsilon(dist, s, m2) if epsilon is None else float(epsilon)
     rows = []
     ok = True
     for t in t_grid:

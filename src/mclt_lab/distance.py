@@ -68,6 +68,10 @@ class KolmogorovEstimate:
         return min(1.0, self.d_hat + self.dkw_band)
 
 
+#: Order statistics per block of the maxima in ``kolmogorov_distance``.
+_KS_BLOCK = 1 << 14
+
+
 def kolmogorov_distance(samples, alpha: float = 0.05) -> KolmogorovEstimate:
     """Exact sup distance between the empirical CDF of ``samples`` and Phi.
 
@@ -85,11 +89,13 @@ def kolmogorov_distance(samples, alpha: float = 0.05) -> KolmogorovEstimate:
         raise ValueError("alpha must lie in (0, 1)")
     x = np.sort(x)
     m = x.size
-    phi = ndtr(x)
-    grid = np.arange(1, m + 1, dtype=float) / m
-    d_plus = np.max(grid - phi)
-    d_minus = np.max(phi - (grid - 1.0 / m))
-    d_hat = float(max(d_plus, d_minus))
+    # the maxima run over blocks of the sorted copy, so no other array grows
+    # with the sample; each term is the same float as over the whole sample
+    d_hat = -math.inf
+    for start in range(0, m, _KS_BLOCK):
+        phi = ndtr(x[start : start + _KS_BLOCK])
+        grid = np.arange(start + 1, start + 1 + phi.size, dtype=float) / m
+        d_hat = max(d_hat, float(np.max(grid - phi)), float(np.max(phi - (grid - 1.0 / m))))
     return KolmogorovEstimate(d_hat=min(max(d_hat, 0.0), 1.0), count=m, alpha=alpha)
 
 

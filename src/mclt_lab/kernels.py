@@ -39,6 +39,7 @@ __all__ = [
     "check_bundle",
     "sample_paths",
     "sample_terminal",
+    "sample_terminals",
     "KERNEL_FAMILIES",
 ]
 
@@ -50,7 +51,7 @@ BUNDLE_CELL_GUARD = 50_000_000
 #: per-path value is a function of the path's own counter stream, and pooled
 #: sums reduce over fixed blocks of ``_REDUCE_BLOCK`` paths.  Smaller chunks
 #: only mean more, shorter numpy calls.
-DEFAULT_CHUNK = 1 << 16
+DEFAULT_CHUNK = 65536
 
 #: Block length of the pooled sums in ``sample_terminal``: ``np.sum`` per
 #: block, ``math.fsum`` across blocks.
@@ -555,6 +556,10 @@ _WORD_LIMIT = 2.0**53
 _SHIFT = np.uint64(11)
 _SIGN = np.uint64(1 << 63)
 _SIGN_BIT = np.uint64(63)
+_TOP_BIT = np.uint64(52)  # the highest bit of a 53-bit word
+#: Uniforms per sampler call: 64 KiB of float64, under glibc's default
+#: 128 KiB threshold for mapping an allocation afresh.
+_SAMPLER_BLOCK = 1 << 13
 _ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 
 
@@ -584,7 +589,8 @@ class _StepTable:
     selects the upper atom.  A threshold is a uint64 scalar when every regime
     shares it and a per-regime array otherwise; a narrower support gets
     ``inf`` thresholds, so its padding atoms are never selected.  A single
-    sampled-mode law carries its ``sampler`` instead and draws float uniforms.
+    sampled-mode law carries its ``sampler`` instead, which maps the
+    uniforms ``w * 2**-53``.
 
     A fair table, whose regimes are all fair laws +-a (``T_0 = 2**52``,
     atoms that differ only in the sign bit), selects without thresholds: a
@@ -616,6 +622,13 @@ class _StepTable:
     # the first atoms' bits of a fair table: per regime, a scalar for one
     sign_base: tuple | np.ndarray | np.uint64 | None = None
 
+    @property
+    def gathers(self) -> bool:
+        """Whether ``draw`` and the per-path sums need the gather buffer:
+        for the atom indices of a finite table that is not fair, or the
+        per-regime values of a fair one."""
+        return self.sampler is None and (self.sign_base is None or self.regimes > 1)
+
     def select(self, per_regime, regime, out: np.ndarray) -> np.ndarray:
         """Write each path's value of ``per_regime`` into ``out`` (8-byte
         elements) and return ``out``.
@@ -633,23 +646,41 @@ class _StepTable:
             np.take(per_regime, regime, out=bits, mode="clip")
         return out
 
-    def draw(self, words, regime, idx, flag, xi) -> np.ndarray:
-        """Select the increments that the raw words ``words`` (uint64,
-        consumed) pick, and return the array that holds them.
+    def draw(self, words, signs: bool, regime, spare, gather, xi) -> np.ndarray:
+        """Select the increments that a step's shared ``words`` (uint64,
+        left as they are) pick, and return the array that holds them.
 
-        A fair table writes them over ``words`` and returns its float64 view;
-        ``idx`` is its scratch for the per-regime sign bases.  Any other table
-        writes them into ``xi``, after using it as scratch for per-regime
-        thresholds, and the flat atom index of every path into ``idx`` (intp).
+        ``words`` holds each path's sign bit alone when ``signs``, which
+        only a fair table reads, and its 53-bit word ``w >> 11`` otherwise.
+        A fair table writes its increments into ``spare`` and returns its
+        float64 view; ``gather`` is its scratch for the per-regime sign bases
+        when the words are not signs.  A sampler writes its variates into
+        ``xi``.  Any other table writes them into ``xi``, after using it as
+        scratch for per-regime thresholds, the flat atom index of every path
+        into ``gather`` (intp), and uses ``spare`` as scratch.
         """
         if self.sign_base is not None:
-            np.bitwise_and(words, _SIGN, out=words)
             base = self.sign_base
-            if self.regimes > 1:
-                base = self.select(base, regime, idx.view(np.uint64))
-            np.bitwise_xor(words, base, out=words)
-            return words.view(np.float64)
-        np.right_shift(words, _SHIFT, out=words)
+            if signs:
+                if self.regimes > 1:
+                    base = self.select(base, regime, spare)
+                np.bitwise_xor(words, base, out=spare)
+            else:
+                if self.regimes > 1:
+                    base = self.select(base, regime, gather)
+                # bit 52 of w >> 11 is the sign bit of w
+                np.right_shift(words, _TOP_BIT, out=spare)
+                np.left_shift(spare, _SIGN_BIT, out=spare)
+                np.bitwise_xor(spare, base, out=spare)
+            return spare.view(np.float64)
+        if self.sampler is not None:
+            np.multiply(words, 2.0**-53, out=xi)  # the uniforms, as rng.uniforms_at makes them
+            # an inverse CDF maps each uniform alone, so it runs on blocks
+            # whose temporaries are reused from the heap, not mapped afresh
+            for at in range(0, len(xi), _SAMPLER_BLOCK):
+                xi[at : at + _SAMPLER_BLOCK] = self.sampler(xi[at : at + _SAMPLER_BLOCK])
+            return xi
+        idx, flag = gather.view(np.intp), spare.view(np.intp)
         if not self.thresholds:
             idx.fill(0)
         for s, c in enumerate(self.thresholds):
@@ -715,122 +746,213 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class _PathOutputs:
-    """The per-path arrays of one chunk, one row per path."""
+    """One kernel's per-path results over the paths of one chunk.
+
+    ``variance``, ``max_abs`` and ``total_2p`` are each a zero row that the
+    chunk fills, or a float, 0.0 on entry, that the chunk replaces with its
+    result: the value of every path while that is the same on every path,
+    else a row of its own.  None asks for no such sum.
+    """
 
     terminal: np.ndarray | None  # X_n; None where only the increments are kept
-    variance: np.ndarray  # <X>_n
-    max_abs: np.ndarray | None = None  # max_i |xi_i|
-    total_2p: np.ndarray | None = None  # sum_i |xi_i|^(2p)
+    variance: np.ndarray | float = 0.0  # <X>_n
+    max_abs: np.ndarray | float | None = None  # max_i |xi_i|
+    total_2p: np.ndarray | float | None = None  # sum_i |xi_i|^(2p)
     increments: np.ndarray | None = None  # (count, n)
     variances: np.ndarray | None = None  # (count, n + 1)
 
-    def rows(self, start: int, stop: int) -> "_PathOutputs":
-        """Views of rows ``start:stop`` of the per-path sums (streaming outputs)."""
 
-        def cut(a):
-            return None if a is None else a[start:stop]
+class _RunningSum:
+    """A per-path running sum that stays one float while it is the same on
+    every path.
 
-        return _PathOutputs(terminal=cut(self.terminal), variance=cut(self.variance),
-                            max_abs=cut(self.max_abs), total_2p=cut(self.total_2p))
+    ``row`` is a zero row that receives the sums, or None, and then a row is
+    allocated by the first value that differs between paths.  Either way
+    every path adds the same floats in the same order.
+    """
+
+    __slots__ = ("acc", "row", "count")
+
+    def __init__(self, row, count: int):
+        self.acc = 0.0  # every path's sum; None once the sums are in the row
+        self.row = row if isinstance(row, np.ndarray) else None
+        self.count = count
+
+    def add(self, value) -> None:
+        """Add ``value``: a float for every path, or one per path."""
+        if self.acc is not None:
+            if isinstance(value, float):
+                self.acc += value
+                return
+            if self.row is None:
+                self.row = np.full(self.count, self.acc)
+            else:
+                self.row += self.acc
+            self.acc = None
+        self.row += value
+
+    @property
+    def current(self):
+        return self.row if self.acc is None else self.acc
+
+    def result(self):
+        """The sums: the row, or the float where no row was given and no
+        per-path value came."""
+        if self.acc is not None and self.row is not None:
+            self.row += self.acc
+            self.acc = None
+        return self.current
 
 
-def _simulate_chunk(kernel, key, start, count, out: _PathOutputs, p):
-    """Simulate paths ``start .. start + count - 1`` into the rows of ``out``,
-    whose ``variance``, ``max_abs`` and ``total_2p`` rows are zero on entry.
+class _RunningMax:
+    """max_i |xi_i| per path: a floor that every path's maximum has reached,
+    and a row only while some path may lie above it.
 
-    Every buffer is allocated once per chunk and each step runs in place:
-    the raw 64-bit words (sign-only for a fair table, float uniforms for a
-    sampled law), table selection of the increment, gathers of its
-    conditional variance and |xi|^(2p), then the kernel's state update.  A
-    fair table writes the increments over its words.  Accumulators that are
-    the same on every path stay Python floats, added in the same order and
-    written out once: <X> while every step so far had one regime, and a
-    floor that every path's max |xi| has reached.  The floor takes the
-    |value| of a step whose atoms share one, and the least per-path max
+    A given zero row is used from the first per-path step on and receives
+    the maxima.  Otherwise the first per-path step allocates a row, and a
+    finite table's step drops it again once no path lies above the floor.
+    """
+
+    __slots__ = ("floor", "row", "given", "count")
+
+    def __init__(self, row, count: int):
+        self.floor = 0.0
+        self.given = isinstance(row, np.ndarray)
+        self.row = row if self.given else None
+        self.count = count
+
+    def take(self, inc: np.ndarray, scratch: np.ndarray, finite: bool) -> None:
+        """Take each |inc| into its path's maximum; a ``finite`` table's
+        least per-path maximum raises the floor."""
+        if self.row is None:
+            self.row = np.abs(inc, out=np.empty(self.count))
+        else:
+            np.maximum(self.row, np.abs(inc, out=scratch), out=self.row)
+        if finite:
+            self.floor = max(self.floor, float(self.row.min()))
+            if not self.given and float(self.row.max()) <= self.floor:
+                self.row = None
+
+    def result(self):
+        if self.row is None:
+            return self.floor
+        np.maximum(self.row, self.floor, out=self.row)
+        return self.row
+
+
+class _ChunkPoint:
+    """One kernel's share of a chunk: its outputs, batch state and sums."""
+
+    __slots__ = ("kernel", "out", "state", "variance", "max_abs", "total_2p")
+
+    def __init__(self, kernel: ConditionalKernel, out: _PathOutputs, count: int):
+        self.kernel, self.out = kernel, out
+        self.variance = _RunningSum(out.variance, count)
+        self.max_abs = None if out.max_abs is None else _RunningMax(out.max_abs, count)
+        self.total_2p = None if out.total_2p is None else _RunningSum(out.total_2p, count)
+        self.state = kernel.batch_init(count)
+
+    def finish(self) -> None:
+        self.out.variance = self.variance.result()
+        if self.max_abs is not None:
+            self.out.max_abs = self.max_abs.result()
+        if self.total_2p is not None:
+            self.out.total_2p = self.total_2p.result()
+
+
+def _simulate_chunk(kernels, key, start, count, outs, p):
+    """Simulate paths ``start .. start + count - 1`` of each kernel in
+    ``kernels`` into its ``_PathOutputs`` in ``outs``.
+
+    One step loop serves every kernel.  Step k draws the paths' counter
+    words once, in one ``rng.uniforms_at`` call, and advances each kernel
+    with n >= k by its own operations, in the order a kernel simulated
+    alone takes them, so its outputs keep their bits.  The words are
+    sign-only when each table of the step is fair, and full otherwise,
+    shifted to 53 bits for tables that select with thresholds and for
+    samplers.  Every buffer is allocated once per chunk and each step runs
+    in place: table selection of the increment, gathers of its conditional
+    variance and |xi|^(2p), then the kernel's state update.
+
+    Sums that are the same on every path stay Python floats (see
+    ``_RunningSum`` and ``_RunningMax``): <X> while every step so far had
+    one regime, sum |xi|^(2p) while every step's atoms shared one |value|,
+    and a floor of max |xi| that every path has reached.  The floor takes
+    the |value| of a step whose atoms share one, and the least per-path max
     after a finite table's per-path step; a step whose atoms are all within
     it leaves every max as it is.
     """
-    n = kernel.n
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
-    X, V, max_abs, total_2p = out.terminal, out.variance, out.max_abs, out.total_2p
-    u = np.empty(count)
-    words = u.view(np.uint64)  # an exact table selects on words, a sampler on u
-    xi = None  # allocated by the first step that does not draw over its words
-    scratch = (np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64))
-    # the selection indices reuse the RNG scratch, which is free once the
-    # words are drawn, and the later gathers reuse flag, free once the
-    # increments are drawn
-    idx, flag = (w.view(np.intp) for w in scratch)
-    gathered = flag.view(np.float64)
-    v_acc: float | None = 0.0  # <X>; None once it differs between paths
-    m_acc = 0.0  # a floor that every path's max |xi| has reached
+    words = np.empty(count, dtype=np.uint64)
     tables: dict[tuple, _StepTable] = {}
-    state = kernel.batch_init(count)
-    for step in range(1, n + 1):
+
+    def table_at(kernel, step):
         laws = kernel.step_regimes(step)
         law_bits = tuple(dist._table_key for dist in laws)
         table = tables.get(law_bits)
         if table is None:
             table = tables[law_bits] = _step_table(step, laws, p)
-        fair = table.sign_base is not None
-        rng.uniforms_at(key, ctr_base, step - 1, out=words if table.sampler is None else u,
-                        scratch=scratch, sign_only=fair)
-        regime = kernel.batch_regime(step, state)
-        if regime is not None and regime.dtype != np.intp:
-            raise KernelError(f"step {step}: batch_regime returned {regime.dtype}, not intp")
-        if xi is None and not fair:
-            xi = np.empty(count)
-        if table.sampler is not None:
-            inc = xi
-            inc[:] = table.sampler(u)
+        return table
+
+    # the gather buffer comes with the others if step 1 needs it, else with
+    # the first step that does; the spare is the mix scratch until the
+    # words are drawn, then a fair table's increments or the selection flags
+    gather = (np.empty(count, dtype=np.uint64)
+              if any(table_at(kernel, 1).gathers for kernel in kernels) else None)
+    spare = np.empty(count, dtype=np.uint64)
+    xi = None  # allocated by the first table that is not fair
+    points = [_ChunkPoint(kernel, out, count) for kernel, out in zip(kernels, outs)]
+    for step in range(1, max(kernel.n for kernel in kernels) + 1):
+        active = [(point, table_at(point.kernel, step)) for point in points
+                  if point.kernel.n >= step]
+        signs = all(table.sign_base is not None for _, table in active)
+        rng.uniforms_at(key, ctr_base, step - 1, out=words, scratch=(spare, spare),
+                        sign_only=signs)
+        if signs:
+            np.bitwise_and(words, _SIGN, out=words)
         else:
-            inc = table.draw(words, regime, idx, flag, xi)
-        if X is not None:
-            X += inc
-        v_acc = _accumulate(v_acc, V, table.m2 if table.regimes == 1
-                            else table.select(table.m2, regime, gathered))
-        if out.increments is not None:
-            out.increments[:, step - 1] = inc
-            out.variances[:, step] = V if v_acc is None else v_acc
-        if max_abs is not None:
-            if table.abs_value is not None:
-                m_acc = max(m_acc, table.abs_value)
-            elif table.max_abs > m_acc:
-                np.maximum(max_abs, np.abs(inc, out=gathered), out=max_abs)
-                if table.sampler is None:
-                    m_acc = max(m_acc, float(max_abs.min()))
-        if total_2p is not None:
-            if table.sampler is not None:
-                total_2p += np.abs(inc) ** (2.0 * p)
-            elif table.abs_value is not None:
-                total_2p += table.pow2p[0]
-            elif fair:
-                total_2p += table.select(table.pow2p, regime, gathered)
-            else:
-                total_2p += np.take(table.pow2p, idx, out=gathered, mode="clip")
-        state = kernel.batch_advance(step, state, inc, regime)
-    if v_acc is not None:
-        V += v_acc
-    if max_abs is not None:
-        np.maximum(max_abs, m_acc, out=max_abs)
-
-
-def _accumulate(acc: float | None, per_path: np.ndarray, value) -> float | None:
-    """Add ``value`` (a float for every path, or one per path) to the running
-    sums ``acc`` or ``per_path`` and return the new ``acc``.
-
-    While ``acc`` is a float, ``per_path`` is still zero and every path's sum
-    is ``acc``, so a float is added to ``acc`` alone.  A per-path value first
-    moves ``acc`` into ``per_path``; from then on ``acc`` is None.
-    """
-    if acc is not None:
-        if isinstance(value, float):
-            return acc + value
-        per_path += acc
-    per_path += value
-    return None
+            np.right_shift(words, _SHIFT, out=words)
+        for point, table in active:
+            kernel, out = point.kernel, point.out
+            regime = kernel.batch_regime(step, point.state)
+            if regime is not None and regime.dtype != np.intp:
+                raise KernelError(f"step {step}: batch_regime returned {regime.dtype}, not intp")
+            fair = table.sign_base is not None
+            if gather is None and table.gathers:
+                gather = np.empty(count, dtype=np.uint64)
+            if xi is None and not fair:
+                xi = np.empty(count)
+            inc = table.draw(words, signs, regime, spare, gather, xi)
+            # the scratch of the gathers below, free once the increments are drawn
+            scratch = gather if fair else spare
+            gathered = None if scratch is None else scratch.view(np.float64)
+            if out.terminal is not None:
+                out.terminal += inc
+            point.variance.add(table.m2 if table.regimes == 1
+                               else table.select(table.m2, regime, gathered))
+            if out.increments is not None:
+                out.increments[:, step - 1] = inc
+                out.variances[:, step] = point.variance.current
+            if point.max_abs is not None:
+                if table.abs_value is not None:
+                    point.max_abs.floor = max(point.max_abs.floor, table.abs_value)
+                elif table.max_abs > point.max_abs.floor:
+                    point.max_abs.take(inc, gathered, table.sampler is None)
+            if point.total_2p is not None:
+                if table.sampler is not None:
+                    point.total_2p.add(np.abs(inc) ** (2.0 * p))
+                elif table.abs_value is not None:
+                    point.total_2p.add(table.pow2p[0])
+                elif fair:
+                    point.total_2p.add(table.select(table.pow2p, regime, gathered))
+                else:
+                    point.total_2p.add(np.take(table.pow2p, gather.view(np.intp),
+                                               out=gathered, mode="clip"))
+            point.state = kernel.batch_advance(step, point.state, inc, regime)
+    for point in points:
+        point.finish()
 
 
 def _chunks(count: int, chunk_size: int):
@@ -883,16 +1005,16 @@ def sample_paths(
     # before the joined ones exist, fragmented the heap enough to raise the
     # peak RSS of perfbench's exact-verify workload by about 35 MB.
     pieces = [
-        (kernel, key, start, size, _PathOutputs(
+        ((kernel,), key, start, size, (_PathOutputs(
             terminal=None,
             variance=np.zeros(size),
             increments=np.empty((size, n)),
             variances=np.zeros((size, n + 1)),
-        ), 1.0)
+        ),), 1.0)
         for start, size in _chunks(count, chunk_size)
     ]
     _run_chunks(_simulate_chunk, pieces, threads)
-    outs = [piece[4] for piece in pieces]
+    outs = [piece[4][0] for piece in pieces]
     increments = np.concatenate([o.increments for o in outs], axis=0)
     variances = np.concatenate([o.variances for o in outs], axis=0)
     sums = np.concatenate(
@@ -916,57 +1038,104 @@ def sample_terminal(
     materialized.  Every field is bit-identical across chunk sizes and thread
     counts.
     """
+    return sample_terminals((kernel,), seed, count, p, with_sum_inc, chunk_size, threads)[0]
+
+
+def sample_terminals(
+    kernels: Sequence[ConditionalKernel],
+    seed: int,
+    count: int,
+    p: float = 1.0,
+    with_sum_inc: bool = False,
+    chunk_size: int = DEFAULT_CHUNK,
+    threads: int = 1,
+) -> list[TerminalStatistics]:
+    """``sample_terminal`` of each kernel, in one step loop.
+
+    Every kernel reads the same counter streams, so each step's words are
+    drawn once for all kernels still running (see ``_simulate_chunk``).
+    Result i is bit for bit ``sample_terminal(kernels[i], seed, count, p,
+    with_sum_inc)``.  The terminals of every kernel are held at once; the
+    kernels that keep a batch state share the chunk length that one such
+    kernel would get.
+    """
+    kernels = tuple(kernels)
+    if not kernels:
+        raise KernelError("no kernel to simulate")
     if count < 1:
         raise KernelError("count must be >= 1")
     if p < 1.0:
         raise KernelError("p must be >= 1")
-    if kernel.n >= rng.MAX_DRAWS_PER_PATH:
+    if any(kernel.n >= rng.MAX_DRAWS_PER_PATH for kernel in kernels):
         raise KernelError("path length exceeds the per-path draw budget")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
-    terminal = np.zeros(count)
+    terminals = [np.zeros(count) for _ in kernels]
+    # a kernel's batch state holds a few values per path of the chunk
+    stateful = sum(kernel.batch_init(0) is not None for kernel in kernels)
+    chunk_size = max(1, chunk_size // max(stateful, 1))
     # The paths run in windows of whole reduction blocks, two per thread.
-    # Chunks fill row slices of the window's per-path arrays, and every
-    # block's sums are taken once the window is done, so the pooled sums
-    # reduce the same per-path values whatever the chunking, and only the
-    # terminals are held for all paths.
+    # Chunks fill row slices of the terminals and return the other per-path
+    # sums, and every block's sums are taken once the window is done, so the
+    # pooled sums reduce the same per-path values whatever the chunking, and
+    # only the terminals are held for all paths.
     window = min(count, 2 * max(threads, 1) * _REDUCE_BLOCK)
-    sums = np.empty((3 if with_sum_inc else 2, window))  # reused by every window
-    var_p, var_2p, max_2p, total_2p = [], [], [], []
-    max_var_dev = 0.0
+    pooled: list[list] = [[] for _ in kernels]  # per kernel, the sums of each block
     for first in range(0, count, window):
         size = min(window, count - first)
-        sums.fill(0.0)
-        out = _PathOutputs(terminal=terminal[first : first + size], variance=sums[0, :size],
-                           max_abs=sums[1, :size], total_2p=sums[2, :size] if with_sum_inc else None)
-        pieces = [
-            (kernel, key, first + block + start, length,
-             out.rows(block + start, block + start + length), float(p))
+        blocks = [
+            [(kernels, key, first + block + start, length,
+              tuple(_PathOutputs(terminal=t[first + block + start : first + block + start + length],
+                                 max_abs=0.0, total_2p=0.0 if with_sum_inc else None)
+                    for t in terminals), float(p))
+             for start, length in _chunks(min(_REDUCE_BLOCK, size - block), chunk_size)]
             for block in range(0, size, _REDUCE_BLOCK)
-            for start, length in _chunks(min(_REDUCE_BLOCK, size - block), chunk_size)
         ]
-        _run_chunks(_simulate_chunk, pieces, threads)
-        dev = out.variance  # |<X>_n - 1|, in place
-        np.abs(np.subtract(dev, 1.0, out=dev), out=dev)
-        var_p += _block_sums(dev, p)
-        var_2p += _block_sums(dev, 2.0 * p)
-        max_2p += _block_sums(out.max_abs, 2.0 * p)
-        if with_sum_inc:
-            total_2p += _block_sums(out.total_2p)
-        max_var_dev = max(max_var_dev, float(np.max(dev)))
-    return TerminalStatistics(
-        p=float(p),
-        count=count,
-        terminal=terminal,
-        sum_var_dev_p=math.fsum(var_p),
-        sum_var_dev_2p=math.fsum(var_2p),
-        sum_max_inc_2p=math.fsum(max_2p),
-        sum_total_inc_2p=math.fsum(total_2p),
-        max_var_dev=max_var_dev,
-    )
+        _run_chunks(_simulate_chunk, [piece for block in blocks for piece in block], threads)
+        for block in blocks:
+            for i, sums in enumerate(pooled):
+                sums.append(_block_sums([(piece[3], piece[4][i]) for piece in block], p))
+    return [
+        TerminalStatistics(
+            p=float(p),
+            count=count,
+            terminal=terminal,
+            sum_var_dev_p=math.fsum(b[0] for b in sums),
+            sum_var_dev_2p=math.fsum(b[1] for b in sums),
+            sum_max_inc_2p=math.fsum(b[2] for b in sums),
+            sum_total_inc_2p=math.fsum(b[3] for b in sums),
+            max_var_dev=max(b[4] for b in sums),
+        )
+        for terminal, sums in zip(terminals, pooled)
+    ]
 
 
-def _block_sums(values: np.ndarray, power: float = 1.0) -> list[float]:
-    """``np.sum(block ** power)`` for each block of ``_REDUCE_BLOCK`` values;
-    the power is taken a block at a time, so no temporary outgrows a block."""
-    blocks = (values[i : i + _REDUCE_BLOCK] for i in range(0, len(values), _REDUCE_BLOCK))
-    return [float(np.sum(b if power == 1.0 else b**power)) for b in blocks]
+def _block_sums(parts, p: float) -> tuple[float, float, float, float, float]:
+    """The pooled sums over one reduction block of one kernel's paths, from
+    the ``(length, _PathOutputs)`` of the block's chunks in path order: of
+    |<X>_n - 1|^p, |<X>_n - 1|^(2p), max|xi|^(2p) and sum|xi|^(2p) (0.0
+    where the chunks kept no such sum), and the largest |<X>_n - 1|."""
+    dev = _joined(parts, "variance")  # |<X>_n - 1|, in place
+    np.abs(np.subtract(dev, 1.0, out=dev), out=dev)
+    total = 0.0 if parts[0][1].total_2p is None else _block_sum(_joined(parts, "total_2p"))
+    return (_block_sum(dev, p), _block_sum(dev, 2.0 * p),
+            _block_sum(_joined(parts, "max_abs"), 2.0 * p), total, float(np.max(dev)))
+
+
+def _joined(parts, field: str) -> np.ndarray:
+    """The per-path values of ``field`` over one block, a new array unless
+    one chunk's row is the whole block; a chunk's float stands for each of
+    its paths."""
+    if len(parts) == 1:
+        length, value = parts[0][0], getattr(parts[0][1], field)
+        return np.full(length, value) if isinstance(value, float) else value
+    block = np.empty(sum(length for length, _ in parts))
+    at = 0
+    for length, out in parts:
+        block[at : at + length] = getattr(out, field)
+        at += length
+    return block
+
+
+def _block_sum(block: np.ndarray, power: float = 1.0) -> float:
+    """``np.sum(block ** power)``, the same floats whichever array holds the block."""
+    return float(np.sum(block if power == 1.0 else block**power))

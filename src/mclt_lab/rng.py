@@ -86,7 +86,9 @@ def stream_key(seed: int, stream: int = STREAM_SIMULATION) -> np.uint64:
 
 
 def _check_draws(draw_index) -> None:
-    if np.any(np.asarray(draw_index) >= MAX_DRAWS_PER_PATH):
+    # an int, as each simulation step passes, is compared without an array
+    if (draw_index >= MAX_DRAWS_PER_PATH if isinstance(draw_index, int)
+            else np.any(np.asarray(draw_index) >= MAX_DRAWS_PER_PATH)):
         raise ValueError(
             f"draw index exceeds the per-path budget of {MAX_DRAWS_PER_PATH}"
         )
@@ -122,8 +124,14 @@ def uniforms(key: np.uint64, path_index, draw_index) -> np.ndarray:
 
 
 def path_counter_base(path_index) -> np.ndarray:
-    """Precomputed path part ``(path << 20) * golden`` of the keyed counters."""
-    return (np.asarray(path_index, dtype=np.uint64) << np.uint64(_DRAW_BITS)) * _GOLDEN
+    """Precomputed path part ``(path << 20) * golden`` of the keyed counters.
+
+    The shift makes the one new array and the multiply runs in it, so no
+    temporary outlives the call.
+    """
+    base = np.left_shift(np.asarray(path_index, dtype=np.uint64), np.uint64(_DRAW_BITS))
+    base *= _GOLDEN
+    return base
 
 
 def uniforms_at(
@@ -143,6 +151,7 @@ def uniforms_at(
     scratch buffers hold no result and may be reused between calls.  A
     float64 ``out`` receives the uniforms, a uint64 one the raw mixed 64-bit
     words ``w`` they are made of: each uniform is ``(w >> 11) * 2**-53``.
+    A uint64 ``out`` uses only the second scratch buffer.
     With ``sign_only`` a uint64 ``out`` receives sign-only words, of which
     only bit 63 is valid, equal to bit 63 of ``w``: two passes fewer, for
     a caller that reads nothing else.

@@ -80,7 +80,9 @@ def check_padding(n: int, count: int, epsilon: float) -> None:
     (``kernels.check_bundle``)."""
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
-    total_length = n + math.floor(1.0 / (epsilon * epsilon)) + 1
+    # an eps^2 under 1/MAX_DRAWS_PER_PATH overruns the budget by itself, and
+    # 1/eps^2 need not be a finite float there, so it is clamped
+    total_length = n + math.floor(1.0 / max(epsilon * epsilon, 1.0 / rng.MAX_DRAWS_PER_PATH)) + 1
     if total_length >= rng.MAX_DRAWS_PER_PATH:
         raise ValueError("padded length exceeds the per-path draw budget")
     kernels.check_bundle(count, total_length)

@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from mclt_lab import cli, conditions
+from mclt_lab import cli, conditions, corpus
 
 RATES_CONFIG = {
     "kind": "rates",
@@ -60,6 +61,41 @@ def test_rates_reproducibility_and_thread_invariance(tmp_path):
         outs.append((out / "series.csv").read_bytes())
     assert outs[0] == outs[1]  # identical reruns byte for byte
     assert outs[0] == outs[2]  # worker count does not change results
+
+
+def test_rates_groups_keep_grid_order_and_bytes(tmp_path, monkeypatch):
+    # runs of equal M share a step loop; a cap of one point per group gives
+    # the bytes of points simulated one at a time
+    grid = [{"n": 16, "M": 2000}, {"n": 8, "M": 2000}, {"n": 32, "M": 1000},
+            {"n": 64, "M": 2000}, {"n": 4, "M": 2000}, {"n": 12, "M": 2000}]
+    doc = dict(RATES_CONFIG, grid=grid, bounds=["T1", "HB"])
+    groups = cli._rate_groups(cli.parse_config(doc).points)
+    assert [[point[0]["n"] for point in group] for group in groups] == [[16, 8], [32], [64, 4, 12]]
+    cfg = write_config(tmp_path, doc)
+    outputs = []
+    for name, cap in (("grouped", cli.GROUP_CELLS), ("capped", 4000), ("alone", 1999)):
+        monkeypatch.setattr(cli, "GROUP_CELLS", cap)
+        out = tmp_path / name
+        assert cli.main(["rates", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("series.csv", "manifest.json")])
+    assert [len(g) for g in cli._rate_groups(cli.parse_config(doc).points)] == [1] * 6
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("kernel", [
+    {"name": "three_point", "params": {"b": 10**400, "q": 0.5}},  # an int past float range
+    {"name": "three_point", "params": {"b": 1e308, "q": 0.5}},  # E xi^2 overflows
+    {"name": "two_point", "params": {"a": 1e308}},
+    {"name": "table", "params": {"steps": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]},
+                                           {"values": [-1e200, 1e200], "probs": [0.5, 0.5]}]}},
+])
+def test_step_law_past_float_range_is_config_error(tmp_path, capsys, kernel):
+    n = len(kernel["params"].get("steps", [None] * 4))
+    doc = dict(RATES_CONFIG, kernel=kernel, grid=[{"n": n, "M": 1000}])
+    out = tmp_path / "never"
+    assert cli.main(["rates", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "is not a finite float" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -300,6 +336,16 @@ def test_out_that_is_not_a_string_is_config_error(tmp_path, monkeypatch, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("epsilon", [1e-308, 5e-324, 2.0**-10.5])
+def test_transforms_check_epsilon_past_the_draw_budget_is_config_error(tmp_path, epsilon):
+    # 1/eps^2 underflows to a division by zero at 1e-308 and is no finite
+    # float at 5e-324; at 2**-10.5 it is 2**21, over the budget of 2**20
+    doc = dict(TRANSFORMS_CONFIG, grid=[{"n": 8}], epsilon=epsilon)
+    out = tmp_path / "never"
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [
     0,
     50_000_000 // 16 + 1,  # count * n just over the bundle memory guard, no epsilon
@@ -425,6 +471,22 @@ def test_lemma_suite_verify(tmp_path):
     assert "moment_interpolation_and_cap" in text
     assert "smoothing" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("s", [1e6, 2.0**64, 1e308])
+def test_lemma_suite_at_large_s(tmp_path, s):
+    # E|X|^s underflows to 0 for a law within (-1, 1) and overflows past it;
+    # eps then comes from log space and tends to the largest |atom|
+    doc = dict(LEMMA_CONFIG, s=s, t_grid=[2.5, 3.0])
+    out = tmp_path / "lemmas"
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "series.csv").read_text().splitlines()[1:]]
+    moments = [row for row in rows if row[0] == "moment_interpolation_and_cap"]
+    for (_, case, status, eps) in moments:
+        law = corpus.random_mean_zero_distribution(7, int(case))
+        top = max(abs(v) for v, p in zip(law.values, law.probs) if p > 0.0)
+        assert status == "pass"
+        assert math.isclose(float(eps), top, rel_tol=1e-9 if s > 1e6 else 1e-4)
 
 
 def test_transforms_check_verify(tmp_path):

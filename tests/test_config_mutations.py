@@ -3,7 +3,8 @@ working example exits 0, 1 or 2 and raises nothing, and exits 1 and 2 leave
 no output directory.
 
 A mutation replaces the value at one JSON path with null, a bool, a string,
-a huge int, NaN, +-inf, a list or an object.  A mutated config runs only when
+a huge int, NaN, +-inf, an ordinary number (0, -1, 0.5, 2.0000001, +-1e308
+and the subnormal edge 1e-308, 5e-324), a list or an object.  A mutated config runs only when
 its work stays within twice the example's own (path steps, Lipschitz
 outcomes, corpus items); the budget is fixed per kind, never raised to let a
 config through.
@@ -96,6 +97,7 @@ REPLACEMENTS = st.one_of(
     st.text(max_size=3),
     st.sampled_from([2**64, -(2**64), 10**400]),
     st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([0, -1, 0.5, 2.0000001, 1e308, -1e308, 1e-308, 5e-324]),
     st.lists(st.integers(-2, 2), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
 )

@@ -22,6 +22,7 @@ from mclt_lab.kernels import (
     rademacher_two_point,
     sample_paths,
     sample_terminal,
+    sample_terminals,
 )
 
 
@@ -440,7 +441,7 @@ def test_engine_matches_scalar_reference(kernel):
         # ulp of difference on a few paths
         out = kernels._PathOutputs(terminal=np.zeros(count), variance=np.zeros(count),
                                    max_abs=np.zeros(count), total_2p=np.zeros(count))
-        kernels._simulate_chunk(kernel, rng.stream_key(8, rng.STREAM_SIMULATION), 0, count, out, p)
+        kernels._simulate_chunk((kernel,), rng.stream_key(8, rng.STREAM_SIMULATION), 0, count, (out,), p)
         for got, want in zip((out.terminal, out.variance, out.max_abs, out.total_2p),
                              (terminal, variances[:, -1], max_abs, total_2p)):
             assert _same_bits(got, want)
@@ -452,6 +453,62 @@ def test_engine_matches_scalar_reference(kernel):
             assert _same_bits(stats.terminal, terminal)
             assert (stats.sum_var_dev_p, stats.sum_var_dev_2p, stats.sum_max_inc_2p,
                     stats.sum_total_inc_2p, stats.max_var_dev) == expected
+
+
+def _grid(name, points, **params):
+    return [m.make_kernel(name, n=n, **dict(params, **extra)) for n, extra in points]
+
+
+# rates grids as parse_config builds them: points that mix n and the
+# entry's kernel_params, over fair, finite non-fair, drift and sampled laws,
+# and one call with every reference kernel, so that steps mix the three
+# forms of the words
+GRIDS = {
+    "fair": _grid("iid_rademacher", [(5, {}), (33, {}), (12, {})]),
+    "two_point": _grid("two_point", [(4, {"a": 0.5}), (9, {"a": 0.25})]),
+    "three_point": _grid("three_point", [(6, {"q": 0.5}), (11, {"q": 0.25}), (3, {"b": 0.7})],
+                         b=0.25, q=0.5),
+    "variance_drift": _grid("variance_drift", [(8, {"d": 0.2}), (16, {"d": 0.6}), (5, {"d": 0.9})]),
+    "iid_gaussian": _grid("iid_gaussian", [(3, {}), (8, {})]),
+    "mixed": [k for k in REFERENCE_KERNELS if isinstance(k, ConditionalKernel)],
+}
+
+
+def _same_statistics(got: TerminalStatistics, want: TerminalStatistics) -> bool:
+    fields = ("p", "count", "sum_var_dev_p", "sum_var_dev_2p", "sum_max_inc_2p",
+              "sum_total_inc_2p", "max_var_dev")
+    return (_same_bits(got.terminal, want.terminal)
+            and [repr(getattr(got, f)) for f in fields] == [repr(getattr(want, f)) for f in fields])
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_grid_step_loop_matches_each_point_alone(grid):
+    kernels_ = GRIDS[grid]
+    count, p = 3000, 1.5
+    alone = [sample_terminal(k, 4, count, p=p, with_sum_inc=True) for k in kernels_]
+    for chunk_size in (1 << 16, 777):
+        for threads in (1, 2, 5):
+            together = sample_terminals(kernels_, 4, count, p=p, with_sum_inc=True,
+                                        chunk_size=chunk_size, threads=threads)
+            assert len(together) == len(kernels_)
+            for got, want in zip(together, alone):
+                assert _same_statistics(got, want)
+
+
+def test_grid_step_loop_over_several_reduction_blocks():
+    # windows of two blocks (threads=1) and a last one of 3000 paths; the
+    # three drift kernels share one chunk length, so each block takes two
+    # chunks
+    kernels_ = GRIDS["fair"] + GRIDS["variance_drift"]
+    count = 4 * kernels._REDUCE_BLOCK + 3000
+    together = sample_terminals(kernels_, 2, count, p=1.0, chunk_size=1 << 17)
+    for kernel, got in zip(kernels_, together):
+        assert _same_statistics(got, sample_terminal(kernel, 2, count))
+
+
+def test_grid_step_loop_needs_a_kernel():
+    with pytest.raises(KernelError):
+        sample_terminals([], 1, 1000)
 
 
 def _nudged(k: int) -> st.SearchStrategy:
@@ -494,10 +551,15 @@ def test_fair_law_selects_on_the_sign_bit(a, first_negative, random_words):
     assert table.sign_base is not None
     candidates = [0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, *random_words]
     words = np.array(candidates, dtype=np.uint64)
-    # a single fair regime writes the increments over its words
-    xi = table.draw(words, None, None, None, None)
-    assert np.shares_memory(xi, words)
-    assert _same_bits(xi, [-first if (z >> 11) >= 1 << 52 else first for z in candidates])
+    want = [-first if (z >> 11) >= 1 << 52 else first for z in candidates]
+    spare = np.empty_like(words)
+    # from the sign bits alone, a single fair regime writes the increments
+    # into the spare buffer
+    xi = table.draw(words & kernels._SIGN, True, None, spare, None, None)
+    assert np.shares_memory(xi, spare)
+    assert _same_bits(xi, want)
+    # and from the 53-bit words of a step that also serves other tables
+    assert _same_bits(table.draw(words >> np.uint64(11), False, None, spare, None, None), want)
 
 
 @pytest.mark.parametrize("regimes, fair", [
@@ -627,7 +689,7 @@ def test_max_abs_runs_per_path_only_above_the_floor(kernel, maxima, floors):
     max_abs.calls = {}
     out = kernels._PathOutputs(terminal=np.zeros(count), variance=np.zeros(count),
                                max_abs=max_abs)
-    kernels._simulate_chunk(kernel, rng.stream_key(3, rng.STREAM_SIMULATION), 0, count, out, 1.0)
+    kernels._simulate_chunk((kernel,), rng.stream_key(3, rng.STREAM_SIMULATION), 0, count, (out,), 1.0)
     # the last maximum writes the floor into every path's max
     assert max_abs.calls.get(("maximum", "__call__"), 0) == maxima + 1
     assert max_abs.calls.get(("minimum", "reduce"), 0) == floors

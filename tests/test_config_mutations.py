@@ -4,10 +4,10 @@ no output directory.
 
 A mutation replaces the value at one JSON path with null, a bool, a string,
 a huge int, NaN, +-inf, an ordinary number (0, -1, 0.5, 2.0000001, +-1e308
-and the subnormal edge 1e-308, 5e-324), a list or an object.  A mutated config runs only when
-its work stays within twice the example's own (path steps, Lipschitz
-outcomes, corpus items); the budget is fixed per kind, never raised to let a
-config through.
+and the subnormal edge 1e-308, 5e-324), a list or an object.  A mutated
+config runs only when its work stays within twice the example's own (path
+steps, Lipschitz outcomes, corpus items); the budget is fixed per kind,
+never raised to let a config through.
 """
 
 import copy

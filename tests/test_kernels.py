@@ -506,6 +506,28 @@ def test_grid_step_loop_over_several_reduction_blocks():
         assert _same_statistics(got, sample_terminal(kernel, 2, count))
 
 
+@pytest.mark.parametrize("kernel, rows", [
+    # one |value| per step: every sum is one float, no row is allocated
+    (m.make_kernel("iid_rademacher", n=9), ()),
+    # two regimes: <X> and sum |xi|^(2p) per path; max |xi| reaches the
+    # high magnitude on every path at step 1, so its row is dropped again
+    (m.make_kernel("variance_drift", n=9, d=0.3), ("variance", "total_2p")),
+    # a zero atom: some paths stay below the largest |value|
+    (m.make_kernel("three_point", n=9, b=0.4, q=0.3), ("max_abs", "total_2p")),
+], ids=lambda v: v.label.split("(")[0] if isinstance(v, ConditionalKernel) else str(v))
+def test_sums_equal_on_every_path_stay_floats(kernel, rows):
+    count = 500
+    out = kernels._PathOutputs(terminal=np.zeros(count), max_abs=0.0, total_2p=0.0)
+    kernels._simulate_chunk((kernel,), rng.stream_key(3, rng.STREAM_SIMULATION), 0, count, (out,), 1.0)
+    paths = sample_paths(kernel, 3, count)
+    max_abs, total_2p = _reference_sums(paths.increments, 1.0)
+    for field, want in (("variance", paths.variances[:, -1]), ("max_abs", max_abs),
+                        ("total_2p", total_2p)):
+        value = getattr(out, field)
+        assert isinstance(value, np.ndarray) == (field in rows)
+        assert _same_bits(np.broadcast_to(value, count), want)
+
+
 def test_grid_step_loop_needs_a_kernel():
     with pytest.raises(KernelError):
         sample_terminals([], 1, 1000)

@@ -239,6 +239,9 @@ class JointLaw:
     def validate(self) -> None:
         if not (len(self.x) == len(self.y) == len(self.probs)) or not self.x:
             raise ValueError("joint law arrays must be equal-length and non-empty")
+        # NaN fails every comparison below, so it has to be refused here
+        if not all(math.isfinite(v) for v in (*self.x, *self.y, *self.probs)):
+            raise ValueError("non-finite joint law value or probability")
         if any(p < 0.0 for p in self.probs):
             raise ValueError("negative joint probabilities")
         total = math.fsum(self.probs)

@@ -46,7 +46,7 @@ from .distance import KolmogorovEstimate, exact_kolmogorov_discrete, fit_rate, k
 from .kernels import (
     KernelError,
     check_bundle,
-    kernel_from_config,
+    make_kernel,
     sample_paths,
     # unused here; perfbench's tracer wraps this binding and its self-test
     # asserts that it does
@@ -73,6 +73,11 @@ from .transforms import (
 )
 
 KINDS = ("rates", "bounds-table", "lemma-suite", "lipschitz", "transforms-check")
+#: The ``series.csv`` columns of ``rates`` and ``lipschitz`` runs, before one
+#: per bound id, shared on purpose: a row is one distance, estimated or exact.
+#: A ``lipschitz`` row writes the support size as M and d_exact as d_hat,
+#: dkw_lo and dkw_hi.
+_DISTANCE_COLUMNS = ["grid_point", "M", "d_hat", "dkw_lo", "dkw_hi", "epsilon", "delta"]
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -229,7 +234,7 @@ def _kernel_for_entry(ref, entry: dict):
         params.update(entry.get("kernel_params", {}))
         if "n" in entry:
             params["n"] = int(entry["n"])
-        kernel = kernel_from_config({"name": ref["name"], "params": params})
+        kernel = make_kernel(ref["name"], **params)
     # KernelError, a parameter of the wrong form, or one the family does not take
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"kernel reference invalid: {exc}") from None
@@ -497,7 +502,7 @@ def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dic
             }
         except ValueError as exc:
             notes.append(f"rate fit skipped: {exc}")
-    header = ["grid_point", "M", "d_hat", "dkw_lo", "dkw_hi", "epsilon", "delta"] + list(cfg.bounds)
+    header = _DISTANCE_COLUMNS + list(cfg.bounds)
     stager.write_text("series.csv", _csv(header, rows, comment=f"log_convention={LOG_CONVENTION}"))
     return _manifest(cfg, records, fit, notes)
 
@@ -641,7 +646,7 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
             [abscissa, len(support), d_exact, d_exact, d_exact, eps_n, delta_n]
             + [bound_values[b] for b in cfg.bounds]
         )
-    header = ["grid_point", "M", "d_hat", "dkw_lo", "dkw_hi", "epsilon", "delta"] + list(cfg.bounds)
+    header = _DISTANCE_COLUMNS + list(cfg.bounds)
     stager.write_text("series.csv", _csv(header, rows, comment=f"log_convention={LOG_CONVENTION}"))
     return _manifest(cfg, records, None, notes)
 

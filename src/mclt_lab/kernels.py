@@ -35,7 +35,6 @@ __all__ = [
     "KernelError",
     "InvalidKernelError",
     "make_kernel",
-    "kernel_from_config",
     "check_bundle",
     "sample_paths",
     "sample_terminal",
@@ -436,10 +435,6 @@ def _make_iid_scaled(n: int, values: Sequence[float], probs: Sequence[float]) ->
     return _IidKernel(f"iid_scaled(n={n})", n, dist)
 
 
-def _make_variance_drift(n: int, d: float) -> ConditionalKernel:
-    return VarianceDriftKernel(n, d)
-
-
 def _make_iid_gaussian(n: int) -> ConditionalKernel:
     sigma = 1.0 / math.sqrt(n)
 
@@ -471,7 +466,7 @@ KERNEL_FAMILIES: dict[str, Callable[..., ConditionalKernel]] = {
     "iid_scaled": _make_iid_scaled,
     "two_point": _make_two_point,
     "three_point": _make_three_point,
-    "variance_drift": _make_variance_drift,
+    "variance_drift": VarianceDriftKernel,
     "iid_gaussian": _make_iid_gaussian,
     "table": _make_table,
 }
@@ -484,13 +479,6 @@ def make_kernel(name: str, **params) -> ConditionalKernel:
     except KeyError:
         raise KernelError(f"unknown kernel family {name!r}") from None
     return family(**params)
-
-
-def kernel_from_config(ref: dict) -> ConditionalKernel:
-    """Build a kernel from a config reference ``{"name": ..., "params": {...}}``."""
-    if not isinstance(ref, dict) or "name" not in ref:
-        raise KernelError("kernel reference must be an object with a 'name' field")
-    return make_kernel(ref["name"], **ref.get("params", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +662,7 @@ class _StepTable:
                 np.bitwise_xor(spare, base, out=spare)
             return spare.view(np.float64)
         if self.sampler is not None:
-            np.multiply(words, 2.0**-53, out=xi)  # the uniforms, as rng.uniforms_at makes them
+            np.multiply(words, 2.0**-53, out=xi)  # the uniforms, as rng.uniforms makes them
             # an inverse CDF maps each uniform alone, so it runs on blocks
             # whose temporaries are reused from the heap, not mapped afresh
             for at in range(0, len(xi), _SAMPLER_BLOCK):
@@ -750,10 +738,10 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
 class _PathOutputs:
     """One kernel's per-path results over the paths of one chunk.
 
-    ``variance``, ``max_abs`` and ``total_2p`` are each a zero row that the
-    chunk fills, or a float, 0.0 on entry, that the chunk replaces with its
-    result: the value of every path while that is the same on every path,
-    else a row of its own.  None asks for no such sum.
+    ``variance``, ``max_abs`` and ``total_2p`` are each 0.0 on entry, and
+    the chunk replaces it with its result: the value of every path while
+    that is the same on every path, else a row of its own.  None asks for
+    no such sum.
     """
 
     terminal: np.ndarray | None  # X_n; None where only the increments are kept
@@ -766,61 +754,35 @@ class _PathOutputs:
 
 class _RunningSum:
     """A per-path running sum that stays one float while it is the same on
-    every path.
+    every path, and becomes a row with the first value that differs between
+    paths.  Either way every path adds the same floats in the same order."""
 
-    ``row`` is a zero row that receives the sums, or None, and then a row is
-    allocated by the first value that differs between paths.  Either way
-    every path adds the same floats in the same order.
-    """
+    __slots__ = ("value", "count")
 
-    __slots__ = ("acc", "row", "count")
-
-    def __init__(self, row, count: int):
-        self.acc = 0.0  # every path's sum; None once the sums are in the row
-        self.row = row if isinstance(row, np.ndarray) else None
+    def __init__(self, count: int):
+        self.value = 0.0  # every path's sum, or the row of them
         self.count = count
 
     def add(self, value) -> None:
         """Add ``value``: a float for every path, or one per path."""
-        if self.acc is not None:
-            if isinstance(value, float):
-                self.acc += value
-                return
-            if self.row is None:
-                self.row = np.full(self.count, self.acc)
-            else:
-                self.row += self.acc
-            self.acc = None
-        self.row += value
-
-    @property
-    def current(self):
-        return self.row if self.acc is None else self.acc
-
-    def result(self):
-        """The sums: the row, or the float where no row was given and no
-        per-path value came."""
-        if self.acc is not None and self.row is not None:
-            self.row += self.acc
-            self.acc = None
-        return self.current
+        if isinstance(self.value, float) and not isinstance(value, float):
+            self.value = np.full(self.count, self.value)
+        self.value += value
 
 
 class _RunningMax:
     """max_i |xi_i| per path: a floor that every path's maximum has reached,
     and a row only while some path may lie above it.
 
-    A given zero row is used from the first per-path step on and receives
-    the maxima.  Otherwise the first per-path step allocates a row, and a
-    finite table's step drops it again once no path lies above the floor.
+    The first per-path step allocates the row, and a finite table's step
+    drops it again once no path lies above the floor.
     """
 
-    __slots__ = ("floor", "row", "given", "count")
+    __slots__ = ("floor", "row", "count")
 
-    def __init__(self, row, count: int):
+    def __init__(self, count: int):
         self.floor = 0.0
-        self.given = isinstance(row, np.ndarray)
-        self.row = row if self.given else None
+        self.row = None
         self.count = count
 
     def take(self, inc: np.ndarray, scratch: np.ndarray, finite: bool) -> None:
@@ -832,7 +794,7 @@ class _RunningMax:
             np.maximum(self.row, np.abs(inc, out=scratch), out=self.row)
         if finite:
             self.floor = max(self.floor, float(self.row.min()))
-            if not self.given and float(self.row.max()) <= self.floor:
+            if float(self.row.max()) <= self.floor:
                 self.row = None
 
     def result(self):
@@ -849,17 +811,17 @@ class _ChunkPoint:
 
     def __init__(self, kernel: ConditionalKernel, out: _PathOutputs, count: int):
         self.kernel, self.out = kernel, out
-        self.variance = _RunningSum(out.variance, count)
-        self.max_abs = None if out.max_abs is None else _RunningMax(out.max_abs, count)
-        self.total_2p = None if out.total_2p is None else _RunningSum(out.total_2p, count)
+        self.variance = _RunningSum(count)
+        self.max_abs = None if out.max_abs is None else _RunningMax(count)
+        self.total_2p = None if out.total_2p is None else _RunningSum(count)
         self.state = kernel.batch_init(count)
 
     def finish(self) -> None:
-        self.out.variance = self.variance.result()
+        self.out.variance = self.variance.value
         if self.max_abs is not None:
             self.out.max_abs = self.max_abs.result()
         if self.total_2p is not None:
-            self.out.total_2p = self.total_2p.result()
+            self.out.total_2p = self.total_2p.value
 
 
 def _simulate_chunk(kernels, key, start, count, outs, p):
@@ -908,8 +870,7 @@ def _simulate_chunk(kernels, key, start, count, outs, p):
         active = [(point, table_at(point.kernel, step)) for point in points
                   if point.kernel.n >= step]
         signs = all(table.sign_base is not None for _, table in active)
-        rng.uniforms_at(key, ctr_base, step - 1, out=words, scratch=(spare, spare),
-                        sign_only=signs)
+        rng.uniforms_at(key, ctr_base, step - 1, out=words, scratch=spare, sign_only=signs)
         if signs:
             np.bitwise_and(words, _SIGN, out=words)
         else:
@@ -934,7 +895,7 @@ def _simulate_chunk(kernels, key, start, count, outs, p):
                                else table.select(table.m2, regime, gathered))
             if out.increments is not None:
                 out.increments[:, step - 1] = inc
-                out.variances[:, step] = point.variance.current
+                out.variances[:, step] = point.variance.value
             if point.max_abs is not None:
                 if table.abs_value is not None:
                     point.max_abs.floor = max(point.max_abs.floor, table.abs_value)
@@ -970,6 +931,16 @@ def _run_chunks(fn, pieces, threads: int):
         return [f.result() for f in futures]
 
 
+def _check_run(kernels, count: int) -> None:
+    """Refuse a run without a kernel or a path, or past the draw budget."""
+    if not kernels:
+        raise KernelError("no kernel to simulate")
+    if count < 1:
+        raise KernelError("count must be >= 1")
+    if any(kernel.n >= rng.MAX_DRAWS_PER_PATH for kernel in kernels):
+        raise KernelError("path length exceeds the per-path draw budget")
+
+
 def check_bundle(count: int, length: int) -> None:
     """Reject a bundle of ``count`` paths of ``length`` steps unless it holds
     at least one path and ``count * length`` fits ``BUNDLE_CELL_GUARD``."""
@@ -995,9 +966,8 @@ def sample_paths(
     thread assignment: replicate j always consumes the words of its own
     counter stream.
     """
+    _check_run((kernel,), count)
     check_bundle(count, kernel.n)
-    if kernel.n >= rng.MAX_DRAWS_PER_PATH:
-        raise KernelError("path length exceeds the per-path draw budget")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
     n = kernel.n
     # Each chunk fills arrays of its own, joined below and freed on return.
@@ -1007,7 +977,6 @@ def sample_paths(
     pieces = [
         ((kernel,), key, start, size, (_PathOutputs(
             terminal=None,
-            variance=np.zeros(size),
             increments=np.empty((size, n)),
             variances=np.zeros((size, n + 1)),
         ),), 1.0)
@@ -1060,14 +1029,9 @@ def sample_terminals(
     kernel would get.
     """
     kernels = tuple(kernels)
-    if not kernels:
-        raise KernelError("no kernel to simulate")
-    if count < 1:
-        raise KernelError("count must be >= 1")
+    _check_run(kernels, count)
     if p < 1.0:
         raise KernelError("p must be >= 1")
-    if any(kernel.n >= rng.MAX_DRAWS_PER_PATH for kernel in kernels):
-        raise KernelError("path length exceeds the per-path draw budget")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
     terminals = [np.zeros(count) for _ in kernels]
     # a kernel's batch state holds a few values per path of the chunk

@@ -94,20 +94,6 @@ def _check_draws(draw_index) -> None:
         )
 
 
-def _uniforms_into(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The word -> uniform core, in place.
-
-    ``z`` holds the keyed counters ``key + counter * golden`` and is consumed;
-    ``scratch`` is a uint64 buffer of the same shape.  The float64 ``out``
-    receives the uniforms ``(w >> 11) * 2**-53`` of the mixed words ``w``, on
-    the 53-bit grid of [0, 1).
-    """
-    _mix_into(z, scratch)
-    np.right_shift(z, _S11, out=z)
-    np.multiply(z, 2.0**-53, out=out)  # exact: every shifted word is below 2**53
-    return out
-
-
 def uniforms(key: np.uint64, path_index, draw_index) -> np.ndarray:
     """Uniform [0, 1) variates at the given (path, draw) counters.
 
@@ -120,7 +106,10 @@ def uniforms(key: np.uint64, path_index, draw_index) -> np.ndarray:
     z = np.atleast_1d((paths << np.uint64(_DRAW_BITS)) | draws)
     np.multiply(z, _GOLDEN, out=z)
     np.add(z, np.uint64(key), out=z)
-    return _uniforms_into(z, np.empty_like(z), np.empty(z.shape))
+    _mix_into(z, np.empty_like(z))
+    np.right_shift(z, _S11, out=z)
+    # exact: every shifted word is below 2**53, so the uniforms lie on the 53-bit grid of [0, 1)
+    return np.multiply(z, 2.0**-53)
 
 
 def path_counter_base(path_index) -> np.ndarray:
@@ -139,31 +128,24 @@ def uniforms_at(
     counter_base: np.ndarray,
     draw_index: int,
     out: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
+    scratch: np.ndarray,
     sign_only: bool = False,
 ) -> np.ndarray:
-    """Fast path for simulation loops: the uniforms of ``uniforms(key, paths,
-    draw_index)`` with ``counter_base = path_counter_base(paths)``, written
-    into and returned as ``out``.
+    """Fast path for simulation loops: the mixed 64-bit words ``w`` of
+    ``uniforms(key, paths, draw_index)``, with ``counter_base =
+    path_counter_base(paths)``, written into and returned as ``out``.  Each
+    uniform is ``(w >> 11) * 2**-53``.
 
-    ``out`` and ``scratch`` (two uint64 buffers), each shaped like
-    ``counter_base``, let a loop draw every step without allocating; the
-    scratch buffers hold no result and may be reused between calls.  A
-    float64 ``out`` receives the uniforms, a uint64 one the raw mixed 64-bit
-    words ``w`` they are made of: each uniform is ``(w >> 11) * 2**-53``.
-    A uint64 ``out`` uses only the second scratch buffer.
-    With ``sign_only`` a uint64 ``out`` receives sign-only words, of which
-    only bit 63 is valid, equal to bit 63 of ``w``: two passes fewer, for
-    a caller that reads nothing else.
+    ``out`` and ``scratch`` are uint64 buffers shaped like ``counter_base``,
+    so a loop draws every step without allocating; ``scratch`` holds no
+    result and may be reused between calls.  With ``sign_only`` ``out``
+    receives sign-only words, of which only bit 63 is valid, equal to bit 63
+    of ``w``: two passes fewer, for a caller that reads nothing else.
     """
     _check_draws(draw_index)
-    z, spare = scratch
     # draw_index < 2**20 fills the low counter bits, so mod 2**64
     # key + ((path << 20) | draw) * golden == base + (key + draw * golden)
     draw_part = np.uint64((int(key) + int(draw_index) * int(_GOLDEN)) & _U64_MASK)
-    if out.dtype == np.uint64:
-        np.add(counter_base, draw_part, out=out)
-        _mix_into(out, spare, sign_only)
-        return out
-    np.add(counter_base, draw_part, out=z)
-    return _uniforms_into(z, spare, out)
+    np.add(counter_base, draw_part, out=out)
+    _mix_into(out, scratch, sign_only)
+    return out

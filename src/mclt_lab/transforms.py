@@ -153,17 +153,22 @@ def padding_ratio_report(padded: PaddedCollection, rho: float) -> dict:
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    scales = padded.step_scales
-    eps_rho = padded.epsilon**rho
-    # m**rho (= E|xi|^(2+rho) / E[xi^2]) in Python floats, once per distinct
-    # scale: np.power can differ from it in the last ulp
+    scales, eps = padded.step_scales, padded.epsilon
     values = np.unique(scales)
-    powers = np.array([m**rho for m in values.tolist()])
+    unit = eps**rho
+    with np.errstate(over="ignore"):  # a ratio past float range is inf
+        if unit > 0.0:
+            # m**rho (= E|xi|^(2+rho) / E[xi^2]) in Python floats, once per
+            # distinct scale: np.power can differ from it in the last ulp
+            powers = np.array([m**rho for m in values.tolist()])
+        else:  # eps**rho underflows to 0: compare (m/eps)**rho with 1
+            powers, unit = (values / eps) ** rho, 1.0
+        ratios = powers / unit
     cell = np.searchsorted(values, scales)
-    holds = ~(powers > eps_rho * (1.0 + RATIO_TOL))[cell].any(axis=1)
-    equality_steps = np.count_nonzero((powers == eps_rho)[cell], axis=1)
+    holds = ~(powers > unit * (1.0 + RATIO_TOL))[cell].any(axis=1)
+    equality_steps = np.count_nonzero((powers == unit)[cell], axis=1)
     # a NaN scale (from a variance dip in the kept steps) fails no comparison
-    worst_ratio = np.fmax.reduce((powers / eps_rho)[cell], axis=1, initial=0.0)
+    worst_ratio = np.fmax.reduce(ratios[cell], axis=1, initial=0.0)
     return {
         "holds": holds,
         "worst_ratio": worst_ratio,

@@ -214,6 +214,19 @@ def test_smoothing_rejects_invalid_joint():
         )
 
 
+@pytest.mark.parametrize("law", [
+    # with a NaN the masses sum to NaN, which the tolerance check lets pass
+    JointLaw(x=(-1.0, 1.0), y=(0.0, 0.0), probs=(math.nan, 1.0)),
+    JointLaw(x=(-1.0, math.inf), y=(0.0, 0.0), probs=(0.5, 0.5)),
+    JointLaw(x=(-1.0, 1.0), y=(math.nan, 0.0), probs=(0.5, 0.5)),
+], ids=["nan_prob", "inf_x", "nan_y"])
+def test_joint_law_refuses_non_finite_entries(law):
+    with pytest.raises(ValueError, match="non-finite"):
+        law.validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_smoothing_lemma(law, 1.0)
+
+
 def test_smoothing_distances_once_per_law(monkeypatch):
     calls = []
     original = bounds.exact_kolmogorov_discrete

@@ -439,12 +439,12 @@ def test_engine_matches_scalar_reference(kernel):
         max_abs, total_2p = _reference_sums(increments, p)
         # the per-path sums of one chunk: the pooled sums below can hide an
         # ulp of difference on a few paths
-        out = kernels._PathOutputs(terminal=np.zeros(count), variance=np.zeros(count),
-                                   max_abs=np.zeros(count), total_2p=np.zeros(count))
+        out = kernels._PathOutputs(terminal=np.zeros(count), max_abs=0.0, total_2p=0.0)
         kernels._simulate_chunk((kernel,), rng.stream_key(8, rng.STREAM_SIMULATION), 0, count, (out,), p)
+        # a float stands for the same value on every path
         for got, want in zip((out.terminal, out.variance, out.max_abs, out.total_2p),
                              (terminal, variances[:, -1], max_abs, total_2p)):
-            assert _same_bits(got, want)
+            assert _same_bits(np.broadcast_to(got, count), want)
         expected = (float(np.sum(dev**p)), float(np.sum(dev ** (2.0 * p))),
                     float(np.sum(max_abs ** (2.0 * p))), float(np.sum(total_2p)), float(np.max(dev)))
         for chunk_size, threads in ((1 << 16, 1), (37, 2)):
@@ -681,18 +681,6 @@ def test_variance_drift_batch_state_follows_the_scalar_state(d, n, seed):
         assert cancelled
 
 
-class _CountingArray(np.ndarray):
-    """An array that counts the ufunc calls it takes part in, by (ufunc, method)."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        self.calls[ufunc.__name__, method] = self.calls.get((ufunc.__name__, method), 0) + 1
-        plain = tuple(x.view(np.ndarray) if isinstance(x, _CountingArray) else x for x in inputs)
-        if out is not None:
-            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _CountingArray) else x
-                                  for x in out)
-        return getattr(ufunc, method)(*plain, **kwargs)
-
-
 @pytest.mark.parametrize("kernel, maxima, floors", [
     # step 1 is high on every path, so the floor reaches high_mag there and
     # the other steps take no per-path max
@@ -705,18 +693,22 @@ class _CountingArray(np.ndarray):
     # per path at steps 1, 3 and 6 only
     (_MAX_FLOOR, 3, 3),
 ], ids=lambda v: v.label.split("(")[0] if isinstance(v, ConditionalKernel) else str(v))
-def test_max_abs_runs_per_path_only_above_the_floor(kernel, maxima, floors):
+def test_max_abs_runs_per_path_only_above_the_floor(kernel, maxima, floors, monkeypatch):
     count = 500
-    max_abs = np.zeros(count).view(_CountingArray)
-    max_abs.calls = {}
-    out = kernels._PathOutputs(terminal=np.zeros(count), variance=np.zeros(count),
-                               max_abs=max_abs)
+    takes = []  # the finite flag of each per-path maximum; a finite one raises the floor
+    take = kernels._RunningMax.take
+
+    def counted(self, inc, scratch, finite):
+        takes.append(finite)
+        take(self, inc, scratch, finite)
+
+    monkeypatch.setattr(kernels._RunningMax, "take", counted)
+    out = kernels._PathOutputs(terminal=np.zeros(count), max_abs=0.0)
     kernels._simulate_chunk((kernel,), rng.stream_key(3, rng.STREAM_SIMULATION), 0, count, (out,), 1.0)
-    # the last maximum writes the floor into every path's max
-    assert max_abs.calls.get(("maximum", "__call__"), 0) == maxima + 1
-    assert max_abs.calls.get(("minimum", "reduce"), 0) == floors
+    assert len(takes) == maxima
+    assert takes.count(True) == floors
     increments = sample_paths(kernel, 3, count).increments
-    assert _same_bits(max_abs.view(np.ndarray), np.abs(increments).max(axis=1))
+    assert _same_bits(np.broadcast_to(out.max_abs, count), np.abs(increments).max(axis=1))
 
 
 def test_uniform_on_a_cumulative_probability_selects_the_upper_atom():

@@ -82,26 +82,29 @@ def test_draw_budget_guard():
     with pytest.raises(ValueError):
         rng.uniforms_at(rng.stream_key(1), rng.path_counter_base(np.arange(2)), rng.MAX_DRAWS_PER_PATH,
                         *_block_buffers(2))
+    # the last draw of the budget is the word of the integer oracle
+    key, base = rng.stream_key(1), rng.path_counter_base(np.arange(2))
+    last = rng.MAX_DRAWS_PER_PATH - 1
+    words = rng.uniforms_at(key, base, last, *_block_buffers(2))
+    assert words.tolist() == [word_int(1, rng.STREAM_SIMULATION, j, last) for j in range(2)]
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, rng.uniforms(key, np.arange(2), last))
 
 
 def _block_buffers(count):
-    return np.empty(count), (np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64))
+    """The word and scratch buffers of ``rng.uniforms_at``."""
+    return np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64)
 
 
 def test_fast_block_path_is_identical():
     key = rng.stream_key(99)
     idx = np.arange(1000, dtype=np.uint64)
     base = rng.path_counter_base(idx)
-    out, scratch = _block_buffers(1000)
-    words = np.empty(1000, dtype=np.uint64)
+    words, scratch = _block_buffers(1000)
     for draw in (0, 1, 511):  # the buffers are reused across draws
-        assert rng.uniforms_at(key, base, draw, out, scratch) is out
-        assert np.array_equal(rng.uniforms(key, idx, draw), out)
-        # a uint64 out receives the raw mixed words of the same uniforms:
-        # shifted right by 11 they are the 53-bit words u * 2**53
         assert rng.uniforms_at(key, base, draw, words, scratch) is words
         assert words.tolist() == [word_int(99, rng.STREAM_SIMULATION, j, draw) for j in range(1000)]
-        assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, out)
+        # shifted right by 11 the words are the 53-bit words u * 2**53
+        assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, rng.uniforms(key, idx, draw))
 
 
 U64 = st.integers(min_value=0, max_value=MASK)
@@ -113,12 +116,20 @@ def test_sign_only_words_keep_the_sign_bit(key, counters, draw):
     keyed = [0, (1 << 63) - 1, 1 << 63, MASK, *((key + c) & MASK for c in counters)]
     draw_part = (key + draw * GOLDEN) & MASK
     base = np.array([(z - draw_part) & MASK for z in keyed], dtype=np.uint64)
-    words, scratch = np.empty(len(base), dtype=np.uint64), _block_buffers(len(base))[1]
+    words, scratch = _block_buffers(len(base))
     assert rng.uniforms_at(np.uint64(key), base, draw, words, scratch, sign_only=True) is words
     assert [int(w) >> 63 for w in words] == [mix64_int(z) >> 63 for z in keyed]
-    # the uniforms of the same counters stay those of the full mix
-    full = rng.uniforms_at(np.uint64(key), base, draw, np.empty(len(base)), scratch)
-    assert full.tolist() == [(mix64_int(z) >> 11) * 2.0**-53 for z in keyed]
+    # the full words of the same counters stay those of the full mix, and
+    # so do their uniforms
+    full = rng.uniforms_at(np.uint64(key), base, draw, *_block_buffers(len(base)))
+    assert full.tolist() == [mix64_int(z) for z in keyed]
+    assert ((full >> np.uint64(11)) * 2.0**-53).tolist() == [(mix64_int(z) >> 11) * 2.0**-53
+                                                             for z in keyed]
+    # counters of whole paths: the uniforms are those of rng.uniforms
+    paths = np.array([c & ((1 << 44) - 1) for c in counters], dtype=np.uint64)
+    words = rng.uniforms_at(np.uint64(key), rng.path_counter_base(paths), draw,
+                            *_block_buffers(len(paths)))
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, rng.uniforms(np.uint64(key), paths, draw))
 
 
 def test_normals_are_standard():

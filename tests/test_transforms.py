@@ -87,6 +87,22 @@ def test_padding_ratio_flags_undersized_epsilon():
     assert not report["holds"][0]
 
 
+def test_padding_ratio_when_eps_to_the_rho_underflows():
+    # 0.3**1000 and 0.2**600 are 0.0 in floats, and so are the powers of
+    # the high steps of size sqrt(1.2 / 16) = 0.274
+    paths = sample_paths(m.make_kernel("variance_drift", n=16, d=0.2), seed=3, count=50)
+    padded = pad_collection(paths, epsilon=0.3, seed=3)
+    report = padding_ratio_report(padded, rho=1000.0)
+    # every step is at most eps, and the eps-sized pads are at it
+    assert report["holds"].all()
+    assert np.max(report["worst_ratio"]) == 1.0
+    assert np.all(report["equality_steps"] == padded.pad_count)
+    # step 1 is high and kept on every path, above eps = 0.2
+    report = padding_ratio_report(pad_collection(paths, epsilon=0.2, seed=3), rho=600.0)
+    assert not report["holds"].any()
+    assert report["worst_ratio"] == pytest.approx(np.full(50, (math.sqrt(1.2 / 16) / 0.2) ** 600))
+
+
 def test_padding_signs_are_mean_zero():
     # r = 12 pads at eps = 0.25 on every row; row j reads padding stream j
     paths = _paths_from_variances(np.tile([0.0, 0.25], (4000, 1)))

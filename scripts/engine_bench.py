@@ -4,9 +4,10 @@
 Times ``kernels.sample_terminals`` on one thread for four kernel families
 at n=256 (the fair single-regime step, the two-regime ``variance_drift``
 step with its ``sum_inc`` and non-integer power accumulators, a three-atom
-table and a sampled-mode law) and for one rates grid (fair-coin sums at
-n = 64 .. 4096 in one step loop, whose path-steps are the grid's sum of n),
-and writes every sample, the best of each, and the machine and library
+table and a sampled-mode law) and for two rates grids in one step loop
+(fair-coin sums at n = 64 .. 4096, and ``variance_drift`` at n = 64 .. 512
+with its ``sum_inc`` accumulator at p = 1.5; a grid's path-steps are its sum
+of n), and writes every sample, the best of each, and the machine and library
 versions to a JSON file.  Each case gets one untimed warm-up call first.
 """
 
@@ -42,6 +43,9 @@ def cases():
         yield name, kernel.label, (kernel,), options
     grid = [kernels.make_kernel("iid_rademacher", n=2**e) for e in range(6, 13)]
     yield "rates_iid_grid", "iid_rademacher(n=64..4096)", grid, {}
+    grid = [kernels.make_kernel("variance_drift", n=2**e, d=0.2) for e in range(6, 10)]
+    yield ("rates_drift_grid", "variance_drift(d=0.2, n=64..512)", grid,
+           {"p": 1.5, "with_sum_inc": True})
 
 
 def git(*argv) -> str | None:

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -318,33 +319,47 @@ def _bounds_grid(ids: tuple[str, ...], grid: list[dict]) -> list[dict]:
 
 
 class OutputStager:
-    """Stage output files; commit renames them in place, abort removes them."""
+    """Stage output files, then publish them together or remove them.
+
+    An output directory that does not exist yet is staged whole in a hidden
+    sibling directory, and ``commit`` publishes it with one ``os.replace``,
+    so a run killed mid-commit leaves either no output directory or a
+    complete one.  In a directory that exists already each file is staged
+    beside its final name and renamed over it one at a time.
+    """
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
-        self._created_dir = not self.out_dir.exists()
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._stage: Path | None = None  # the sibling directory, for a new out_dir
+        if not self.out_dir.exists():
+            self.out_dir.parent.mkdir(parents=True, exist_ok=True)
+            self._stage = self.out_dir.with_name(f".tmp-{self.out_dir.name}-{os.urandom(6).hex()}")
+            self._stage.mkdir()
         self._staged: list[tuple[Path, Path]] = []
 
     def write_text(self, name: str, text: str) -> None:
+        if self._stage is not None:
+            (self._stage / name).write_text(text, encoding="utf-8", newline="")
+            return
         tmp = self.out_dir / f".tmp-{name}"
         tmp.write_text(text, encoding="utf-8", newline="")
         self._staged.append((tmp, self.out_dir / name))
 
     def commit(self) -> None:
+        if self._stage is not None:
+            os.replace(self._stage, self.out_dir)
+            self._stage = None
         for tmp, final in self._staged:
             os.replace(tmp, final)
         self._staged.clear()
 
     def abort(self) -> None:
+        if self._stage is not None:
+            shutil.rmtree(self._stage, ignore_errors=True)
+            self._stage = None
         for tmp, _ in self._staged:
             tmp.unlink(missing_ok=True)
         self._staged.clear()
-        if self._created_dir:
-            try:
-                self.out_dir.rmdir()
-            except OSError:
-                pass
 
 
 def _fmt(value) -> str:

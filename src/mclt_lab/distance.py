@@ -135,15 +135,17 @@ def exact_kolmogorov_discrete(support, probs) -> float:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
     # merge equal atoms (-0.0 with 0.0 too) so left limits are taken at
-    # distinct points: bincount adds each group's probabilities in input
-    # order from 0.0, as a stable sort followed by np.add.at does
+    # distinct points: np.add.at adds each group's probabilities in input
+    # order from 0.0, and unlike np.bincount it does not copy read-only
+    # weights (the laws of lipschitz.exact_distribution are read-only)
     sv = np.sort(v)
     keep = np.empty(sv.size, dtype=bool)
     keep[0] = True
     np.not_equal(sv[1:], sv[:-1], out=keep[1:])
     merged_v = sv[keep]
     del sv, keep  # 9 B per atom, freed before the 8 B index is made
-    merged_p = np.bincount(np.searchsorted(merged_v, v), weights=p, minlength=merged_v.size)
+    merged_p = np.zeros(merged_v.size)
+    np.add.at(merged_p, np.searchsorted(merged_v, v), p)
     cdf = np.cumsum(merged_p)
     phi = ndtr(merged_v)
     # F(x-) is 0 at the first atom and the previous atom's F after it

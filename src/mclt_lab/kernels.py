@@ -221,6 +221,15 @@ class ConditionalKernel:
     def batch_advance(self, step: int, batch_state, increments: np.ndarray, regime):
         return batch_state
 
+    def batch_follows(self, leader: ConditionalKernel) -> bool:
+        """Whether this kernel, which keeps a batch state, picks on every
+        path the regimes that ``leader`` picks, at each of its own steps,
+        once the engine has found its step laws to be the leader's scaled by
+        one power of two (see ``sample_terminals``).  A kernel that keeps a
+        batch state chains only if it says so here.
+        """
+        return False
+
     def certified_epsilon(self, rho: float) -> float | None:
         """Closed-form sup of the per-step moment ratio, when the family has one.
 
@@ -376,6 +385,15 @@ class VarianceDriftKernel(ConditionalKernel):
         np.bitwise_xor(unit_bits, low_bits, out=unit_bits)
         np.add(a, unit, out=a)
         return batch_state
+
+    def batch_follows(self, leader):
+        # at the same d and an n 4^k times smaller, h and l are 2^k times
+        # the leader's, so a*h + b*l is exactly 2^k times the leader's
+        # position over the same integer walk (a, b), and has its sign
+        if not isinstance(leader, VarianceDriftKernel) or leader.d != self.d:
+            return False
+        ratio, rest = divmod(leader.n, self.n)
+        return rest == 0 and ratio & (ratio - 1) == 0 and ratio.bit_length() % 2 == 1
 
     def certified_epsilon(self, rho):
         # both regimes are reachable for n >= 2 (step 1 is high; a first
@@ -609,6 +627,9 @@ class _StepTable:
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
     # the first atoms' bits of a fair table: per regime, a scalar for one
     sign_base: tuple | np.ndarray | np.uint64 | None = None
+    # (word thresholds, atoms, m2, |atom|^(2p)) as plain arrays, which chain
+    # matching compares; empty for a sampler
+    arrays: tuple = ()
 
     @property
     def gathers(self) -> bool:
@@ -721,17 +742,144 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
     # elementwise the same floats as np.abs(xi) ** (2.0 * p) on the drawn
     # increments
     pow2p = abs_values.ravel() ** (2.0 * p)
+    values = values.ravel()
     return _StepTable(
         regimes=len(laws),
         width=width,
         thresholds=thresholds,
-        values=values.ravel(),
+        values=values,
         m2=float(m2[0]) if len(laws) == 1 else _by_regime(m2),
         pow2p=_by_regime(pow2p) if sign_base is not None and len(laws) > 1 else pow2p,
         abs_value=float(abs_values.flat[0]) if shared else None,
         max_abs=float(abs_values.max()),
         sign_base=sign_base,
+        arrays=(columns, values, m2, pow2p),
     )
+
+
+def _table_at(tables: dict, kernel: ConditionalKernel, step: int, p: float) -> _StepTable:
+    """The table of ``kernel``'s laws at ``step``, built once per distinct
+    law tuple and kept in ``tables``."""
+    laws = kernel.step_regimes(step)
+    law_bits = tuple(dist._table_key for dist in laws)
+    table = tables.get(law_bits)
+    if table is None:
+        table = tables[law_bits] = _step_table(step, laws, p)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# chains
+
+
+#: Chained tables keep every nonzero atom, m2 and |atom|^(2p) in
+#: [_CHAIN_TINY, _CHAIN_HUGE / n].  Each of them is then a multiple of
+#: 2**-952, and so is each rounded partial sum of them, which is therefore 0
+#: or a normal float, and no sum of n of them comes near overflow: in the
+#: leader's run and in the follower's alike.  In the normal range rounding
+#: commutes with scaling by a power of two.
+_CHAIN_TINY = 2.0**-900
+_CHAIN_HUGE = 2.0**900
+#: The largest |e| of a chain's scales 2**e: a scaled value stays within
+#: 2**-1000 .. 2**1000.
+_CHAIN_EXPONENT = 100
+
+
+@dataclass(frozen=True)
+class _Link:
+    """A follower's chain: its leader's index among the call's kernels, and
+    the powers of two that take the leader's atoms, m2 and |atom|^(2p) to
+    its own."""
+
+    leader: int
+    atom: float
+    m2: float
+    pow2p: float
+
+
+def _scales(follower: _StepTable, leader: _StepTable) -> tuple[float, float, float] | None:
+    """The powers of two that take the leader's atoms, m2 and |atom|^(2p)
+    to the follower's, read off each array's first nonzero leader entry
+    (``_scaled`` checks them in full); None for a sampler, an array without
+    such an entry, or a scale past ``_CHAIN_EXPONENT``."""
+    if not (follower.arrays and leader.arrays):
+        return None
+    scales = []
+    for mine, theirs in zip(follower.arrays[1:], leader.arrays[1:]):
+        nonzero = np.flatnonzero(theirs)
+        if not nonzero.size or mine.shape != theirs.shape:
+            return None
+        e = math.frexp(mine[nonzero[0]])[1] - math.frexp(theirs[nonzero[0]])[1]
+        if abs(e) > _CHAIN_EXPONENT:
+            return None
+        scales.append(math.ldexp(1.0, e))
+    return tuple(scales)
+
+
+def _scaled(follower: _StepTable, leader: _StepTable, scales, n: int) -> bool:
+    """Whether ``follower`` selects as ``leader`` does, and its atoms, m2 and
+    |atom|^(2p) are the leader's times ``scales``, bit for bit, with each
+    table's values in the range that keeps n-term sums exact to scale."""
+    if not (follower.arrays and leader.arrays and follower.regimes == leader.regimes
+            and follower.width == leader.width
+            and np.array_equal(follower.arrays[0], leader.arrays[0])):
+        return False
+    for table in (follower, leader):
+        magnitudes = np.abs(np.concatenate(table.arrays[1:]))
+        if (n * magnitudes.max() > _CHAIN_HUGE
+                or np.any((magnitudes > 0.0) & (magnitudes < _CHAIN_TINY))):
+            return False
+    return all(np.array_equal(mine.view(np.uint64), (theirs * scale).view(np.uint64))
+               for mine, theirs, scale in zip(follower.arrays[1:], leader.arrays[1:], scales))
+
+
+def _chain_link(follower: ConditionalKernel, leader: ConditionalKernel, index: int,
+                tables: dict, p: float) -> _Link | None:
+    """``follower``'s link to ``leader`` (``kernels[index]``, at least as
+    long), or None when its run cannot be read off the leader's.
+
+    It can when, at each of its steps, its table is the leader's scaled as
+    ``_scaled`` checks, with one set of scales for every step, and it picks
+    the leader's regimes: a kernel without a batch state has one regime per
+    step, and one with a state must declare it (``batch_follows``).  A step
+    whose laws are invalid refuses the link, and the chunks raise its error
+    where a kernel simulated alone does.
+    """
+    stateful = follower.batch_init(0) is not None
+    if stateful != (leader.batch_init(0) is not None) or (
+            stateful and not follower.batch_follows(leader)):
+        return None
+    scales, seen = None, set()
+    try:
+        for step in range(1, follower.n + 1):
+            mine, theirs = _table_at(tables, follower, step, p), _table_at(tables, leader, step, p)
+            if (id(mine), id(theirs)) in seen:  # ``tables`` holds both, so the ids stay theirs
+                continue
+            seen.add((id(mine), id(theirs)))
+            scales = scales or _scales(mine, theirs)
+            if scales is None or not _scaled(mine, theirs, scales, follower.n):
+                return None
+    except KernelError:
+        return None
+    return _Link(index, *scales)
+
+
+def _chain_links(kernels: Sequence[ConditionalKernel], tables: dict, p: float) -> list:
+    """Each kernel's ``_Link`` to its chain's leader, or None for a leader.
+
+    Longest first, each kernel follows the first leader that it links to
+    (``_chain_link``), and leads otherwise; a kernel with no partner is its
+    own leader."""
+    links: list = [None] * len(kernels)
+    leaders: list[int] = []
+    for i in sorted(range(len(kernels)), key=lambda i: -kernels[i].n):
+        for j in leaders:
+            links[i] = _chain_link(kernels[i], kernels[j], j, tables, p)
+            if links[i] is not None:
+                break
+        else:
+            leaders.append(i)
+    return links
 
 
 @dataclass
@@ -805,9 +953,10 @@ class _RunningMax:
 
 
 class _ChunkPoint:
-    """One kernel's share of a chunk: its outputs, batch state and sums."""
+    """A leading kernel's share of a chunk: its outputs, batch state and
+    sums, and its followers' outputs by the step that ends them."""
 
-    __slots__ = ("kernel", "out", "state", "variance", "max_abs", "total_2p")
+    __slots__ = ("kernel", "out", "state", "variance", "max_abs", "total_2p", "followers")
 
     def __init__(self, kernel: ConditionalKernel, out: _PathOutputs, count: int):
         self.kernel, self.out = kernel, out
@@ -815,6 +964,23 @@ class _ChunkPoint:
         self.max_abs = None if out.max_abs is None else _RunningMax(count)
         self.total_2p = None if out.total_2p is None else _RunningSum(count)
         self.state = kernel.batch_init(count)
+        self.followers: dict[int, list[tuple[_PathOutputs, _Link]]] = {}
+
+    def lend(self, out: _PathOutputs, link: _Link) -> None:
+        """Write this kernel's running values, scaled by ``link``, as a
+        follower's results; the follower asks for the same sums."""
+        if out.terminal is not None:
+            np.multiply(self.out.terminal, link.atom, out=out.terminal)
+        out.variance = self.variance.value * link.m2
+        if self.max_abs is not None:
+            floor, row = self.max_abs.floor, self.max_abs.row
+            if row is None:
+                out.max_abs = floor * link.atom
+            else:
+                out.max_abs = np.maximum(row, floor)
+                out.max_abs *= link.atom
+        if self.total_2p is not None:
+            out.total_2p = self.total_2p.value * link.pow2p
 
     def finish(self) -> None:
         self.out.variance = self.variance.value
@@ -824,19 +990,23 @@ class _ChunkPoint:
             self.out.total_2p = self.total_2p.value
 
 
-def _simulate_chunk(kernels, key, start, count, outs, p):
+def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
     """Simulate paths ``start .. start + count - 1`` of each kernel in
     ``kernels`` into its ``_PathOutputs`` in ``outs``.
 
     One step loop serves every kernel.  Step k draws the paths' counter
-    words once, in one ``rng.uniforms_at`` call, and advances each kernel
-    with n >= k by its own operations, in the order a kernel simulated
-    alone takes them, so its outputs keep their bits.  The words are
-    sign-only when each table of the step is fair, and full otherwise,
-    shifted to 53 bits for tables that select with thresholds and for
-    samplers.  Every buffer is allocated once per chunk and each step runs
-    in place: table selection of the increment, gathers of its conditional
-    variance and |xi|^(2p), then the kernel's state update.
+    words once, in one ``rng.uniforms_at`` call, and advances each leading
+    kernel with n >= k by its own operations, in the order a kernel
+    simulated alone takes them, so its outputs keep their bits.  A kernel
+    whose entry of ``links`` is a ``_Link`` follows its leader instead: it
+    takes no step of its own, and at its last step it takes the leader's
+    running values, scaled (``_ChunkPoint.lend``).
+
+    The words are sign-only when each table of the step is fair, and full
+    otherwise, shifted to 53 bits for tables that select with thresholds
+    and for samplers.  Every buffer is allocated once per chunk and each
+    step runs in place: table selection of the increment, gathers of its
+    conditional variance and |xi|^(2p), then the kernel's state update.
 
     Sums that are the same on every path stay Python floats (see
     ``_RunningSum`` and ``_RunningMax``): <X> while every step so far had
@@ -846,28 +1016,28 @@ def _simulate_chunk(kernels, key, start, count, outs, p):
     after a finite table's per-path step; a step whose atoms are all within
     it leaves every max as it is.
     """
+    links = [None] * len(kernels) if links is None else links
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
     words = np.empty(count, dtype=np.uint64)
+    # built per chunk: tables shared by the threads of a run raised the
+    # peak RSS of perfbench's rates-iid workload by about 1 MB
     tables: dict[tuple, _StepTable] = {}
-
-    def table_at(kernel, step):
-        laws = kernel.step_regimes(step)
-        law_bits = tuple(dist._table_key for dist in laws)
-        table = tables.get(law_bits)
-        if table is None:
-            table = tables[law_bits] = _step_table(step, laws, p)
-        return table
+    leaders = {i: _ChunkPoint(kernel, out, count)
+               for i, (kernel, out, link) in enumerate(zip(kernels, outs, links)) if link is None}
+    for kernel, out, link in zip(kernels, outs, links):
+        if link is not None:
+            leaders[link.leader].followers.setdefault(kernel.n, []).append((out, link))
+    points = list(leaders.values())
 
     # the gather buffer comes with the others if step 1 needs it, else with
     # the first step that does; the spare is the mix scratch until the
     # words are drawn, then a fair table's increments or the selection flags
     gather = (np.empty(count, dtype=np.uint64)
-              if any(table_at(kernel, 1).gathers for kernel in kernels) else None)
+              if any(_table_at(tables, point.kernel, 1, p).gathers for point in points) else None)
     spare = np.empty(count, dtype=np.uint64)
     xi = None  # allocated by the first table that is not fair
-    points = [_ChunkPoint(kernel, out, count) for kernel, out in zip(kernels, outs)]
-    for step in range(1, max(kernel.n for kernel in kernels) + 1):
-        active = [(point, table_at(point.kernel, step)) for point in points
+    for step in range(1, max(point.kernel.n for point in points) + 1):
+        active = [(point, _table_at(tables, point.kernel, step, p)) for point in points
                   if point.kernel.n >= step]
         signs = all(table.sign_base is not None for _, table in active)
         rng.uniforms_at(key, ctr_base, step - 1, out=words, scratch=spare, sign_only=signs)
@@ -912,6 +1082,8 @@ def _simulate_chunk(kernels, key, start, count, outs, p):
                     point.total_2p.add(np.take(table.pow2p, gather.view(np.intp),
                                                out=gathered, mode="clip"))
             point.state = kernel.batch_advance(step, point.state, inc, regime)
+            for follower in point.followers.get(step, ()):
+                point.lend(*follower)
     for point in points:
         point.finish()
 
@@ -1027,6 +1199,19 @@ def sample_terminals(
     with_sum_inc)``.  The terminals of every kernel are held at once; the
     kernels that keep a batch state share the chunk length that one such
     kernel would get.
+
+    The kernels form chains (``_chain_links``).  A follower's tables are,
+    at each of its steps, those of a leader at least as long with every
+    atom scaled by 2**e, m2 by 2**e2 and |atom|^(2p) by 2**e3, bit for bit,
+    for one (e, e2, e3), and it picks the leader's regimes.  Its increments
+    are then the leader's times 2**e on every path, and as rounding
+    commutes with such a scale in the normal range, each of its running
+    sums is the leader's, scaled: the follower takes no step and reads its
+    outputs off the leader's at its last step.  On a dyadic grid
+    ``1/sqrt(n)`` at n and 4n differ by exactly 2.  Sampled laws, values
+    that could leave the normal range, scales that are no power of two
+    (|atom|^(2p) for p = 1.25 and an odd e) and a batch state that does
+    not declare it follows (``batch_follows``) refuse a chain.
     """
     kernels = tuple(kernels)
     _check_run(kernels, count)
@@ -1034,7 +1219,11 @@ def sample_terminals(
         raise KernelError("p must be >= 1")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
     terminals = [np.zeros(count) for _ in kernels]
-    # a kernel's batch state holds a few values per path of the chunk
+    links = _chain_links(kernels, {}, float(p))
+    # a kernel's batch state holds a few values per path of the chunk.  A
+    # follower holds none, but dividing by the leaders alone doubles the
+    # chunk of a grid that halves into chains, and its shared buffers with
+    # it, for no measured speed (rates-drift: about 1 MB more peak RSS)
     stateful = sum(kernel.batch_init(0) is not None for kernel in kernels)
     chunk_size = max(1, chunk_size // max(stateful, 1))
     # The paths run in windows of whole reduction blocks, two per thread.
@@ -1050,7 +1239,7 @@ def sample_terminals(
             [(kernels, key, first + block + start, length,
               tuple(_PathOutputs(terminal=t[first + block + start : first + block + start + length],
                                  max_abs=0.0, total_2p=0.0 if with_sum_inc else None)
-                    for t in terminals), float(p))
+                    for t in terminals), float(p), links)
              for start, length in _chunks(min(_REDUCE_BLOCK, size - block), chunk_size)]
             for block in range(0, size, _REDUCE_BLOCK)
         ]

@@ -400,6 +400,70 @@ def test_non_finite_kernel_table_is_invariant_violation(tmp_path, capsys):
     assert not (out / "series.csv").exists()
 
 
+def _fail_replace_after(monkeypatch, renames: int) -> list:
+    """Make ``os.replace`` in the CLI do ``renames`` renames, then fail as a
+    kill would stop it; returns the destinations renamed."""
+    real, done = cli.os.replace, []
+
+    def replace(src, dst):
+        if len(done) == renames:
+            raise OSError("killed mid-commit")
+        done.append(Path(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace)
+    return done
+
+
+def test_new_output_directory_appears_whole_or_not_at_all(tmp_path, monkeypatch):
+    # a new directory is one rename: a commit that dies at it leaves no
+    # output directory, even without the cleanup that a kill skips
+    out = tmp_path / "run"
+    stager = cli.OutputStager(out)
+    stager.write_text("series.csv", "a\n")
+    stager.write_text("manifest.json", "{}\n")
+    assert not out.exists()
+    _fail_replace_after(monkeypatch, 0)
+    with pytest.raises(OSError, match="killed mid-commit"):
+        stager.commit()
+    assert not out.exists()
+    monkeypatch.undo()
+    stager.commit()
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "series.csv"]
+
+
+def test_failed_commit_leaves_no_output_directory(tmp_path, monkeypatch):
+    cfg = cli.parse_config(RATES_CONFIG)
+    out = tmp_path / "out"
+    _fail_replace_after(monkeypatch, 0)
+    with pytest.raises(OSError, match="killed mid-commit"):
+        cli.run_experiment(cfg, out)
+    assert list(tmp_path.iterdir()) == []  # no output and no staging directory
+    monkeypatch.undo()
+    done = _fail_replace_after(monkeypatch, 1)
+    cli.run_experiment(cfg, out)
+    assert done == [out]  # one rename publishes both files
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "series.csv"]
+
+
+def test_existing_output_directory_is_replaced_file_by_file(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    stager = cli.OutputStager(out)
+    stager.write_text("series.csv", "a\n")
+    stager.write_text("manifest.json", "{}\n")
+    # an existing directory takes its files one rename at a time, so a
+    # commit that dies after the first leaves it beside the older files
+    done = _fail_replace_after(monkeypatch, 1)
+    with pytest.raises(OSError, match="killed mid-commit"):
+        stager.commit()
+    stager.abort()
+    assert done == [out / "series.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "series.csv"]
+
+
 def test_walk_over_the_node_guard_is_invariant_violation(tmp_path, monkeypatch, capsys):
     # a table kernel has no closed form, so epsilon and delta come from the walk
     step = {"values": [-0.5, 0.5], "probs": [0.5, 0.5]}

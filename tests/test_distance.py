@@ -178,10 +178,11 @@ def test_total_near_the_tolerance(size, offset, accepted):
 
 def test_exact_distance_peak_per_atom():
     # the 2^20-atom law of rademacher_average at n=20 (51 distinct values):
-    # the values sort (8 B per atom) is freed before the group index (8 B)
-    # and bincount's copy of the read-only weights (8 B) are made
+    # the values sort and its change marks (9 B per atom) are freed before
+    # the group index (8 B) is made, and the merge copies no weights
     model = lipschitz.model_from_config({"name": "rademacher_average", "params": {"n": 20}})
     support, probs = lipschitz.exact_distribution(model)
+    assert not probs.flags.writeable
     tracemalloc.start()
     try:
         d = exact_kolmogorov_discrete(support, probs)
@@ -189,7 +190,26 @@ def test_exact_distance_peak_per_atom():
     finally:
         tracemalloc.stop()
     assert d == _sorted_scan_reference(support, probs)
-    assert peak <= 24 * support.size
+    assert peak <= 10 * support.size
+
+
+def test_exact_distance_merges_read_only_weights_in_place():
+    # np.bincount copies read-only weights (8 B per atom); the merge must
+    # not, and must add each group in input order as np.add.at does
+    rs = np.random.default_rng(3)
+    size = 1 << 18
+    support = rs.integers(-20, 21, size).astype(float) / 7.0
+    probs = rs.random(size)
+    probs /= math.fsum(probs.tolist())
+    probs.flags.writeable = False
+    tracemalloc.start()
+    try:
+        d = exact_kolmogorov_discrete(support, probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.hex() == _sorted_scan_reference(support, probs).hex()
+    assert peak <= 10 * size
 
 
 def test_invalid_discrete_laws_rejected():

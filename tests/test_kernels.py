@@ -506,6 +506,121 @@ def test_grid_step_loop_over_several_reduction_blocks():
         assert _same_statistics(got, sample_terminal(kernel, 2, count))
 
 
+class _DeclaredSignSwitch(_SignSwitchKernel):
+    """``_SignSwitchKernel`` that declares its chains: its regime is the sign
+    of X, which scaling every atom by one power of two keeps."""
+
+    def batch_follows(self, leader):
+        return isinstance(leader, _SignSwitchKernel) and leader.fixed_steps == self.fixed_steps
+
+
+def _scaled_regimes(scale):
+    return (StepDistribution(values=(-scale, 0.0, scale), probs=(0.25, 0.5, 0.25)),
+            StepDistribution(values=(-0.7 * scale, 0.3 * scale), probs=(0.3, 0.7)))
+
+
+def _scaled_steps(kernel, scale, n):
+    """The first n steps of a ``TableKernel`` with every atom times ``scale``."""
+    return TableKernel([StepDistribution(values=tuple(scale * v for v in d.values), probs=d.probs)
+                        for d in kernel.steps[:n]])
+
+
+def _chains(kernels_, p):
+    """The chains ``sample_terminals`` forms: {leader n: sorted follower ns}."""
+    links = kernels._chain_links(kernels_, {}, p)
+    chains = {k.n: [] for k, link in zip(kernels_, links) if link is None}
+    for k, link in zip(kernels_, links):
+        if link is not None:
+            chains[kernels_[link.leader].n].append(k.n)
+    return {n: sorted(ns) for n, ns in chains.items()}
+
+
+# (grid, p, the chains it must form); each point's statistics must equal its
+# own run alone either way
+CHAIN_GRIDS = {
+    "iid_rademacher": (_grid("iid_rademacher", [(2**e, {}) for e in range(2, 9)]), 1.5,
+                       {256: [4, 16, 64], 128: [8, 32]}),
+    # a fixed magnitude: e = 0, so every point follows the longest, a
+    # repeated point too
+    "two_point": (_grid("two_point", [(3, {}), (8, {}), (20, {}), (5, {}), (20, {})], a=0.3),
+                  1.5, {20: [3, 5, 8, 20]}),
+    "variance_drift": (_grid("variance_drift", [(2**e, {}) for e in range(3, 8)], d=0.2), 1.5,
+                       {128: [8, 32], 64: [16]}),
+    "variance_drift_p1": (_grid("variance_drift", [(2**e, {}) for e in range(3, 8)], d=0.2), 1.0,
+                          {128: [8, 32], 64: [16]}),
+    # |xi|^(2p) at p = 1.25 scales by 2^(2.5 e): no power of two for odd e
+    "odd_e_at_p_1_25": (_grid("variance_drift", [(16, {}), (64, {}), (4, {})], d=0.2), 1.25,
+                        {64: [4], 16: []}),
+    # a different d, and n that differ by a factor 2, do not chain
+    "drift_unmatched": (_grid("variance_drift", [(16, {"d": 0.2}), (64, {"d": 0.3}),
+                                                 (32, {"d": 0.2})]), 1.5,
+                        {16: [], 64: [], 32: []}),
+    # a batch state that is not declared never chains, a declared one does
+    "undeclared_state": ([_SignSwitchKernel(n=6, regimes=_scaled_regimes(2.0)),
+                          _SignSwitchKernel(n=14, regimes=_scaled_regimes(1.0))], 1.5,
+                         {6: [], 14: []}),
+    "declared_state": ([_DeclaredSignSwitch(n=6, regimes=_scaled_regimes(2.0)),
+                        _DeclaredSignSwitch(n=14, regimes=_scaled_regimes(1.0))], 1.5,
+                       {14: [6]}),
+    # followers that end where a shared |value| has raised the max floor
+    # above the paths still at 0, and two steps later
+    "max_floor": ([_scaled_steps(_MAX_FLOOR, 2.0, 2), _scaled_steps(_MAX_FLOOR, 0.5, 4),
+                   _MAX_FLOOR], 1.0, {6: [2, 4]}),
+    # sampled laws never chain
+    "iid_gaussian": (_grid("iid_gaussian", [(4, {}), (16, {})]), 1.0, {4: [], 16: []}),
+}
+
+
+@pytest.mark.parametrize("grid", CHAIN_GRIDS)
+def test_chained_points_match_each_point_alone(grid):
+    kernels_, p, chains = CHAIN_GRIDS[grid]
+    assert _chains(kernels_, p) == chains
+    count = 3000
+    alone = [sample_terminal(k, 6, count, p=p, with_sum_inc=True) for k in kernels_]
+    for chunk_size in (1 << 16, 777):
+        for threads in (1, 2, 5):
+            together = sample_terminals(kernels_, 6, count, p=p, with_sum_inc=True,
+                                        chunk_size=chunk_size, threads=threads)
+            for got, want in zip(together, alone):
+                assert _same_statistics(got, want)
+
+
+@pytest.mark.parametrize("a", [2.0**-901, 2.0**450, 2.0**-460])
+def test_chains_refuse_values_near_the_float_range_ends(a):
+    # atoms below 2^-900, an m2 of 2^900 or more, or an m2 below 2^-900
+    # could round differently once scaled; the run is each point's own
+    grid = _grid("two_point", [(4, {}), (16, {})], a=a)
+    assert kernels._chain_links(grid, {}, 1.0) == [None, None]
+    assert _chains(_grid("two_point", [(4, {}), (16, {})], a=2.0**-440), 1.0) == {16: [4]}
+
+
+def test_unchainable_group_keeps_every_point_leading():
+    # a rates group whose points cannot chain runs as before: every kernel
+    # leads and takes its own steps
+    for grid in ("fair", "three_point", "iid_gaussian", "mixed"):
+        assert kernels._chain_links(GRIDS[grid], {}, 1.5) == [None] * len(GRIDS[grid])
+
+
+def test_invalid_law_refuses_the_chain_and_raises_where_it_would_alone():
+    bad = {"values": [1.0, -1.0], "probs": [0.6, 0.6]}
+    good = {"values": [-1.0, 1.0], "probs": [0.5, 0.5]}
+    grid = [m.make_kernel("table", steps=[good, bad]), m.make_kernel("table", steps=[good, good, bad])]
+    assert kernels._chain_links(grid, {}, 1.0) == [None, None]
+    with pytest.raises(InvalidKernelError) as alone:
+        sample_terminal(grid[0], 1, 100)
+    with pytest.raises(InvalidKernelError) as together:
+        sample_terminals(grid, 1, 100)
+    assert str(together.value) == str(alone.value)
+
+
+def test_variance_drift_declares_chains_at_powers_of_four():
+    kernel = m.make_kernel("variance_drift", n=8, d=0.2)
+    for n, d, follows in ((8, 0.2, True), (32, 0.2, True), (512, 0.2, True), (16, 0.2, False),
+                          (24, 0.2, False), (32, 0.3, False)):
+        assert kernel.batch_follows(m.make_kernel("variance_drift", n=n, d=d)) is follows
+    assert not kernel.batch_follows(_SignSwitchKernel(n=32))
+
+
 @pytest.mark.parametrize("kernel, rows", [
     # one |value| per step: every sum is one float, no row is allocated
     (m.make_kernel("iid_rademacher", n=9), ()),

@@ -176,7 +176,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind == "transforms-check":
         if not grid and "n" not in doc:
             raise ConfigError("transforms-check needs a grid entry or a top-level 'n'")
-        kernel = _kernel_for_entry(doc["kernel"], grid[0] if grid else {"n": doc["n"]})
+        kernel = _kernel_for_entry(doc["kernel"], grid[0] if grid else {"n": doc["n"]},
+                                   one_magnitude=True)
         try:
             count = int(doc.get("count", 1000))
             check_bundle(count, kernel.n)
@@ -226,8 +227,10 @@ def _config_value(doc: dict, key: str, default, convert=_finite):
         raise ConfigError(f"{key} has an invalid value {value!r}") from None
 
 
-def _kernel_for_entry(ref, entry: dict):
-    """The kernel of one grid entry; one that cannot be built or simulated is a config error."""
+def _kernel_for_entry(ref, entry: dict, one_magnitude: bool = False):
+    """The kernel of one grid entry; one that cannot be built or simulated,
+    or with ``one_magnitude`` one with a law whose atoms do not share one
+    |value| (see ``transforms.padding_ratio_report``), is a config error."""
     if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError("kernel reference must be an object with a 'name' field")
     try:
@@ -251,6 +254,9 @@ def _kernel_for_entry(ref, entry: dict):
                 if dist.moment(2) == math.inf:
                     raise ConfigError(f"kernel reference invalid: E xi^2 of step {step} "
                                       "is not a finite float")
+                if one_magnitude and len({abs(v) for v in dist.values}) != 1:
+                    raise ConfigError(f"kernel reference invalid: a law of step {step} has "
+                                      "atoms of more than one |value|, or none")
     return kernel
 
 
@@ -270,8 +276,10 @@ def _model_for_entry(doc: dict, entry: dict, rho: float):
             params.setdefault("rho", rho)
             ref["params"] = params
         model = model_from_config(ref)
-        model.validate()
         check_enumeration(model)
+        epsilon_delta_n(model)  # validates, and refuses a metric moment past float range
+    except DegenerateMetricError:
+        pass  # the run notes it
     except KeyError as exc:
         raise ConfigError(f"model reference invalid: missing field {exc}") from None
     # an unknown family, functional or metric kind, a field or parameter of

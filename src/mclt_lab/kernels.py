@@ -1,12 +1,11 @@
 """Martingale difference kernels and the simulation engine.
 
-A :class:`ConditionalKernel` defines a martingale difference sequence through
-per-step conditional laws: ``law_from_state(i, state)`` returns the
-distribution of increment i given the kernel's summary of the realized
-increments before it (``initial_state`` folded through ``transition``).
-Exact-mode laws carry a finite support and answer moment queries by finite
-summation; sampled-mode laws carry an inverse-CDF sampler plus a declared
-moment oracle.
+A :class:`ConditionalKernel` declares, per step, the one or two laws that
+the step can take (``step_regimes``); of two, the sign of the path's
+canonical position chooses.  The history walks and the engine derive the
+dynamics from that declaration alone.  Exact-mode laws carry a finite
+support and answer moment queries by finite summation; sampled-mode laws
+carry an inverse-CDF sampler plus a declared moment oracle.
 
 Simulation produces a :class:`PathCollection`, matrices with one row per
 path: the increments, the partial sums ``X_0..X_n`` and the predictable
@@ -175,60 +174,79 @@ def rademacher_two_point(magnitude: float) -> StepDistribution:
 
 
 class ConditionalKernel:
-    """Base class: a pure per-step conditional law plus a Markov summary.
+    """Base class: a martingale difference sequence declared by its step laws.
 
-    Subclasses provide ``law_from_state`` together with ``initial_state`` /
-    ``transition`` (the declared history summary), so kernels whose law
-    depends only on a small state get O(1)-state walks for free.
+    A kernel declares ``n``, a ``label`` and ``step_regimes(step)``, the one
+    or two laws that increment ``step`` (1-based) can take; the dynamics
+    follow, here for the walks and in ``_ChunkPoint`` for the engine.  A step
+    with one law takes it on every path.  A step with two exact laws takes
+    law 0 where the canonical position ``s_0*m_0 + s_1*m_1 + ...``, summed
+    left to right in floats, is >= 0 and law 1 where it is < 0: ``m_k`` is
+    the k-th distinct nonzero |atom| of the kernel's laws in order of first
+    appearance (step by step, law by law, atom by atom), and ``s_k`` the
+    net signed count of the path's steps of size ``m_k`` so far.  The state
+    is the tuple ``(s_0, s_1, ...)`` of ints, or None, under which every
+    history merges, for a kernel without a two-law step.
     """
 
     label: str = "kernel"
     n: int = 0
 
-    # -- scalar (contract) interface ------------------------------------
+    def step_regimes(self, step: int) -> tuple[StepDistribution, ...]:
+        raise NotImplementedError
+
+    @cached_property
+    def _magnitudes(self) -> dict[float, int] | None:
+        """Each distinct nonzero |atom| of a kernel with a two-law step
+        mapped to its coordinate k; None when every step has one law."""
+        steps = [self.step_regimes(step) for step in range(1, self.n + 1)]
+        if all(len(laws) == 1 for laws in steps):
+            return None
+        magnitudes: dict[float, int] = {}
+        for step, laws in enumerate(steps, 1):
+            if len(laws) > 2:
+                raise KernelError(f"step {step} declares {len(laws)} laws; a step takes one or two")
+            for dist in laws:
+                if dist.mode == "sampled":
+                    raise KernelError(f"step {step}: a sampled law in a kernel with a two-law step")
+                for value in filter(None, dist.values):  # the nonzero atoms
+                    magnitudes.setdefault(abs(value), len(magnitudes))
+        return magnitudes
+
     def initial_state(self):
-        return ()
+        return None if self._magnitudes is None else (0,) * len(self._magnitudes)
 
     def transition(self, state, value: float):
-        return state + (float(value),)
+        if state is None or value == 0.0:
+            return state
+        k = self._magnitudes.get(abs(value))
+        if k is None:
+            raise KernelError(f"increment {value!r} is not in this kernel's support")
+        moved = list(state)
+        moved[k] += 1 if value > 0.0 else -1
+        return tuple(moved)
 
     def state_key(self, state):
         return state
 
+    def regime_of_state(self, state) -> int:
+        """The law, 0 or 1, that a two-law step takes in ``state``; kept per
+        state, since a walk meets each state at many steps."""
+        regime = self._regimes_of.get(state)
+        if regime is None:
+            position = 0.0
+            for count, magnitude in zip(state, self._magnitudes):
+                position += count * magnitude
+            regime = self._regimes_of[state] = 1 if position < 0.0 else 0
+        return regime
+
+    @cached_property
+    def _regimes_of(self) -> dict:
+        return {}
+
     def law_from_state(self, step: int, state) -> StepDistribution:
-        raise NotImplementedError
-
-    # -- batch (engine) interface ----------------------------------------
-    # Default implementation covers kernels whose law at each step takes one
-    # of a small number of "regimes" selected from the batch state.
-
-    def step_regimes(self, step: int) -> tuple[StepDistribution, ...]:
-        raise NotImplementedError
-
-    def batch_init(self, count: int):
-        return None
-
-    def batch_regime(self, step: int, batch_state) -> np.ndarray | None:
-        """Per-path regime index, or None when a single regime applies.
-
-        The index is an intp array of values 0 .. R-1 for the R laws of
-        ``step_regimes(step)``; the engine relies on exactly that, since its
-        two-regime selection multiplies the 0/1 index, viewed as uint64,
-        into the bits of the regime values, and refuses any other dtype.
-        """
-        return None
-
-    def batch_advance(self, step: int, batch_state, increments: np.ndarray, regime):
-        return batch_state
-
-    def batch_follows(self, leader: ConditionalKernel) -> bool:
-        """Whether this kernel, which keeps a batch state, picks on every
-        path the regimes that ``leader`` picks, at each of its own steps,
-        once the engine has found its step laws to be the leader's scaled by
-        one power of two (see ``sample_terminals``).  A kernel that keeps a
-        batch state chains only if it says so here.
-        """
-        return False
+        laws = self.step_regimes(step)
+        return laws[0] if len(laws) == 1 else laws[self.regime_of_state(state)]
 
     def certified_epsilon(self, rho: float) -> float | None:
         """Closed-form sup of the per-step moment ratio, when the family has one.
@@ -251,12 +269,6 @@ class _IidKernel(ConditionalKernel):
         self.label = label
         self.n = int(n)
         self.dist = dist
-
-    def initial_state(self):
-        return None
-
-    def transition(self, state, value):
-        return None
 
     def law_from_state(self, step, state):
         return self.dist
@@ -288,12 +300,6 @@ class TableKernel(ConditionalKernel):
         self.n = len(steps)
         self.steps = tuple(steps)
 
-    def initial_state(self):
-        return None
-
-    def transition(self, state, value):
-        return None
-
     def law_from_state(self, step, state):
         return self.steps[step - 1]
 
@@ -309,9 +315,9 @@ class VarianceDriftKernel(ConditionalKernel):
     The terminal conditional variance therefore lies in [1-d, 1+d], the
     deviation d being attained on paths that never change side.
 
-    The regime decision uses the canonical position ``a*h + b*l`` built from
-    integer counts of high/low signed steps, so simulation, exhaustive walks
-    and enumeration oracles classify every history identically.
+    Declared by its two laws, so its state is the net signed counts
+    ``(a, b)`` of high and low steps and its regime the sign of ``a*h + b*l``
+    alike in simulation, exhaustive walks and enumeration oracles.
     """
 
     def __init__(self, n: int, d: float):
@@ -324,76 +330,13 @@ class VarianceDriftKernel(ConditionalKernel):
         self.d = float(d)
         self.high_mag = math.sqrt((1.0 + d) / n)
         self.low_mag = math.sqrt((1.0 - d) / n)
-        self._regimes = (
-            rademacher_two_point(self.high_mag),
-            rademacher_two_point(self.low_mag),
-        )
-
-    # state: (net signed count of high steps, net signed count of low steps)
-    def initial_state(self):
-        return (0, 0)
-
-    def transition(self, state, value):
-        a, b = state
-        v = float(value)
-        if abs(v) == self.high_mag:
-            return (a + (1 if v > 0 else -1), b)
-        if abs(v) == self.low_mag:
-            return (a, b + (1 if v > 0 else -1))
-        raise KernelError(f"increment {v!r} is not in this kernel's support")
-
-    def _position(self, a, b):
-        return a * self.high_mag + b * self.low_mag
+        self._regimes = (rademacher_two_point(self.high_mag), rademacher_two_point(self.low_mag))
 
     def law_from_state(self, step, state):
-        a, b = state
-        return self._regimes[0 if self._position(a, b) >= 0.0 else 1]
+        return self._regimes[self.regime_of_state(state)]
 
     def step_regimes(self, step):
         return self._regimes
-
-    def batch_init(self, count):
-        # (a, b) as exact small-integer floats, the position a*h + b*l and
-        # the per-path regime (intp, 1 for low), with the bit views that the
-        # regime and the update take
-        a, b, pos = np.zeros(count), np.zeros(count), np.empty(count)
-        regime = np.empty(count, dtype=np.intp)
-        return (a, b, pos, regime, pos.view(np.uint64), regime.view(np.float64),
-                regime.view(np.uint64))
-
-    def batch_regime(self, step, batch_state):
-        a, b, pos, regime, pos_bits, scratch, regime_bits = batch_state
-        np.multiply(a, self.high_mag, out=pos)
-        np.multiply(b, self.low_mag, out=scratch)
-        np.add(pos, scratch, out=pos)
-        # high (0) iff a*h + b*l >= 0: a and b are integer floats that start
-        # at +0.0, so pos is never -0.0 or NaN and its sign bit is pos < 0
-        np.right_shift(pos_bits, _SIGN_BIT, out=regime_bits)
-        return regime
-
-    def batch_advance(self, step, batch_state, increments, regime):
-        # pos is free once the regime is drawn, and the regime once it is
-        # used, so this consumes it: unit is the +-1.0 of the increment's
-        # sign, low = unit * r as integers, so +-1.0 on a low path and +0.0
-        # on a high one, and unit ^ low the converse
-        a, b, unit = batch_state[:3]
-        unit_bits, low_bits = batch_state[4], regime.view(np.uint64)
-        np.bitwise_and(increments.view(np.uint64), _SIGN, out=unit_bits)
-        np.bitwise_or(unit_bits, _ONE, out=unit_bits)
-        np.multiply(unit_bits, low_bits, out=low_bits)
-        np.add(b, low_bits.view(np.float64), out=b)
-        np.bitwise_xor(unit_bits, low_bits, out=unit_bits)
-        np.add(a, unit, out=a)
-        return batch_state
-
-    def batch_follows(self, leader):
-        # at the same d and an n 4^k times smaller, h and l are 2^k times
-        # the leader's, so a*h + b*l is exactly 2^k times the leader's
-        # position over the same integer walk (a, b), and has its sign
-        if not isinstance(leader, VarianceDriftKernel) or leader.d != self.d:
-            return False
-        ratio, rest = divmod(leader.n, self.n)
-        return rest == 0 and ratio & (ratio - 1) == 0 and ratio.bit_length() % 2 == 1
 
     def certified_epsilon(self, rho):
         # both regimes are reachable for n >= 2 (step 1 is high; a first
@@ -606,10 +549,9 @@ class _StepTable:
     the bits of the regime's first atom.  Only bit 63 of ``z`` is read, so
     its words may be sign-only (``rng.uniforms_at``).
 
-    A value per regime (a per-regime threshold, ``m2``, ``sign_base`` and a
-    fair table's ``pow2p``) is kept in the form ``select`` takes: for two
-    regimes the bits ``(lo, lo ^ hi)`` of its two values, otherwise its
-    array of bits.
+    A step has one or two regimes.  A value per regime of two (a threshold,
+    ``m2``, ``sign_base``, a fair table's ``pow2p``) is kept in the form
+    ``select`` takes, the bits ``(lo, lo ^ hi)`` of its two values.
     """
 
     regimes: int
@@ -623,6 +565,9 @@ class _StepTable:
     pow2p: tuple | np.ndarray | None = None
     # the |value| of every atom of a single-regime table whose atoms share one
     abs_value: float | None = None
+    # per regime, the |value| that all its atoms share (0.0 for zeros only),
+    # or None where they share none; the engine's counts read it
+    magnitudes: tuple = ()
     max_abs: float = math.inf  # the largest |atom|; inf for a sampler
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
     # the first atoms' bits of a fair table: per regime, a scalar for one
@@ -639,20 +584,14 @@ class _StepTable:
         return self.sampler is None and (self.sign_base is None or self.regimes > 1)
 
     def select(self, per_regime, regime, out: np.ndarray) -> np.ndarray:
-        """Write each path's value of ``per_regime`` into ``out`` (8-byte
-        elements) and return ``out``.
-
-        For two regimes the bits are ``lo ^ (r * (lo ^ hi))`` with ``r`` the
-        0/1 regime as uint64: one multiply and one xor, exact for any bits,
-        +-0.0 included.  More regimes take a gather.
-        """
+        """Write each path's value of ``per_regime`` (``_by_regime``) into
+        ``out`` (8-byte elements) and return ``out``: the bits
+        ``lo ^ (r * (lo ^ hi))`` with ``r`` the 0/1 regime as uint64, one
+        multiply and one xor, exact for any bits, +-0.0 included."""
+        lo, flip = per_regime
         bits = out.view(np.uint64)
-        if self.regimes == 2:
-            lo, flip = per_regime
-            np.multiply(regime.view(np.uint64), flip, out=bits)
-            np.bitwise_xor(bits, lo, out=bits)
-        else:
-            np.take(per_regime, regime, out=bits, mode="clip")
+        np.multiply(regime.view(np.uint64), flip, out=bits)
+        np.bitwise_xor(bits, lo, out=bits)
         return out
 
     def draw(self, words, signs: bool, regime, spare, gather, xi) -> np.ndarray:
@@ -705,9 +644,9 @@ class _StepTable:
 
 
 def _by_regime(values: np.ndarray):
-    """One 8-byte value per regime in the form ``_StepTable.select`` takes."""
+    """Two 8-byte values, one per regime, in the form ``_StepTable.select`` takes."""
     bits = np.ascontiguousarray(values).view(np.uint64)
-    return (bits[0], bits[0] ^ bits[1]) if len(bits) == 2 else bits
+    return bits[0], bits[0] ^ bits[1]
 
 
 def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _StepTable:
@@ -730,7 +669,8 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
         values[r, :k] = dist._values_arr
     m2 = np.array([dist._m2_cached for dist in laws])
     abs_values = np.abs(values)
-    shared = len(laws) == 1 and bool(np.all(abs_values == abs_values.flat[0]))
+    magnitudes = tuple(float(row[0]) if np.all(row[: len(dist.values)] == row[0]) else None
+                       for row, dist in zip(abs_values, laws))
     columns = _word_thresholds(cum).T
     thresholds = tuple(col[0] if np.all(col == col[0]) else _by_regime(col) for col in columns)
     sign_base = None
@@ -750,8 +690,9 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
         values=values,
         m2=float(m2[0]) if len(laws) == 1 else _by_regime(m2),
         pow2p=_by_regime(pow2p) if sign_base is not None and len(laws) > 1 else pow2p,
-        abs_value=float(abs_values.flat[0]) if shared else None,
+        abs_value=magnitudes[0] if len(laws) == 1 else None,
         max_abs=float(abs_values.max()),
+        magnitudes=magnitudes,
         sign_base=sign_base,
         arrays=(columns, values, m2, pow2p),
     )
@@ -839,16 +780,13 @@ def _chain_link(follower: ConditionalKernel, leader: ConditionalKernel, index: i
     long), or None when its run cannot be read off the leader's.
 
     It can when, at each of its steps, its table is the leader's scaled as
-    ``_scaled`` checks, with one set of scales for every step, and it picks
-    the leader's regimes: a kernel without a batch state has one regime per
-    step, and one with a state must declare it (``batch_follows``).  A step
-    whose laws are invalid refuses the link, and the chunks raise its error
-    where a kernel simulated alone does.
+    ``_scaled`` checks, with one set of scales for every step.  It then
+    picks the leader's regimes too: its magnitudes are the leader's first
+    ones times 2**e, the others count 0 over its steps, so its canonical
+    position is the leader's times 2**e.  A step whose laws are invalid
+    refuses the link, and the chunks raise its error where a kernel
+    simulated alone does.
     """
-    stateful = follower.batch_init(0) is not None
-    if stateful != (leader.batch_init(0) is not None) or (
-            stateful and not follower.batch_follows(leader)):
-        return None
     scales, seen = None, set()
     try:
         for step in range(1, follower.n + 1):
@@ -953,18 +891,72 @@ class _RunningMax:
 
 
 class _ChunkPoint:
-    """A leading kernel's share of a chunk: its outputs, batch state and
-    sums, and its followers' outputs by the step that ends them."""
+    """A leading kernel's share of a chunk: its outputs, sums and declared
+    state, and its followers' outputs by the step that ends them.
 
-    __slots__ = ("kernel", "out", "state", "variance", "max_abs", "total_2p", "followers")
+    A kernel with a two-law step (see ``ConditionalKernel``) keeps a row of
+    counts ``s_k`` per magnitude ``m_k``, as integer floats, a position and
+    a regime row.  The counts start at +0.0 and add +-1.0, so the position
+    is never -0.0, and it stays 0 for a kernel without magnitudes."""
+
+    __slots__ = ("kernel", "out", "magnitudes", "rows", "position", "regime", "bits", "plans",
+                 "variance", "max_abs", "total_2p", "followers")
 
     def __init__(self, kernel: ConditionalKernel, out: _PathOutputs, count: int):
         self.kernel, self.out = kernel, out
         self.variance = _RunningSum(count)
         self.max_abs = None if out.max_abs is None else _RunningMax(count)
         self.total_2p = None if out.total_2p is None else _RunningSum(count)
-        self.state = kernel.batch_init(count)
+        self.magnitudes = kernel._magnitudes
+        if self.magnitudes is not None:
+            self.rows = [np.zeros(count) for _ in self.magnitudes]
+            self.position, self.regime = np.zeros(count), np.empty(count, dtype=np.intp)
+            self.bits = (self.position.view(np.uint64), self.regime.view(np.uint64),
+                         self.regime.view(np.float64))
+            self.plans: dict[int, list] = {}  # per table id, each law's row or None
         self.followers: dict[int, list[tuple[_PathOutputs, _Link]]] = {}
+
+    def regimes(self) -> np.ndarray:
+        """Each path's regime (intp 0 or 1), the sign bit of ``s_0*m_0 +
+        s_1*m_1 + ...`` summed left to right, in the regime row as floats."""
+        position, (position_bits, regime_bits, term) = self.position, self.bits
+        for k, (row, magnitude) in enumerate(zip(self.rows, self.magnitudes)):
+            np.multiply(row, magnitude, out=term if k else position)
+            if k:
+                np.add(position, term, out=position)
+        np.right_shift(position_bits, _SIGN_BIT, out=regime_bits)
+        return self.regime
+
+    def advance(self, table: _StepTable, inc: np.ndarray, gather) -> None:
+        """Count each path's increment ``inc`` of a step of ``table``,
+        consuming the regime.  Where each law's atoms share one magnitude,
+        ``unit = (inc & 2**63) | bits(1.0)`` is the +-1.0 of the increment's
+        sign and ``low = unit * r`` as integers +-1.0 on a path of law 1,
+        +0.0 on one of law 0: law 1's row adds ``low``, law 0's ``unit ^
+        low``.  Otherwise each magnitude's row adds its +-1.0 or 0.0 per
+        atom, by the flat atom index that ``_StepTable.draw`` left in ``gather``."""
+        if None in table.magnitudes:
+            values = table.values
+            for magnitude in np.unique(np.abs(values[values != 0.0])).tolist():
+                per_atom = np.where(np.abs(values) == magnitude, np.sign(values), 0.0)
+                np.take(per_atom, gather.view(np.intp), out=self.position, mode="clip")
+                self.rows[self.magnitudes[magnitude]] += self.position
+            return
+        plan = self.plans.get(id(table))
+        if plan is None:
+            plan = self.plans[id(table)] = [self.magnitudes.get(m) for m in table.magnitudes]
+        if plan.count(None) == len(plan):
+            return
+        unit, low, low_float = self.bits  # the position is free once the regime is drawn
+        np.bitwise_and(inc.view(np.uint64), _SIGN, out=unit)
+        np.bitwise_or(unit, _ONE, out=unit)
+        if table.regimes == 2:
+            np.multiply(unit, low, out=low)
+            if plan[1] is not None:
+                self.rows[plan[1]] += low_float
+            np.bitwise_xor(unit, low, out=unit)
+        if plan[0] is not None:
+            self.rows[plan[0]] += self.position
 
     def lend(self, out: _PathOutputs, link: _Link) -> None:
         """Write this kernel's running values, scaled by ``link``, as a
@@ -1005,16 +997,13 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
     The words are sign-only when each table of the step is fair, and full
     otherwise, shifted to 53 bits for tables that select with thresholds
     and for samplers.  Every buffer is allocated once per chunk and each
-    step runs in place: table selection of the increment, gathers of its
-    conditional variance and |xi|^(2p), then the kernel's state update.
+    step runs in place: the regime of a two-law step from the kernel's
+    counts, table selection of the increment, gathers of its conditional
+    variance and |xi|^(2p), then the counts' update (``_ChunkPoint``).
 
-    Sums that are the same on every path stay Python floats (see
-    ``_RunningSum`` and ``_RunningMax``): <X> while every step so far had
-    one regime, sum |xi|^(2p) while every step's atoms shared one |value|,
-    and a floor of max |xi| that every path has reached.  The floor takes
-    the |value| of a step whose atoms share one, and the least per-path max
-    after a finite table's per-path step; a step whose atoms are all within
-    it leaves every max as it is.
+    Sums that are the same on every path stay Python floats, and max |xi|
+    keeps a floor that every path has reached (``_RunningSum``,
+    ``_RunningMax``).
     """
     links = [None] * len(kernels) if links is None else links
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
@@ -1046,10 +1035,8 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
         else:
             np.right_shift(words, _SHIFT, out=words)
         for point, table in active:
-            kernel, out = point.kernel, point.out
-            regime = kernel.batch_regime(step, point.state)
-            if regime is not None and regime.dtype != np.intp:
-                raise KernelError(f"step {step}: batch_regime returned {regime.dtype}, not intp")
+            out = point.out
+            regime = None if table.regimes == 1 else point.regimes()
             fair = table.sign_base is not None
             if gather is None and table.gathers:
                 gather = np.empty(count, dtype=np.uint64)
@@ -1081,7 +1068,8 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
                 else:
                     point.total_2p.add(np.take(table.pow2p, gather.view(np.intp),
                                                out=gathered, mode="clip"))
-            point.state = kernel.batch_advance(step, point.state, inc, regime)
+            if point.magnitudes is not None:
+                point.advance(table, inc, gather)
             for follower in point.followers.get(step, ()):
                 point.lend(*follower)
     for point in points:
@@ -1197,21 +1185,16 @@ def sample_terminals(
     drawn once for all kernels still running (see ``_simulate_chunk``).
     Result i is bit for bit ``sample_terminal(kernels[i], seed, count, p,
     with_sum_inc)``.  The terminals of every kernel are held at once; the
-    kernels that keep a batch state share the chunk length that one such
-    kernel would get.
+    kernels with a two-law step, which keep counts, share the chunk length
+    that one such kernel would get.
 
     The kernels form chains (``_chain_links``).  A follower's tables are,
-    at each of its steps, those of a leader at least as long with every
-    atom scaled by 2**e, m2 by 2**e2 and |atom|^(2p) by 2**e3, bit for bit,
-    for one (e, e2, e3), and it picks the leader's regimes.  Its increments
-    are then the leader's times 2**e on every path, and as rounding
-    commutes with such a scale in the normal range, each of its running
-    sums is the leader's, scaled: the follower takes no step and reads its
-    outputs off the leader's at its last step.  On a dyadic grid
-    ``1/sqrt(n)`` at n and 4n differ by exactly 2.  Sampled laws, values
-    that could leave the normal range, scales that are no power of two
-    (|atom|^(2p) for p = 1.25 and an odd e) and a batch state that does
-    not declare it follows (``batch_follows``) refuse a chain.
+    at each of its steps, a leader's with every atom scaled by 2**e, m2 by
+    2**e2 and |atom|^(2p) by 2**e3, bit for bit, for one (e, e2, e3).  Its
+    increments are then the leader's times 2**e on every path, and as
+    rounding commutes with such a scale in the normal range, it takes no
+    step and reads its sums off the leader's, scaled, at its last step.  On
+    a dyadic grid ``1/sqrt(n)`` at n and 4n differ by exactly 2.
     """
     kernels = tuple(kernels)
     _check_run(kernels, count)
@@ -1219,13 +1202,14 @@ def sample_terminals(
         raise KernelError("p must be >= 1")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
     terminals = [np.zeros(count) for _ in kernels]
-    links = _chain_links(kernels, {}, float(p))
-    # a kernel's batch state holds a few values per path of the chunk.  A
+    # a kernel's counts hold a few values per path of the chunk.  A
     # follower holds none, but dividing by the leaders alone doubles the
     # chunk of a grid that halves into chains, and its shared buffers with
-    # it, for no measured speed (rates-drift: about 1 MB more peak RSS)
-    stateful = sum(kernel.batch_init(0) is not None for kernel in kernels)
+    # it, for no measured speed (rates-drift: about 1 MB more peak RSS).
+    # First, so that a step of three laws is refused before any table
+    stateful = sum(kernel._magnitudes is not None for kernel in kernels)
     chunk_size = max(1, chunk_size // max(stateful, 1))
+    links = _chain_links(kernels, {}, float(p))
     # The paths run in windows of whole reduction blocks, two per thread.
     # Chunks fill row slices of the terminals and return the other per-path
     # sums, and every block's sums are taken once the window is done, so the

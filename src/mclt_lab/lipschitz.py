@@ -200,6 +200,7 @@ class _Enumeration:
 
 
 @lru_cache(maxsize=1)
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite f or Var f is refused
 def _enumeration(model: LipschitzModel) -> _Enumeration:
     """Everything exact about a model, from one pass of f over its outcomes.
 
@@ -242,6 +243,8 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
     spread = np.subtract(f_values, float(g_tensors[0]))
     np.multiply(probs, np.square(spread, out=spread), out=spread)
     variance = float(np.sum(spread))
+    if not math.isfinite(variance):
+        raise DegenerateFunctionalError("functional's variance is not a finite float")
     for array in (*weights, *g_tensors, probs):
         array.flags.writeable = False
     return _Enumeration(
@@ -298,8 +301,10 @@ def doob_decompose(model: LipschitzModel, realization: Sequence[float]) -> DoobD
 # normalization quantities
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _metric_moment(coord: CoordinateDistribution, metric: Metric, power: float) -> float:
-    """E[(E[d(eta, eta') | eta])^power] with eta' an independent copy of eta."""
+    """E[(E[d(eta, eta') | eta])^power] with eta' an independent copy of eta;
+    inf or NaN, without a warning, once it leaves the float range."""
     vals = coord.values
     probs = coord.probs
     inner = np.array(
@@ -317,15 +322,17 @@ class EpsilonDelta:
 
 
 def epsilon_delta_n(model: LipschitzModel) -> EpsilonDelta:
-    """The normalization pair (eps_n, delta_n) of the model, exact."""
+    """Exact (eps_n, delta_n) of the model; a metric moment past float range is a ValueError."""
     model.validate()
     numerator = max(
         _metric_moment(c, d, model.rho) ** (1.0 / model.rho) for c, d in zip(model.coords, model.d2)
     )
     denom_sq = math.fsum(_metric_moment(c, d, 2) for c, d in zip(model.coords, model.d1))
+    upper_sq = math.fsum(_metric_moment(c, d, 2) for c, d in zip(model.coords, model.d2))
+    if not all(map(math.isfinite, (numerator, denom_sq, upper_sq))):
+        raise ValueError("a metric moment is not a finite float")
     if denom_sq <= 0.0:
         raise DegenerateMetricError("lower metrics are identically zero")
-    upper_sq = math.fsum(_metric_moment(c, d, 2) for c, d in zip(model.coords, model.d2))
     return EpsilonDelta(
         epsilon_n=float(numerator / math.sqrt(denom_sq)),
         delta_n=float(abs(upper_sq / denom_sq - 1.0)),

@@ -126,7 +126,7 @@ def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCo
     kept = np.arange(n) < tau[:, None]
     np.copyto(padded[:, :n], increments, where=kept)
     # conditional std of the kept original steps is the realized magnitude
-    # (every registry law is symmetric two-point given its history)
+    # for a law whose atoms share one |value|
     np.sqrt(np.diff(variances, axis=1), out=scales[:, :n], where=kept)
     cells = (owner, np.repeat(tau, draws) + step)
     padded[cells] = magnitude * signs
@@ -145,11 +145,11 @@ def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCo
 def padding_ratio_report(padded: PaddedCollection, rho: float) -> dict:
     """Moment-domination check for every padded step, in closed form.
 
-    A step with conditional std m and a symmetric two-point law has
-    ``E|xi|^(2+rho) = m^rho * E[xi^2]``, so the condition at level eps holds
-    iff m <= eps, with equality exactly when m == eps.  Zero steps pass
-    vacuously.  ``holds``, ``worst_ratio`` and ``equality_steps`` are arrays
-    with one entry per path.
+    A step with conditional std m whose atoms all have |value| m (as
+    ``mclt-lab verify`` requires) has ``E|xi|^(2+rho) = m^rho * E[xi^2]``,
+    so the condition at level eps holds iff m <= eps, with equality exactly
+    when m == eps.  Zero steps pass vacuously.  ``holds``, ``worst_ratio``
+    and ``equality_steps`` are arrays with one entry per path.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")

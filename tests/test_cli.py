@@ -185,6 +185,23 @@ def test_transforms_check_padded_length_over_limits_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("kernel", [
+    # every kept step has E|xi|^3 = 0.00675 > eps E xi^2 = 0.0045, while
+    # its conditional std sqrt(q) b = 0.15 lies below eps = 0.2, which the
+    # padding report would pass
+    {"name": "three_point", "params": {"b": 0.3, "q": 0.25}},
+    {"name": "iid_scaled", "params": {"values": [-2.0, 1.0], "probs": [1.0 / 3.0, 2.0 / 3.0]}},
+    {"name": "iid_gaussian"},
+])
+def test_transforms_check_refuses_laws_of_several_magnitudes(tmp_path, kernel):
+    doc = {"kind": "transforms-check", "kernel": kernel, "grid": [{"n": 8}], "count": 200,
+           "epsilon": 0.2, "seed": 3}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", [
     {"params": {}},  # no "name"
     {"name": "iid_rademacher", "params": {"zz": 1}},  # a parameter the family does not take
 ])

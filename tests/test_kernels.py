@@ -283,9 +283,11 @@ def _reference_paths(kernel, seed, count):
 
 
 class _SignSwitchKernel(ConditionalKernel):
-    """Two regimes chosen by sign(X), the first where X >= 0, by default with
-    different supports and thresholds; the first ``fixed_steps`` steps take
-    the first regime on every path."""
+    """Two laws, the first where the canonical position is >= 0, by default
+    with different supports and thresholds, a zero atom beside a magnitude
+    and two magnitudes in one law, so the engine counts by a per-atom
+    gather; the first ``fixed_steps`` steps take the first law alone.  It
+    declares its laws and nothing else."""
 
     def __init__(self, n, fixed_steps=0, regimes=None, label=None):
         self.n = n
@@ -296,29 +298,8 @@ class _SignSwitchKernel(ConditionalKernel):
             StepDistribution(values=(-0.7, 0.3), probs=(0.3, 0.7)),
         )
 
-    def initial_state(self):
-        return 0.0
-
-    def transition(self, state, value):
-        return state + value
-
-    def law_from_state(self, step, state):
-        return self.regimes[0 if step <= self.fixed_steps or state >= 0.0 else 1]
-
     def step_regimes(self, step):
         return self.regimes[:1] if step <= self.fixed_steps else self.regimes
-
-    def batch_init(self, count):
-        return np.zeros(count)
-
-    def batch_regime(self, step, batch_state):
-        if step <= self.fixed_steps:
-            return None
-        return (batch_state < 0.0).astype(np.intp)
-
-    def batch_advance(self, step, batch_state, increments, regime):
-        batch_state += increments
-        return batch_state
 
 
 # the floor of max |xi| rises and is passed: a per-path step that leaves
@@ -355,12 +336,21 @@ REFERENCE_KERNELS = [
     # an asymmetric one keeps the whole table on the shifted words
     _SignSwitchKernel(n=14, regimes=(rademacher_two_point(1.0), rademacher_two_point(0.3)),
                       label="fair_regimes"),
+    # a stateful kernel's one-law steps count by the sign bit too
+    _SignSwitchKernel(n=14, fixed_steps=3,
+                      regimes=(rademacher_two_point(1.0), rademacher_two_point(0.3)),
+                      label="fair_regimes_late"),
     _SignSwitchKernel(n=14, regimes=(StepDistribution(values=(0.6, -0.6), probs=(0.5, 0.5)),
                                      rademacher_two_point(0.2)),
                       label="fair_regimes_first_positive"),
     _SignSwitchKernel(n=14, regimes=(rademacher_two_point(0.4),
                                      StepDistribution(values=(0.0, -0.0), probs=(0.5, 0.5))),
                       label="fair_regimes_signed_zero"),
+    # two laws of zeros only: no magnitude, so the position is 0 and the
+    # first law, whose -0.0 steps have the sign bit set, holds throughout
+    _SignSwitchKernel(n=6, regimes=(StepDistribution(values=(0.0, -0.0), probs=(0.5, 0.5)),
+                                    StepDistribution(values=(0.0,), probs=(1.0,))),
+                      label="zero_laws"),
     _SignSwitchKernel(n=14, regimes=(rademacher_two_point(0.5),
                                      StepDistribution(values=(-0.7, 0.3), probs=(0.3, 0.7))),
                       label="fair_and_asymmetric_regimes"),
@@ -506,14 +496,6 @@ def test_grid_step_loop_over_several_reduction_blocks():
         assert _same_statistics(got, sample_terminal(kernel, 2, count))
 
 
-class _DeclaredSignSwitch(_SignSwitchKernel):
-    """``_SignSwitchKernel`` that declares its chains: its regime is the sign
-    of X, which scaling every atom by one power of two keeps."""
-
-    def batch_follows(self, leader):
-        return isinstance(leader, _SignSwitchKernel) and leader.fixed_steps == self.fixed_steps
-
-
 def _scaled_regimes(scale):
     return (StepDistribution(values=(-scale, 0.0, scale), probs=(0.25, 0.5, 0.25)),
             StepDistribution(values=(-0.7 * scale, 0.3 * scale), probs=(0.3, 0.7)))
@@ -555,13 +537,18 @@ CHAIN_GRIDS = {
     "drift_unmatched": (_grid("variance_drift", [(16, {"d": 0.2}), (64, {"d": 0.3}),
                                                  (32, {"d": 0.2})]), 1.5,
                         {16: [], 64: [], 32: []}),
-    # a batch state that is not declared never chains, a declared one does
-    "undeclared_state": ([_SignSwitchKernel(n=6, regimes=_scaled_regimes(2.0)),
-                          _SignSwitchKernel(n=14, regimes=_scaled_regimes(1.0))], 1.5,
-                         {6: [], 14: []}),
-    "declared_state": ([_DeclaredSignSwitch(n=6, regimes=_scaled_regimes(2.0)),
-                        _DeclaredSignSwitch(n=14, regimes=_scaled_regimes(1.0))], 1.5,
+    # a two-law kernel that declares nothing but its laws chains; so does a
+    # one-law table through a late switch's one-law steps, and a late switch
+    # whose two-law steps start within its run
+    "declared_state": ([_SignSwitchKernel(n=6, regimes=_scaled_regimes(2.0)),
+                        _SignSwitchKernel(n=14, regimes=_scaled_regimes(1.0))], 1.5,
                        {14: [6]}),
+    "table_follows_a_late_switch": ([_SignSwitchKernel(n=14, fixed_steps=4,
+                                                       regimes=_scaled_regimes(1.0)),
+                                     TableKernel(_scaled_regimes(0.5)[:1] * 3),
+                                     _SignSwitchKernel(n=7, fixed_steps=4,
+                                                       regimes=_scaled_regimes(0.25))], 1.5,
+                                    {14: [3, 7]}),
     # followers that end where a shared |value| has raised the max floor
     # above the paths still at 0, and two steps later
     "max_floor": ([_scaled_steps(_MAX_FLOOR, 2.0, 2), _scaled_steps(_MAX_FLOOR, 0.5, 4),
@@ -613,12 +600,16 @@ def test_invalid_law_refuses_the_chain_and_raises_where_it_would_alone():
     assert str(together.value) == str(alone.value)
 
 
-def test_variance_drift_declares_chains_at_powers_of_four():
+def test_variance_drift_chains_at_powers_of_four():
+    # no kernel declares a chain: h and l at n and 4n differ by exactly 2,
+    # at n and 2n by sqrt(2), and at another d by no power of two
     kernel = m.make_kernel("variance_drift", n=8, d=0.2)
     for n, d, follows in ((8, 0.2, True), (32, 0.2, True), (512, 0.2, True), (16, 0.2, False),
                           (24, 0.2, False), (32, 0.3, False)):
-        assert kernel.batch_follows(m.make_kernel("variance_drift", n=n, d=d)) is follows
-    assert not kernel.batch_follows(_SignSwitchKernel(n=32))
+        leader = m.make_kernel("variance_drift", n=n, d=d)
+        assert _chains([leader, kernel], 1.5) == ({n: [8]} if follows else {n: [], 8: []})
+    switch = _SignSwitchKernel(n=32, regimes=_scaled_regimes(2.0**-20))
+    assert _chains([_SignSwitchKernel(n=8), switch], 1.5) == {32: [8]}
 
 
 @pytest.mark.parametrize("kernel, rows", [
@@ -745,18 +736,53 @@ def test_two_regime_selection_equals_the_gather(values, picks):
     assert _same_bits(got, np.take(values, regime))
 
 
-@settings(max_examples=100)
-@given(
-    values=st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()), min_size=3, max_size=3),
-    picks=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=40),
-)
-def test_three_regime_selection_is_the_gather(values, picks):
-    values = np.array(values)
-    per_regime = kernels._by_regime(values)
-    assert isinstance(per_regime, np.ndarray) and per_regime.dtype == np.uint64
-    regime = np.array(picks, dtype=np.intp)
-    got = kernels._StepTable(regimes=3, width=2).select(per_regime, regime, np.empty(len(picks)))
-    assert _same_bits(got, np.take(values, regime))
+def test_a_third_law_is_refused():
+    laws = (rademacher_two_point(1.0), rademacher_two_point(0.5), rademacher_two_point(0.25))
+    kernel = _SignSwitchKernel(n=4, fixed_steps=1, regimes=laws)
+    for run in (lambda: sample_terminal(kernel, 1, 8), lambda: sample_paths(kernel, 1, 8),
+                lambda: sample_terminals([kernel, _SignSwitchKernel(n=2, regimes=laws)], 1, 8),
+                kernel.initial_state):
+        with pytest.raises(KernelError, match="step 2 declares 3 laws"):
+            run()
+
+
+def test_a_sampled_law_in_a_kernel_with_two_laws_is_refused():
+    # a sampled increment has no magnitude to count
+    gaussian = m.make_kernel("iid_gaussian", n=1).dist
+    kernel = _SignSwitchKernel(n=3, fixed_steps=1, regimes=(gaussian, rademacher_two_point(0.5)))
+    for run in (lambda: sample_terminal(kernel, 1, 8), kernel.initial_state):
+        with pytest.raises(KernelError, match="step 1: a sampled law"):
+            run()
+
+
+def test_position_sums_left_to_right_in_order_of_first_appearance():
+    # 3 - 2**-52 rounds to 3, so (3 - 3) - 2**-52 < 0 but (3 - 2**-52) - 3
+    # == 0: the order of the magnitudes decides the law, in the walks and in
+    # the engine alike
+    tiny = 2.0**-52
+    for order, state, regime in (((3.0, 1.0, tiny), (1, -3, -1), 1),
+                                 ((3.0, tiny, 1.0), (1, -1, -3), 0)):
+        values = (-order[1], -order[2], order[1], order[2])
+        kernel = _SignSwitchKernel(n=1, regimes=(rademacher_two_point(3.0),
+                                                 StepDistribution(values=values, probs=(0.25,) * 4)))
+        assert tuple(kernel._magnitudes) == order
+        assert kernel.regime_of_state(state) == regime
+        point = kernels._ChunkPoint(kernel, kernels._PathOutputs(terminal=None), 1)
+        point.rows = [np.array([float(s)]) for s in state]
+        assert point.regimes().tolist() == [regime]
+
+
+def test_counts_gather_only_where_a_law_has_no_one_magnitude():
+    # variance_drift's laws each share one magnitude, so its counts update
+    # bitwise; the sign switch has a zero atom beside 1.0, and 0.7 beside
+    # 0.3, so its counts take the per-atom gather; laws of zeros count nothing
+    drift = VarianceDriftKernel(n=4, d=0.2)
+    zeros = (StepDistribution(values=(0.0,), probs=(1.0,)),
+             StepDistribution(values=(0.0, -0.0), probs=(0.5, 0.5)))
+    for laws, magnitudes in ((drift.step_regimes(1), (drift.high_mag, drift.low_mag)),
+                             (_SignSwitchKernel(n=4).regimes, (None, None)),
+                             (zeros, (0.0, 0.0))):
+        assert kernels._step_table(1, laws, 1.0).magnitudes == magnitudes
 
 
 @settings(max_examples=40, deadline=None)
@@ -766,30 +792,28 @@ def test_three_regime_selection_is_the_gather(values, picks):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_variance_drift_batch_state_follows_the_scalar_state(d, n, seed):
-    # the batch keeps (a, b) as floats and takes the regime from the sign
-    # bit of a*h + b*l; both must be the scalar transition's and
-    # law_from_state's on every path and step, bit for bit
+    # the engine keeps the counts (a, b) as float rows and takes the regime
+    # from the sign bit of a*h + b*l; both must be the scalar transition's
+    # and law_from_state's on every path and step, bit for bit
     kernel = VarianceDriftKernel(n=n, d=d)
+    table = kernels._step_table(1, kernel.step_regimes(1), 1.0)
     mags = np.array([kernel.high_mag, kernel.low_mag])
     down = np.random.default_rng(seed).random((n, 64)) < 0.5
     down[:3, 0] = (True, False, False)[:n]  # -h, +l, +l: b = -2a = 2
     states = [kernel.initial_state()] * down.shape[1]
-    batch = kernel.batch_init(down.shape[1])
+    counts = kernels._ChunkPoint(kernel, kernels._PathOutputs(terminal=None), down.shape[1])
     cancelled = False
     for step in range(1, n + 1):
-        regime = kernel.batch_regime(step, batch)
-        assert regime.dtype == np.intp
-        pos = batch[2]
+        regime = counts.regimes()
+        pos = counts.position
         assert not np.any(pos.view(np.uint64) == 1 << 63)  # never -0.0
-        cancelled |= bool(np.any((pos == 0.0) & (batch[0] != 0.0)))
+        cancelled |= bool(np.any((pos == 0.0) & (counts.rows[0] != 0.0)))
         want = [kernel.step_regimes(step).index(kernel.law_from_state(step, s)) for s in states]
         assert regime.tolist() == want
         inc = np.where(down[step - 1], -1.0, 1.0) * mags[regime]
         states = [kernel.transition(s, x) for s, x in zip(states, inc.tolist())]
-        kernel.batch_advance(step, batch, inc, regime)
-        a, b = batch[:2]
-        assert _same_bits(a, [float(s[0]) for s in states])
-        assert _same_bits(b, [float(s[1]) for s in states])
+        counts.advance(table, inc, None)
+        assert _same_bits(counts.rows, np.array(states, dtype=float).T)
     if d == 0.6 and n >= 4:
         # the cancelling position was reached and classified above
         assert kernel.high_mag == 2.0 * kernel.low_mag
@@ -846,20 +870,6 @@ def test_invalid_regime_is_named():
         sample_terminal(kernel, seed=1, count=10)
     assert err.value.step == 1
     assert "mean" in str(err.value) and "(regime 1)" in str(err.value)
-
-
-@pytest.mark.parametrize("dtype", [np.bool_, np.int32, np.uint64])
-def test_a_regime_index_that_is_not_intp_is_refused(dtype):
-    # the two-regime selection multiplies the regime's bits, so a bool or
-    # narrower index would select wrong values instead of failing
-    class Narrow(_SignSwitchKernel):
-        def batch_regime(self, step, batch_state):
-            return super().batch_regime(step, batch_state).astype(dtype)
-
-    kernel = Narrow(n=4)
-    for run in (sample_terminal, sample_paths):
-        with pytest.raises(KernelError, match="step 1: batch_regime returned"):
-            run(kernel, 1, 8)
 
 
 @pytest.mark.parametrize("name, params, p", [

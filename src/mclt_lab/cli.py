@@ -176,8 +176,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind == "transforms-check":
         if not grid and "n" not in doc:
             raise ConfigError("transforms-check needs a grid entry or a top-level 'n'")
-        kernel = _kernel_for_entry(doc["kernel"], grid[0] if grid else {"n": doc["n"]},
-                                   one_magnitude=True)
+        kernel = _kernel_for_entry(doc["kernel"], grid[0] if grid else {"n": doc["n"]})
+        # padding_ratio_report reads a kept step's ratio off its conditional std
+        for step in range(1, kernel.n + 1):
+            if any(len({abs(v) for v in dist.values}) != 1 for dist in kernel.step_regimes(step)):
+                raise ConfigError(f"kernel reference invalid: a law of step {step} has "
+                                  "atoms of more than one |value|, or none")
         try:
             count = int(doc.get("count", 1000))
             check_bundle(count, kernel.n)
@@ -227,10 +231,8 @@ def _config_value(doc: dict, key: str, default, convert=_finite):
         raise ConfigError(f"{key} has an invalid value {value!r}") from None
 
 
-def _kernel_for_entry(ref, entry: dict, one_magnitude: bool = False):
-    """The kernel of one grid entry; one that cannot be built or simulated,
-    or with ``one_magnitude`` one with a law whose atoms do not share one
-    |value| (see ``transforms.padding_ratio_report``), is a config error."""
+def _kernel_for_entry(ref, entry: dict):
+    """The kernel of one grid entry; one that cannot be built or simulated is a config error."""
     if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError("kernel reference must be an object with a 'name' field")
     try:
@@ -254,9 +256,6 @@ def _kernel_for_entry(ref, entry: dict, one_magnitude: bool = False):
                 if dist.moment(2) == math.inf:
                     raise ConfigError(f"kernel reference invalid: E xi^2 of step {step} "
                                       "is not a finite float")
-                if one_magnitude and len({abs(v) for v in dist.values}) != 1:
-                    raise ConfigError(f"kernel reference invalid: a law of step {step} has "
-                                      "atoms of more than one |value|, or none")
     return kernel
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,11 +199,10 @@ class ConditionalKernel:
     def _magnitudes(self) -> dict[float, int] | None:
         """Each distinct nonzero |atom| of a kernel with a two-law step
         mapped to its coordinate k; None when every step has one law."""
-        steps = [self.step_regimes(step) for step in range(1, self.n + 1)]
-        if all(len(laws) == 1 for laws in steps):
+        if all(len(self.step_regimes(step)) == 1 for step in range(1, self.n + 1)):
             return None
         magnitudes: dict[float, int] = {}
-        for step, laws in enumerate(steps, 1):
+        for step, laws in enumerate(map(self.step_regimes, range(1, self.n + 1)), 1):
             if len(laws) > 2:
                 raise KernelError(f"step {step} declares {len(laws)} laws; a step takes one or two")
             for dist in laws:
@@ -216,33 +215,41 @@ class ConditionalKernel:
     def initial_state(self):
         return None if self._magnitudes is None else (0,) * len(self._magnitudes)
 
-    def transition(self, state, value: float):
-        if state is None or value == 0.0:
-            return state
-        k = self._magnitudes.get(abs(value))
-        if k is None:
-            raise KernelError(f"increment {value!r} is not in this kernel's support")
-        moved = list(state)
-        moved[k] += 1 if value > 0.0 else -1
-        return tuple(moved)
+    @cached_property
+    def transition(self) -> Callable:
+        """``transition(state, value)``, the state after an increment, kept
+        since a walk moves each state at many steps."""
+        magnitudes = self._magnitudes
+
+        @cache
+        def transition(state, value):
+            if state is None or not value:
+                return state
+            k = magnitudes.get(abs(value))
+            if k is None:
+                raise KernelError(f"increment {value!r} is not in this kernel's support")
+            return state[:k] + (state[k] + (1 if value > 0.0 else -1),) + state[k + 1:]
+
+        return transition
 
     def state_key(self, state):
         return state
 
-    def regime_of_state(self, state) -> int:
-        """The law, 0 or 1, that a two-law step takes in ``state``; kept per
-        state, since a walk meets each state at many steps."""
-        regime = self._regimes_of.get(state)
-        if regime is None:
-            position = 0.0
-            for count, magnitude in zip(state, self._magnitudes):
-                position += count * magnitude
-            regime = self._regimes_of[state] = 1 if position < 0.0 else 0
-        return regime
-
     @cached_property
-    def _regimes_of(self) -> dict:
-        return {}
+    def regime_of_state(self) -> Callable[[tuple], int]:
+        """``regime_of_state(state)``, the law, 0 or 1, that a two-law step
+        takes in a state, kept in a dict whose own lookup is the call."""
+        magnitudes = self._magnitudes
+
+        class Regimes(dict):
+            def __missing__(self, state):
+                position = 0.0
+                for count, magnitude in zip(state, magnitudes):
+                    position += count * magnitude
+                regime = self[state] = 1 if position < 0.0 else 0
+                return regime
+
+        return Regimes().__getitem__
 
     def law_from_state(self, step: int, state) -> StepDistribution:
         laws = self.step_regimes(step)
@@ -410,13 +417,8 @@ def _make_iid_gaussian(n: int) -> ConditionalKernel:
 
 
 def _make_table(steps: Sequence[dict], n: int | None = None) -> ConditionalKernel:
-    dists = [
-        StepDistribution(
-            values=tuple(float(v) for v in s["values"]),
-            probs=tuple(float(p) for p in s["probs"]),
-        )
-        for s in steps
-    ]
+    dists = [StepDistribution(values=tuple(float(v) for v in s["values"]),
+                              probs=tuple(float(p) for p in s["probs"])) for s in steps]
     if n is not None and int(n) != len(dists):
         raise KernelError(f"table kernel has {len(dists)} steps, grid asked for n={n}")
     return TableKernel(dists)
@@ -435,11 +437,9 @@ KERNEL_FAMILIES: dict[str, Callable[..., ConditionalKernel]] = {
 
 def make_kernel(name: str, **params) -> ConditionalKernel:
     """Instantiate a registry kernel by name."""
-    try:
-        family = KERNEL_FAMILIES[name]
-    except KeyError:
-        raise KernelError(f"unknown kernel family {name!r}") from None
-    return family(**params)
+    if name not in KERNEL_FAMILIES:
+        raise KernelError(f"unknown kernel family {name!r}")
+    return KERNEL_FAMILIES[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +913,7 @@ class _ChunkPoint:
             self.position, self.regime = np.zeros(count), np.empty(count, dtype=np.intp)
             self.bits = (self.position.view(np.uint64), self.regime.view(np.uint64),
                          self.regime.view(np.float64))
-            self.plans: dict[int, list] = {}  # per table id, each law's row or None
+            self.plans: dict[int, list] = {}  # per table id, how ``advance`` counts
         self.followers: dict[int, list[tuple[_PathOutputs, _Link]]] = {}
 
     def regimes(self) -> np.ndarray:
@@ -935,16 +935,19 @@ class _ChunkPoint:
         +0.0 on one of law 0: law 1's row adds ``low``, law 0's ``unit ^
         low``.  Otherwise each magnitude's row adds its +-1.0 or 0.0 per
         atom, by the flat atom index that ``_StepTable.draw`` left in ``gather``."""
-        if None in table.magnitudes:
-            values = table.values
-            for magnitude in np.unique(np.abs(values[values != 0.0])).tolist():
-                per_atom = np.where(np.abs(values) == magnitude, np.sign(values), 0.0)
-                np.take(per_atom, gather.view(np.intp), out=self.position, mode="clip")
-                self.rows[self.magnitudes[magnitude]] += self.position
-            return
         plan = self.plans.get(id(table))
-        if plan is None:
+        if plan is None and None in table.magnitudes:  # each magnitude's row and per-atom +-1 or 0
+            values = table.values
+            plan = self.plans[id(table)] = [
+                (self.magnitudes[m], np.where(np.abs(values) == m, np.sign(values), 0.0))
+                for m in np.unique(np.abs(values[values != 0.0])).tolist()]
+        elif plan is None:  # each law's row, None for a law of zeros
             plan = self.plans[id(table)] = [self.magnitudes.get(m) for m in table.magnitudes]
+        if None in table.magnitudes:
+            for k, per_atom in plan:
+                np.take(per_atom, gather.view(np.intp), out=self.position, mode="clip")
+                self.rows[k] += self.position
+            return
         if plan.count(None) == len(plan):
             return
         unit, low, low_float = self.bits  # the position is free once the regime is drawn
@@ -1077,10 +1080,7 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
 
 
 def _chunks(count: int, chunk_size: int):
-    start = 0
-    while start < count:
-        yield start, min(chunk_size, count - start)
-        start += chunk_size
+    return [(start, min(chunk_size, count - start)) for start in range(0, count, chunk_size)]
 
 
 def _run_chunks(fn, pieces, threads: int):

@@ -755,6 +755,22 @@ def test_a_sampled_law_in_a_kernel_with_two_laws_is_refused():
             run()
 
 
+def test_transition_counts_each_magnitude_and_refuses_an_unknown_one():
+    # regimes (-1, 0, 1) and (-0.7, 0.3): coordinates 1.0, 0.7, 0.3; a zero
+    # leaves the state, and a kept child is the same on every call
+    kernel = _SignSwitchKernel(n=2)
+    state = kernel.initial_state()
+    assert state == (0, 0, 0)
+    for value, child in ((1.0, (1, 0, 0)), (-0.7, (1, -1, 0)), (0.3, (1, -1, 1)),
+                         (0.0, (1, -1, 1)), (-0.0, (1, -1, 1)), (-1.0, (0, -1, 1))):
+        state = kernel.transition(state, value)
+        assert state == child
+        assert kernel.transition(state, 0.0) is state
+    assert kernel.transition((0, 0, 0), 1.0) is kernel.transition((0, 0, 0), 1.0)
+    with pytest.raises(KernelError, match="not in this kernel's support"):
+        kernel.transition(state, 0.5)
+
+
 def test_position_sums_left_to_right_in_order_of_first_appearance():
     # 3 - 2**-52 rounds to 3, so (3 - 3) - 2**-52 < 0 but (3 - 2**-52) - 3
     # == 0: the order of the magnitudes decides the law, in the walks and in

@@ -276,7 +276,7 @@ def _model_for_entry(doc: dict, entry: dict, rho: float):
             ref["params"] = params
         model = model_from_config(ref)
         check_enumeration(model)
-        epsilon_delta_n(model)  # validates, and refuses a metric moment past float range
+        epsilon_delta_n(model)  # validates; refuses a metric moment, eps_n or delta_n past float range
     except DegenerateMetricError:
         pass  # the run notes it
     except KeyError as exc:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .kernels import (
     ConditionalKernel,
     InvalidKernelError,
@@ -104,75 +106,152 @@ def _ratio(dist: StepDistribution, rho: float) -> float:
     return value
 
 
-def _walk(kernel: ConditionalKernel, key, visit=None) -> list[list]:
-    """Breadth-first walk of the reachable history tree, one level per step.
+def _packed(key: np.ndarray, size: int, column: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """``(key * span + column, size * span)`` for a key below ``size`` and
+    a column below ``span``; a key about to pass 2^62 is replaced by its
+    rank first."""
+    if size * span > 2**62:
+        key = np.unique(key, return_inverse=True)[1]
+        size = int(key.max()) + 1
+    return key * span + column, size * span
 
-    A node is ``[state, <X>, probability, max |xi|, count]`` and stands for
-    ``count`` histories.  Histories whose ``key(state, <X>, probability,
-    max |xi|)`` agree share one node: the first one reached keeps its fields
-    and the counts add up.  ``visit(step, law)`` sees each distinct law of a
-    level once; the return value is the nodes of the terminal level.
+
+def _classes(columns, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by equal values in every column: ``(order, starts)``, a
+    stable sort of the row indices by class and where each class begins in
+    it, so that ``order[starts]`` holds each class's first row.
+
+    The columns are packed into one int64 key, an integer column by its
+    span and a float column by the rank of its value, so that equal floats
+    share a class as equal dict keys do.
     """
-    init = kernel.initial_state()
-    level = {key(init, 0.0, 1.0, 0.0): [init, 0.0, 1.0, 0.0, 1]}
+    key, size = np.zeros(rows, dtype=np.int64), 1
+    for column in columns:
+        if column.dtype.kind == "f":
+            column = np.unique(column, return_inverse=True)[1]
+        low = int(column.min())
+        key, size = _packed(key, size, column - low, int(column.max()) - low + 1)
+    # with the row index every key is distinct, so any sort gives the one
+    # order, the stable sort by class
+    order = np.argsort(_packed(key, size, np.arange(rows), rows)[0])
+    ordered = key[order]
+    return order, np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
+def _level_laws(kernel: ConditionalKernel, step, laws: list[StepDistribution]) -> tuple:
+    """``(E xi^2, probabilities, |values|, moves, real)`` of a level's laws,
+    once each is known valid and exact-mode: a row per law of its atoms of
+    nonzero probability, padded to one width, with ``real`` marking the
+    atoms that are not padding (None where no row is padded).  An atom's
+    move adds its sign to the count of its magnitude in a declared state,
+    and nothing for a zero atom or a kernel without one."""
+    checked = [_checked_law(step, dist) for dist in laws]
+    widths = np.array([len(atoms) for _, _, atoms in checked])
+    width, magnitudes = int(widths.max()), kernel._magnitudes
+    probs, sizes = np.zeros((len(laws), width)), np.zeros((len(laws), width))
+    moves = np.zeros((len(laws), width, len(magnitudes or ())), dtype=np.int64)
+    for j, (_, _, atoms) in enumerate(checked):
+        for i, (value, p, size) in enumerate(atoms):
+            probs[j, i], sizes[j, i] = p, size
+            if magnitudes is not None and value:
+                k = magnitudes.get(size)
+                if k is None:
+                    raise KernelError(f"increment {value!r} is not in this kernel's support")
+                moves[j, i, k] = 1 if value > 0.0 else -1
+    real = None if widths.min() == width else np.arange(width) < widths[:, None]
+    return np.array([m2 for _, m2, _ in checked]), probs, sizes, moves, real
+
+
+def _walk(kernel: ConditionalKernel, carry=(), key=None, visit=None) -> dict[str, np.ndarray]:
+    """Breadth-first walk of the reachable history tree, one numpy pass per step.
+
+    A level holds its nodes as columns: ``state``, the kernel's declared
+    counts (int64, one column per magnitude), and those of ``acc`` (<X>),
+    ``prob``, ``top`` (max |xi|) and ``count`` (the histories a node stands
+    for, as Python ints) that ``carry`` names.  Children are laid out
+    parent-major, atom-minor.  Those whose states and ``key(children)``
+    columns agree share one node: the first one in that order keeps its
+    fields and the counts add up, and the nodes keep the order in which
+    they were first reached.  ``visit(step, law)`` sees each distinct law of
+    a level once, in that order; the return value is the columns of the
+    terminal level.
+    """
+    stateful = kernel.initial_state() is not None
+    magnitudes = tuple(kernel._magnitudes or ())
+    root = {"state": np.zeros((1, len(magnitudes)), dtype=np.int64), "acc": np.zeros(1),
+            "prob": np.ones(1), "top": np.zeros(1), "count": np.array([1], dtype=object)}
+    level = {name: root[name] for name in ("state", *carry)}
+    # the atoms of each level's laws, keyed on their ids: hashing a law
+    # hashes its value tuples; the table holds the laws, so no other law
+    # can take their ids
+    tables: dict[tuple, tuple] = {}
     nodes = 0
     for step in range(1, kernel.n + 1):
-        nxt: dict = {}
-        # each law of the level is checked once, keyed on its id: hashing a
-        # law hashes its value tuples; the table holds the law, so no other
-        # law can take its id during the level
-        laws: dict[int, tuple] = {}
-        for state, acc, prob, top, count in level.values():
-            dist = kernel.law_from_state(step, state)
-            law = laws.get(id(dist))
-            if law is None:
-                law = laws[id(dist)] = _checked_law(step, dist)
-                if visit is not None:
-                    visit(step, dist)
-            new_acc = acc + law[1]
-            for value, p, size in law[2]:
-                child = kernel.transition(state, value)
-                child_prob = prob * p
-                child_top = top if top >= size else size  # max(top, |value|)
-                child_key = key(child, new_acc, child_prob, child_top)
-                node = nxt.get(child_key)
-                if node is not None:
-                    node[4] += count
-                    continue
-                nxt[child_key] = [child, new_acc, child_prob, child_top, count]
-                nodes += 1
-                if nodes > NODE_GUARD:
-                    raise WalkGuardExceeded(
-                        f"history walk exceeded {NODE_GUARD} nodes at step {step}"
-                    )
-        level = nxt
-    return list(level.values())
+        state = level["state"]
+        # the regime, the sign of the canonical position summed left to
+        # right, then the law of each regime from the first state in it
+        position = np.zeros(len(state))
+        for k, magnitude in enumerate(magnitudes):
+            position += state[:, k] * magnitude
+        regime = position < 0.0
+        switched = regime != regime[0]
+        laws: list[StepDistribution] = []
+        for first in (0, *np.flatnonzero(switched)[:1].tolist()):
+            dist = kernel.law_from_state(step, tuple(state[first].tolist()) if stateful else None)
+            if all(dist is not law for law in laws):
+                laws.append(dist)
+        ids = tuple(map(id, laws))
+        if ids not in tables:
+            tables[ids] = (laws, _level_laws(kernel, step, laws))
+        m2, probs, sizes, moves, real = tables[ids][1]
+        if visit is not None:
+            for dist in laws:
+                visit(step, dist)
+        # a parent in the first regime reached takes the first law's row
+        row = slice(0, 1) if len(laws) == 1 else switched.astype(np.intp)
+        width = probs.shape[1]
+        children = {"state": (state[:, None, :] + moves[row]).reshape(len(state) * width, -1)}
+        if "acc" in level:
+            children["acc"] = np.repeat(level["acc"] + m2[row], width)
+        if "prob" in level:
+            children["prob"] = (level["prob"][:, None] * probs[row]).reshape(-1)
+        if "top" in level:
+            children["top"] = np.maximum(level["top"][:, None], sizes[row]).reshape(-1)
+        if "count" in level:
+            children["count"] = np.repeat(level["count"], width)
+        if real is not None:
+            children = {name: column[real[row].reshape(-1)] for name, column in children.items()}
+        extra = () if key is None else key(children)
+        order, starts = _classes([*children["state"].T, *extra], len(children["state"]))
+        first = order[starts]
+        rank = np.argsort(first)
+        level = {name: column[first[rank]] for name, column in children.items()}
+        if "count" in level:
+            level["count"] = np.add.reduceat(children["count"][order], starts)[rank]
+        nodes += len(first)
+        if nodes > NODE_GUARD:
+            raise WalkGuardExceeded(f"history walk exceeded {NODE_GUARD} nodes at step {step}")
+    return level
 
 
-def _walk_epsilon(kernel: ConditionalKernel, rho: float) -> list[float]:
-    """Worst per-step ratio over all reachable histories (state-deduplicated)."""
-    per_step = [0.0] * kernel.n
-
-    def visit(step, dist):
-        per_step[step - 1] = max(per_step[step - 1], _ratio(dist, rho))
-
-    _walk(kernel, lambda state, acc, prob, top: kernel.state_key(state), visit)
-    return per_step
-
-
-def _walk_delta(kernel: ConditionalKernel) -> float:
-    """Sup over reachable histories of |<X>_n - 1| (state+variance dedup)."""
-    terminal = _walk(
-        kernel, lambda state, acc, prob, top: (kernel.state_key(state), round(acc, 14))
-    )
-    return max(abs(acc - 1.0) for _, acc, _, _, _ in terminal)
+def _rounded(acc: np.ndarray) -> np.ndarray:
+    """Python's ``round(acc, 14)``, taken once per distinct value:
+    ``np.round`` rounds differently."""
+    values, inverse = np.unique(acc, return_inverse=True)
+    return np.array([round(v, 14) for v in values.tolist()])[inverse]
 
 
 def minimal_epsilon(kernel: ConditionalKernel, rho: float) -> ConditionReport:
     """Smallest eps satisfying the moment-domination condition at this rho."""
     if rho <= 0.0:
         raise KernelError("rho must be positive")
-    per_step_eps = [r ** (1.0 / rho) for r in _walk_epsilon(kernel, rho)]
+    per_step = [0.0] * kernel.n
+
+    def visit(step, dist):
+        per_step[step - 1] = max(per_step[step - 1], _ratio(dist, rho))
+
+    _walk(kernel, visit=visit)
+    per_step_eps = [r ** (1.0 / rho) for r in per_step]
     epsilon = max(per_step_eps) if per_step_eps else 0.0
     table = tuple(
         {"step": i + 1, "epsilon": e} for i, e in enumerate(per_step_eps)
@@ -188,7 +267,9 @@ def minimal_epsilon(kernel: ConditionalKernel, rho: float) -> ConditionReport:
 
 def minimal_delta(kernel: ConditionalKernel) -> ConditionReport:
     """Smallest delta with |<X>_n - 1| <= delta^2 over reachable histories."""
-    dev = _walk_delta(kernel)
+    # merged on the state and <X> to 14 decimals: the first <X> reached stands for its class
+    acc = _walk(kernel, carry=("acc",), key=lambda nodes: (_rounded(nodes["acc"]),))["acc"]
+    dev = float(np.abs(acc - 1.0).max())
     if dev < 1e-12:
         # summation dust on kernels whose variance path is constant 1; the
         # square root would otherwise inflate ~1e-16 into delta ~ 1e-8

@@ -232,9 +232,6 @@ class ConditionalKernel:
 
         return transition
 
-    def state_key(self, state):
-        return state
-
     @cached_property
     def regime_of_state(self) -> Callable[[tuple], int]:
         """``regime_of_state(state)``, the law, 0 or 1, that a two-law step
@@ -698,10 +695,9 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
     )
 
 
-def _table_at(tables: dict, kernel: ConditionalKernel, step: int, p: float) -> _StepTable:
-    """The table of ``kernel``'s laws at ``step``, built once per distinct
+def _table_at(tables: dict, laws: tuple[StepDistribution, ...], step: int, p: float) -> _StepTable:
+    """The table of a kernel's ``laws`` at ``step``, built once per distinct
     law tuple and kept in ``tables``."""
-    laws = kernel.step_regimes(step)
     law_bits = tuple(dist._table_key for dist in laws)
     table = tables.get(law_bits)
     if table is None:
@@ -790,7 +786,8 @@ def _chain_link(follower: ConditionalKernel, leader: ConditionalKernel, index: i
     scales, seen = None, set()
     try:
         for step in range(1, follower.n + 1):
-            mine, theirs = _table_at(tables, follower, step, p), _table_at(tables, leader, step, p)
+            mine = _table_at(tables, follower.step_regimes(step), step, p)
+            theirs = _table_at(tables, leader.step_regimes(step), step, p)
             if (id(mine), id(theirs)) in seen:  # ``tables`` holds both, so the ids stay theirs
                 continue
             seen.add((id(mine), id(theirs)))
@@ -900,7 +897,7 @@ class _ChunkPoint:
     is never -0.0, and it stays 0 for a kernel without magnitudes."""
 
     __slots__ = ("kernel", "out", "magnitudes", "rows", "position", "regime", "bits", "plans",
-                 "variance", "max_abs", "total_2p", "followers")
+                 "variance", "max_abs", "total_2p", "followers", "laws", "table")
 
     def __init__(self, kernel: ConditionalKernel, out: _PathOutputs, count: int):
         self.kernel, self.out = kernel, out
@@ -915,6 +912,16 @@ class _ChunkPoint:
                          self.regime.view(np.float64))
             self.plans: dict[int, list] = {}  # per table id, how ``advance`` counts
         self.followers: dict[int, list[tuple[_PathOutputs, _Link]]] = {}
+        self.laws: tuple = ()
+
+    def table_at(self, tables: dict, step: int, p: float) -> _StepTable:
+        """The kernel's table at ``step``: the last step's, without a
+        lookup, when the kernel declares the same law objects again (by
+        identity: laws that differ only in the sign of a zero are ``==``)."""
+        laws = self.kernel.step_regimes(step)
+        if len(laws) != len(self.laws) or any(a is not b for a, b in zip(laws, self.laws)):
+            self.laws, self.table = laws, _table_at(tables, laws, step, p)
+        return self.table
 
     def regimes(self) -> np.ndarray:
         """Each path's regime (intp 0 or 1), the sign bit of ``s_0*m_0 +
@@ -1025,11 +1032,11 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
     # the first step that does; the spare is the mix scratch until the
     # words are drawn, then a fair table's increments or the selection flags
     gather = (np.empty(count, dtype=np.uint64)
-              if any(_table_at(tables, point.kernel, 1, p).gathers for point in points) else None)
+              if any(point.table_at(tables, 1, p).gathers for point in points) else None)
     spare = np.empty(count, dtype=np.uint64)
     xi = None  # allocated by the first table that is not fair
     for step in range(1, max(point.kernel.n for point in points) + 1):
-        active = [(point, _table_at(tables, point.kernel, step, p)) for point in points
+        active = [(point, point.table_at(tables, step, p)) for point in points
                   if point.kernel.n >= step]
         signs = all(table.sign_base is not None for _, table in active)
         rng.uniforms_at(key, ctr_base, step - 1, out=words, scratch=spare, sign_only=signs)

@@ -322,7 +322,8 @@ class EpsilonDelta:
 
 
 def epsilon_delta_n(model: LipschitzModel) -> EpsilonDelta:
-    """Exact (eps_n, delta_n) of the model; a metric moment past float range is a ValueError."""
+    """Exact (eps_n, delta_n) of the model; a metric moment, eps_n or delta_n
+    past float range is a ValueError."""
     model.validate()
     numerator = max(
         _metric_moment(c, d, model.rho) ** (1.0 / model.rho) for c, d in zip(model.coords, model.d2)
@@ -333,9 +334,14 @@ def epsilon_delta_n(model: LipschitzModel) -> EpsilonDelta:
         raise ValueError("a metric moment is not a finite float")
     if denom_sq <= 0.0:
         raise DegenerateMetricError("lower metrics are identically zero")
+    epsilon_n = numerator / math.sqrt(denom_sq)
+    delta_n = abs(upper_sq / denom_sq - 1.0)
+    if not (math.isfinite(epsilon_n) and math.isfinite(delta_n)):
+        # finite moments, but a lower one so small that a ratio overflows
+        raise ValueError("epsilon_n or delta_n is not a finite float")
     return EpsilonDelta(
-        epsilon_n=float(numerator / math.sqrt(denom_sq)),
-        delta_n=float(abs(upper_sq / denom_sq - 1.0)),
+        epsilon_n=float(epsilon_n),
+        delta_n=float(delta_n),
         numerator=float(numerator),
         denominator_sq=float(denom_sq),
     )

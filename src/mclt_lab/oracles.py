@@ -44,13 +44,23 @@ class ExactTerminalMoments:
     leaves: int
 
 
-def _counted_sum(terms) -> float:
-    """Sum of ``count * term`` over (count, term) pairs, rounded once, as
-    ``math.fsum`` rounds the sum of every term repeated count times."""
-    terms = list(terms)
-    if not all(math.isfinite(t) for _, t in terms):
-        return math.fsum(t for _, t in terms)  # inf or nan at any count
-    return float(sum(count * Fraction(t) for count, t in terms))
+def _counted_sum(counts: np.ndarray, terms: np.ndarray) -> float:
+    """Sum of ``count * term`` over the nodes, rounded once, as ``math.fsum``
+    rounds the sum of every term repeated count times: the counts of equal
+    terms add up first."""
+    if not np.isfinite(terms).all():
+        return math.fsum(terms.tolist())  # inf or nan at any count
+    values, inverse = np.unique(terms, return_inverse=True)
+    weights = np.zeros(len(values), dtype=object)
+    np.add.at(weights, inverse, counts)
+    return float(sum(w * Fraction(t) for w, t in zip(weights.tolist(), values.tolist())))
+
+
+def _powered(x: np.ndarray, exponent: float) -> np.ndarray:
+    """``x ** exponent`` in Python floats, taken once per distinct value:
+    ``np.power`` and libm's ``pow`` can differ in the last bit."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([v**exponent for v in values.tolist()])[inverse]
 
 
 def exact_terminal_moments(kernel: ConditionalKernel, p: float = 1.0) -> ExactTerminalMoments:
@@ -59,14 +69,14 @@ def exact_terminal_moments(kernel: ConditionalKernel, p: float = 1.0) -> ExactTe
     Histories share a walk node only when state, <X>, probability and
     max |xi| all agree, so each node's terms are each of its histories' own.
     """
-    nodes = _walk(kernel, lambda state, acc, prob, top: (kernel.state_key(state), acc, prob, top))
-    mean_dev = _counted_sum((c, pr * abs(v - 1.0) ** p) for _, v, pr, _, c in nodes)
-    mean_max = _counted_sum((c, pr * m ** (2.0 * p)) for _, _, pr, m, c in nodes)
+    nodes = _walk(kernel, carry=("acc", "prob", "top", "count"),
+                  key=lambda nodes: (nodes["acc"], nodes["prob"], nodes["top"]))
+    dev = np.abs(nodes["acc"] - 1.0)
     return ExactTerminalMoments(
-        mean_var_dev_p=mean_dev,
-        mean_max_inc_2p=mean_max,
-        max_var_dev=max(abs(v - 1.0) for _, v, _, _, _ in nodes),
-        leaves=sum(c for _, _, _, _, c in nodes),
+        mean_var_dev_p=_counted_sum(nodes["count"], nodes["prob"] * _powered(dev, p)),
+        mean_max_inc_2p=_counted_sum(nodes["count"], nodes["prob"] * _powered(nodes["top"], 2.0 * p)),
+        max_var_dev=float(dev.max()),
+        leaves=int(nodes["count"].sum()),
     )
 
 

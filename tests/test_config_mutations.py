@@ -155,6 +155,18 @@ def test_examples_run(kind):
         assert cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")]) == 0
 
 
+def test_lipschitz_ratio_past_float_range_is_a_config_error():
+    # E d1^2 is subnormal, so delta_n = E d2^2 / E d1^2 - 1 overflows
+    command, example = EXAMPLES["lipschitz"]
+    doc = replaced(example, ("model", "metrics", "d1", "scales"), [1e-160, 1e-160])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", EXAMPLES)
 @PROPERTY
 @given(data=st.data())

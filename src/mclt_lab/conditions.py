@@ -143,21 +143,17 @@ def _level_laws(kernel: ConditionalKernel, step, laws: list[StepDistribution]) -
     once each is known valid and exact-mode: a row per law of its atoms of
     nonzero probability, padded to one width, with ``real`` marking the
     atoms that are not padding (None where no row is padded).  An atom's
-    move adds its sign to the count of its magnitude in a declared state,
-    and nothing for a zero atom or a kernel without one."""
+    move is what it adds to a declared state's counts."""
     checked = [_checked_law(step, dist) for dist in laws]
     widths = np.array([len(atoms) for _, _, atoms in checked])
-    width, magnitudes = int(widths.max()), kernel._magnitudes
+    width, init = int(widths.max()), kernel.initial_state()
     probs, sizes = np.zeros((len(laws), width)), np.zeros((len(laws), width))
-    moves = np.zeros((len(laws), width, len(magnitudes or ())), dtype=np.int64)
+    moves = np.zeros((len(laws), width, len(init or ())), dtype=np.int64)
     for j, (_, _, atoms) in enumerate(checked):
         for i, (value, p, size) in enumerate(atoms):
             probs[j, i], sizes[j, i] = p, size
-            if magnitudes is not None and value:
-                k = magnitudes.get(size)
-                if k is None:
-                    raise KernelError(f"increment {value!r} is not in this kernel's support")
-                moves[j, i, k] = 1 if value > 0.0 else -1
+            if init is not None:
+                moves[j, i] = kernel.transition(init, value)  # the counts start at 0
     real = None if widths.min() == width else np.arange(width) < widths[:, None]
     return np.array([m2 for _, m2, _ in checked]), probs, sizes, moves, real
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -215,38 +215,21 @@ class ConditionalKernel:
     def initial_state(self):
         return None if self._magnitudes is None else (0,) * len(self._magnitudes)
 
-    @cached_property
-    def transition(self) -> Callable:
-        """``transition(state, value)``, the state after an increment, kept
-        since a walk moves each state at many steps."""
-        magnitudes = self._magnitudes
+    def transition(self, state, value):
+        """The state after an increment ``value``."""
+        if state is None or not value:
+            return state
+        k = self._magnitudes.get(abs(value))
+        if k is None:
+            raise KernelError(f"increment {value!r} is not in this kernel's support")
+        return state[:k] + (state[k] + (1 if value > 0.0 else -1),) + state[k + 1:]
 
-        @cache
-        def transition(state, value):
-            if state is None or not value:
-                return state
-            k = magnitudes.get(abs(value))
-            if k is None:
-                raise KernelError(f"increment {value!r} is not in this kernel's support")
-            return state[:k] + (state[k] + (1 if value > 0.0 else -1),) + state[k + 1:]
-
-        return transition
-
-    @cached_property
-    def regime_of_state(self) -> Callable[[tuple], int]:
-        """``regime_of_state(state)``, the law, 0 or 1, that a two-law step
-        takes in a state, kept in a dict whose own lookup is the call."""
-        magnitudes = self._magnitudes
-
-        class Regimes(dict):
-            def __missing__(self, state):
-                position = 0.0
-                for count, magnitude in zip(state, magnitudes):
-                    position += count * magnitude
-                regime = self[state] = 1 if position < 0.0 else 0
-                return regime
-
-        return Regimes().__getitem__
+    def regime_of_state(self, state) -> int:
+        """The law, 0 or 1, that a two-law step takes in ``state``."""
+        position = 0.0
+        for count, magnitude in zip(state, self._magnitudes):
+            position += count * magnitude
+        return 1 if position < 0.0 else 0
 
     def law_from_state(self, step: int, state) -> StepDistribution:
         laws = self.step_regimes(step)

@@ -17,6 +17,7 @@ reproducible and independent of chunking or thread count.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -902,7 +903,8 @@ class _ChunkPoint:
         lookup, when the kernel declares the same law objects again (by
         identity: laws that differ only in the sign of a zero are ``==``)."""
         laws = self.kernel.step_regimes(step)
-        if len(laws) != len(self.laws) or any(a is not b for a, b in zip(laws, self.laws)):
+        if laws is not self.laws and (len(laws) != len(self.laws)
+                                      or not all(map(operator.is_, laws, self.laws))):
             self.laws, self.table = laws, _table_at(tables, laws, step, p)
         return self.table
 

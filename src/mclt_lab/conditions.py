@@ -172,7 +172,7 @@ def _walk(kernel: ConditionalKernel, carry=(), key=None, visit=None) -> dict[str
     a level once, in that order; the return value is the columns of the
     terminal level.
     """
-    stateful = kernel.initial_state() is not None
+    stateful = kernel._magnitudes is not None
     magnitudes = tuple(kernel._magnitudes or ())
     root = {"state": np.zeros((1, len(magnitudes)), dtype=np.int64), "acc": np.zeros(1),
             "prob": np.ones(1), "top": np.zeros(1), "count": np.array([1], dtype=object)}
@@ -264,7 +264,7 @@ def minimal_epsilon(kernel: ConditionalKernel, rho: float) -> ConditionReport:
 def minimal_delta(kernel: ConditionalKernel) -> ConditionReport:
     """Smallest delta with |<X>_n - 1| <= delta^2 over reachable histories."""
     # merged on the state and <X> to 14 decimals: the first <X> reached stands for its class
-    acc = _walk(kernel, carry=("acc",), key=lambda nodes: (_rounded(nodes["acc"]),))["acc"]
+    acc = _walk(kernel, carry=("acc",), key=lambda children: (_rounded(children["acc"]),))["acc"]
     dev = float(np.abs(acc - 1.0).max())
     if dev < 1e-12:
         # summation dust on kernels whose variance path is constant 1; the

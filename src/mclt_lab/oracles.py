@@ -70,7 +70,7 @@ def exact_terminal_moments(kernel: ConditionalKernel, p: float = 1.0) -> ExactTe
     max |xi| all agree, so each node's terms are each of its histories' own.
     """
     nodes = _walk(kernel, carry=("acc", "prob", "top", "count"),
-                  key=lambda nodes: (nodes["acc"], nodes["prob"], nodes["top"]))
+                  key=lambda children: (children["acc"], children["prob"], children["top"]))
     dev = np.abs(nodes["acc"] - 1.0)
     return ExactTerminalMoments(
         mean_var_dev_p=_counted_sum(nodes["count"], nodes["prob"] * _powered(dev, p)),

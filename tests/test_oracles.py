@@ -153,8 +153,9 @@ _REFERENCE_KEYS = {
 }
 _ARRAY_KEYS = {
     (): None,
-    ("acc",): lambda nodes: (conditions._rounded(nodes["acc"]),),
-    ("acc", "prob", "top", "count"): lambda nodes: (nodes["acc"], nodes["prob"], nodes["top"]),
+    ("acc",): lambda children: (conditions._rounded(children["acc"]),),
+    ("acc", "prob", "top", "count"): lambda children: (children["acc"], children["prob"],
+                                                       children["top"]),
 }
 
 
@@ -217,15 +218,13 @@ def test_array_walk_equals_dict_walk(kernel, carry):
                       lambda step, law: seen["dict"].append((step, id(law))))
     assert seen["array"] == seen["dict"]
     # the terminal nodes in the order they were first reached, each with the
-    # fields of the first history that reached it
-    stateful = kernel.initial_state() is not None
-    assert [tuple(s) if stateful else None for s in got["state"].tolist()] == [n[0] for n in want]
-    for index, name in enumerate(("acc", "prob", "top", "count"), 1):
-        if name in carry:
-            column = got[name].tolist()
-            if name != "count":
-                column = [x.hex() for x in column]
-            assert column == [n[index].hex() if name != "count" else n[index] for n in want]
+    # fields of the first history that reached it, floats bit for bit
+    def hexed(node):
+        return tuple(x.hex() if isinstance(x, float) else x for x in node)
+
+    states = [None if kernel.initial_state() is None else tuple(s) for s in got["state"].tolist()]
+    nodes = zip(states, *(got[name].tolist() for name in carry))  # carry is in node order
+    assert list(map(hexed, nodes)) == [hexed(node[: len(carry) + 1]) for node in want]
 
 
 @pytest.mark.parametrize("kernel", _WALK_KERNELS, ids=lambda k: k.label)
@@ -283,6 +282,15 @@ def test_walk_refuses_a_law_reached_only_in_the_second_regime():
         errors.append((err.value.step, str(err.value)))
     assert errors[0] == errors[1]
     assert errors[0][0] == 2
+
+
+def test_delta_key_rounds_as_python_does():
+    # on these values np.round(x, 14) and round(x, 14) land on neighbouring
+    # decimals: 1.46318171673974 against 1.46318171673973 for the first
+    acc = np.array([1.463181716739735, 0.604083035178035, 1.4447045555986051, 1.0])
+    want = [round(v, 14) for v in acc.tolist()]
+    assert np.round(acc, 14).tolist() != want
+    assert conditions._rounded(acc).tolist() == want
 
 
 def test_certification_at_sizes_the_dict_walk_could_not_afford():

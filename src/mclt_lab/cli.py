@@ -136,7 +136,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         kind=kind,
         raw=doc,
-        seed=_config_value(doc, "seed", None, int),
+        seed=_config_value(doc, "seed", None, _integer),
         rho=_config_value(doc, "rho", 1.0),
         p=_config_value(doc, "p", 1.0),
         alpha=_config_value(doc, "alpha", 0.05),
@@ -158,7 +158,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for entry in grid:
             if "n" not in entry or "M" not in entry:
                 raise ConfigError("rates grid entries need 'n' and 'M'")
-            m = _config_value(entry, "M", None, int)
+            m = _config_value(entry, "M", None, _integer)
             if m < 1000:
                 raise ConfigError("rate experiments require M >= 1000")
             # the fit abscissa: epsilon when the entry names one, else n
@@ -183,7 +183,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError(f"kernel reference invalid: a law of step {step} has "
                                   "atoms of more than one |value|, or none")
         try:
-            count = int(doc.get("count", 1000))
+            count = _integer(doc.get("count", 1000))
             check_bundle(count, kernel.n)
             eps = None if doc.get("epsilon") is None else float(doc["epsilon"])
             if eps is not None:
@@ -206,6 +206,12 @@ def _finite(value) -> float:
     if not math.isfinite(number):
         raise ValueError("not finite")
     return number
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _positive(value) -> float:
@@ -239,7 +245,7 @@ def _kernel_for_entry(ref, entry: dict):
         params = dict(ref.get("params", {}))
         params.update(entry.get("kernel_params", {}))
         if "n" in entry:
-            params["n"] = int(entry["n"])
+            params["n"] = _integer(entry["n"])
         kernel = make_kernel(ref["name"], **params)
     # KernelError, a parameter of the wrong form, or one the family does not take
     except (TypeError, ValueError, OverflowError) as exc:
@@ -293,7 +299,7 @@ def _model_for_entry(doc: dict, entry: dict, rho: float):
 def _lemma_settings(doc: dict) -> tuple[int, float, list[float], list[float]]:
     """corpus_size, s, t_grid and p_values of a lemma-suite config; values
     outside the lemmas' hypotheses are config errors."""
-    size = _config_value(doc, "corpus_size", 100, int)
+    size = _config_value(doc, "corpus_size", 100, _integer)
     s = _config_value(doc, "s", 4.0)
     t_grid = _config_value(doc, "t_grid", (2.25, 2.5, 3.0, 3.5), _finite_list)
     p_values = _config_value(doc, "p_values", (1.0, 2.0), _finite_list)

@@ -152,8 +152,7 @@ def _level_laws(kernel: ConditionalKernel, step, laws: list[StepDistribution]) -
     for j, (_, _, atoms) in enumerate(checked):
         for i, (value, p, size) in enumerate(atoms):
             probs[j, i], sizes[j, i] = p, size
-            if init is not None:
-                moves[j, i] = kernel.transition(init, value)  # the counts start at 0
+            moves[j, i] = kernel.transition(init, value) or ()  # from zero counts; () for none
     real = None if widths.min() == width else np.arange(width) < widths[:, None]
     return np.array([m2 for _, m2, _ in checked]), probs, sizes, moves, real
 
@@ -172,9 +171,8 @@ def _walk(kernel: ConditionalKernel, carry=(), key=None, visit=None) -> dict[str
     a level once, in that order; the return value is the columns of the
     terminal level.
     """
-    stateful = kernel._magnitudes is not None
-    magnitudes = tuple(kernel._magnitudes or ())
-    root = {"state": np.zeros((1, len(magnitudes)), dtype=np.int64), "acc": np.zeros(1),
+    init = kernel.initial_state()
+    root = {"state": np.zeros((1, len(init or ())), dtype=np.int64), "acc": np.zeros(1),
             "prob": np.ones(1), "top": np.zeros(1), "count": np.array([1], dtype=object)}
     level = {name: root[name] for name in ("state", *carry)}
     # the atoms of each level's laws, keyed on their ids: hashing a law
@@ -184,16 +182,12 @@ def _walk(kernel: ConditionalKernel, carry=(), key=None, visit=None) -> dict[str
     nodes = 0
     for step in range(1, kernel.n + 1):
         state = level["state"]
-        # the regime, the sign of the canonical position summed left to
-        # right, then the law of each regime from the first state in it
-        position = np.zeros(len(state))
-        for k, magnitude in enumerate(magnitudes):
-            position += state[:, k] * magnitude
-        regime = position < 0.0
+        # each node's regime, then the law of each regime from the first state in it
+        regime = kernel.regime_of_state(state.T, regime=np.empty(len(state), dtype=np.intp))
         switched = regime != regime[0]
         laws: list[StepDistribution] = []
         for first in (0, *np.flatnonzero(switched)[:1].tolist()):
-            dist = kernel.law_from_state(step, tuple(state[first].tolist()) if stateful else None)
+            dist = kernel.law_from_state(step, None if init is None else tuple(state[first].tolist()))
             if all(dist is not law for law in laws):
                 laws.append(dist)
         ids = tuple(map(id, laws))

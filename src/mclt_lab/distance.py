@@ -174,9 +174,9 @@ def fit_rate(
 
     Points with ``d_hat == 0`` (log undefined) or with a DKW band larger than
     half the estimate (noise-dominated) are excluded from the fit, each with
-    a recorded reason.  ``reference`` — a callable on the abscissa or a
-    per-point sequence — yields ``ratio_spread``: max over min of
-    ``d_hat / reference`` across the surviving points.
+    a recorded reason.  ``reference`` (a callable on the abscissa or a
+    per-point sequence) yields ``ratio_spread``: max over min of ``d_hat /
+    reference`` across the surviving points, NaN unless each is in (0, inf).
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points")
@@ -218,7 +218,7 @@ def fit_rate(
         r2 = 1.0
     else:
         r2 = max(0.0, 1.0 - ss_res / ss_tot)
-    if all(r is not None for _, _, r in kept):
+    if all(r is not None and 0.0 < r < math.inf for _, _, r in kept):
         ratios = [d / r for _, d, r in kept]
         ratio_spread = max(ratios) / min(ratios)
     else:

@@ -178,16 +178,16 @@ class ConditionalKernel:
     """Base class: a martingale difference sequence declared by its step laws.
 
     A kernel declares ``n``, a ``label`` and ``step_regimes(step)``, the one
-    or two laws that increment ``step`` (1-based) can take; the dynamics
-    follow, here for the walks and in ``_ChunkPoint`` for the engine.  A step
-    with one law takes it on every path.  A step with two exact laws takes
-    law 0 where the canonical position ``s_0*m_0 + s_1*m_1 + ...``, summed
-    left to right in floats, is >= 0 and law 1 where it is < 0: ``m_k`` is
-    the k-th distinct nonzero |atom| of the kernel's laws in order of first
-    appearance (step by step, law by law, atom by atom), and ``s_k`` the
-    net signed count of the path's steps of size ``m_k`` so far.  The state
-    is the tuple ``(s_0, s_1, ...)`` of ints, or None, under which every
-    history merges, for a kernel without a two-law step.
+    or two laws that increment ``step`` (1-based) can take; the walks, the
+    engine and the lattice oracle take the dynamics from ``transition`` and
+    ``regime_of_state``.  A step with one law takes it on every path.  A
+    step with two exact laws takes law 0 or 1 by the sign bit of the
+    canonical position ``s_0*m_0 + s_1*m_1 + ...``, summed left to right in
+    floats: ``m_k`` is the k-th distinct nonzero |atom| of the kernel's laws
+    in order of first appearance (step by step, law by law, atom by atom),
+    and ``s_k`` the net signed count of the path's steps of size ``m_k`` so
+    far.  The state is the tuple ``(s_0, s_1, ...)`` of ints, or None, under
+    which every history merges, for a kernel without a two-law step.
     """
 
     label: str = "kernel"
@@ -225,12 +225,22 @@ class ConditionalKernel:
             raise KernelError(f"increment {value!r} is not in this kernel's support")
         return state[:k] + (state[k] + (1 if value > 0.0 else -1),) + state[k + 1:]
 
-    def regime_of_state(self, state) -> int:
-        """The law, 0 or 1, that a two-law step takes in ``state``."""
-        position = 0.0
-        for count, magnitude in zip(state, self._magnitudes):
-            position += count * magnitude
-        return 1 if position < 0.0 else 0
+    def regime_of_state(self, state, position=None, regime=None) -> np.ndarray:
+        """The law, 0 or 1, that a two-law step takes in ``state``, one integer
+        count (an int or an array) per magnitude: the sign bit of ``count_k *
+        m_k`` summed left to right from +0.0 in float64, as intp of the counts'
+        broadcast shape.  ``position`` and ``regime`` buffers of that shape, if
+        given, receive the position and the result, whatever they held."""
+        if regime is None:
+            regime = np.empty(np.broadcast_shapes(*map(np.shape, state)), dtype=np.intp)
+        position = np.empty(regime.shape) if position is None else position
+        term = regime.view(np.float64)  # scratch until the sign bits go in
+        terms = list(zip(state, self._magnitudes or ())) or [(0, 0.0)]  # +0.0 without magnitudes
+        np.multiply(*terms[0], out=position)  # is +0.0 + it: an integer count makes no -0.0
+        for count, magnitude in terms[1:]:
+            np.add(position, np.multiply(count, magnitude, out=term), out=position)
+        np.right_shift(position.view(np.uint64), _SIGN_BIT, out=regime.view(np.uint64))
+        return regime
 
     def law_from_state(self, step: int, state) -> StepDistribution:
         laws = self.step_regimes(step)
@@ -876,11 +886,10 @@ class _ChunkPoint:
     state, and its followers' outputs by the step that ends them.
 
     A kernel with a two-law step (see ``ConditionalKernel``) keeps a row of
-    counts ``s_k`` per magnitude ``m_k``, as integer floats, a position and
-    a regime row.  The counts start at +0.0 and add +-1.0, so the position
-    is never -0.0, and it stays 0 for a kernel without magnitudes."""
+    counts per magnitude, as integer floats, and ``regime_of_state``'s
+    buffers; ``rows`` is None for any other kernel."""
 
-    __slots__ = ("kernel", "out", "magnitudes", "rows", "position", "regime", "bits", "plans",
+    __slots__ = ("kernel", "out", "rows", "position", "regime", "plans",
                  "variance", "max_abs", "total_2p", "followers", "laws", "table")
 
     def __init__(self, kernel: ConditionalKernel, out: _PathOutputs, count: int):
@@ -888,12 +897,10 @@ class _ChunkPoint:
         self.variance = _RunningSum(count)
         self.max_abs = None if out.max_abs is None else _RunningMax(count)
         self.total_2p = None if out.total_2p is None else _RunningSum(count)
-        self.magnitudes = kernel._magnitudes
-        if self.magnitudes is not None:
-            self.rows = [np.zeros(count) for _ in self.magnitudes]
-            self.position, self.regime = np.zeros(count), np.empty(count, dtype=np.intp)
-            self.bits = (self.position.view(np.uint64), self.regime.view(np.uint64),
-                         self.regime.view(np.float64))
+        init = kernel.initial_state()
+        self.rows = None if init is None else [np.zeros(count) for _ in init]
+        if init is not None:
+            self.position, self.regime = np.empty(count), np.empty(count, dtype=np.intp)
             self.plans: dict[int, list] = {}  # per table id, how ``advance`` counts
         self.followers: dict[int, list[tuple[_PathOutputs, _Link]]] = {}
         self.laws: tuple = ()
@@ -909,15 +916,8 @@ class _ChunkPoint:
         return self.table
 
     def regimes(self) -> np.ndarray:
-        """Each path's regime (intp 0 or 1), the sign bit of ``s_0*m_0 +
-        s_1*m_1 + ...`` summed left to right, in the regime row as floats."""
-        position, (position_bits, regime_bits, term) = self.position, self.bits
-        for k, (row, magnitude) in enumerate(zip(self.rows, self.magnitudes)):
-            np.multiply(row, magnitude, out=term if k else position)
-            if k:
-                np.add(position, term, out=position)
-        np.right_shift(position_bits, _SIGN_BIT, out=regime_bits)
-        return self.regime
+        """Each path's regime (intp 0 or 1) by ``regime_of_state``, in the chunk's buffers."""
+        return self.kernel.regime_of_state(self.rows, self.position, self.regime)
 
     def advance(self, table: _StepTable, inc: np.ndarray, gather) -> None:
         """Count each path's increment ``inc`` of a step of ``table``,
@@ -925,30 +925,29 @@ class _ChunkPoint:
         ``unit = (inc & 2**63) | bits(1.0)`` is the +-1.0 of the increment's
         sign and ``low = unit * r`` as integers +-1.0 on a path of law 1,
         +0.0 on one of law 0: law 1's row adds ``low``, law 0's ``unit ^
-        low``.  Otherwise each magnitude's row adds its +-1.0 or 0.0 per
-        atom, by the flat atom index that ``_StepTable.draw`` left in ``gather``."""
+        low``.  Otherwise each row adds its +-1.0 or 0.0 per atom, by the
+        flat atom index that ``_StepTable.draw`` left in ``gather``."""
         plan = self.plans.get(id(table))
-        if plan is None and None in table.magnitudes:  # each magnitude's row and per-atom +-1 or 0
-            values = table.values
-            plan = self.plans[id(table)] = [
-                (self.magnitudes[m], np.where(np.abs(values) == m, np.sign(values), 0.0))
-                for m in np.unique(np.abs(values[values != 0.0])).tolist()]
-        elif plan is None:  # each law's row, None for a law of zeros
-            plan = self.plans[id(table)] = [self.magnitudes.get(m) for m in table.magnitudes]
+        if plan is None:  # from the kernel's transitions out of zero counts
+            init, move = self.kernel.initial_state(), self.kernel.transition
+            if None in table.magnitudes:  # each row that an atom moves, and its move per atom
+                moves = np.array([move(init, value) for value in table.values.tolist()]).T
+                plan = [(k, row.astype(float)) for k, row in enumerate(moves) if row.any()]
+            else:  # the row of each law's magnitude, None for a law of zeros
+                plan = [move(init, m).index(1) if m else None for m in table.magnitudes]
+            self.plans[id(table)] = plan
         if None in table.magnitudes:
             for k, per_atom in plan:
                 np.take(per_atom, gather.view(np.intp), out=self.position, mode="clip")
                 self.rows[k] += self.position
             return
-        if plan.count(None) == len(plan):
-            return
-        unit, low, low_float = self.bits  # the position is free once the regime is drawn
+        unit, low = self.position.view(np.uint64), self.regime.view(np.uint64)  # scratch by now
         np.bitwise_and(inc.view(np.uint64), _SIGN, out=unit)
         np.bitwise_or(unit, _ONE, out=unit)
         if table.regimes == 2:
             np.multiply(unit, low, out=low)
             if plan[1] is not None:
-                self.rows[plan[1]] += low_float
+                self.rows[plan[1]] += self.regime.view(np.float64)
             np.bitwise_xor(unit, low, out=unit)
         if plan[0] is not None:
             self.rows[plan[0]] += self.position
@@ -1063,7 +1062,7 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
                 else:
                     point.total_2p.add(np.take(table.pow2p, gather.view(np.intp),
                                                out=gathered, mode="clip"))
-            if point.magnitudes is not None:
+            if point.rows is not None:
                 point.advance(table, inc, gather)
             for follower in point.followers.get(step, ()):
                 point.lend(*follower)
@@ -1199,7 +1198,7 @@ def sample_terminals(
     # chunk of a grid that halves into chains, and its shared buffers with
     # it, for no measured speed (rates-drift: about 1 MB more peak RSS).
     # First, so that a step of three laws is refused before any table
-    stateful = sum(kernel._magnitudes is not None for kernel in kernels)
+    stateful = sum(kernel.initial_state() is not None for kernel in kernels)
     chunk_size = max(1, chunk_size // max(stateful, 1))
     links = _chain_links(kernels, {}, float(p))
     # The paths run in windows of whole reduction blocks, two per thread.

@@ -86,19 +86,17 @@ def variance_drift_mean_abs_deviation(d: float, n: int, p: float = 1.0) -> float
     The terminal conditional variance is ``1 + d (2H - n)/n`` with H the
     number of steps taken from the high-variance side, so only the law of H
     is needed.  States are (a, b, H); probabilities are propagated level by
-    level with the occupation side decided by the same canonical position
-    formula the kernel itself uses.
+    level with the occupation side decided by the kernel's own
+    ``regime_of_state``.
     """
     kernel = VarianceDriftKernel(n, d)
-    h, l = kernel.high_mag, kernel.low_mag
     # slabs[H] = P over the reachable (a, b) at level k: a has the parity of
     # H and b that of k - H, so the array is indexed [i, j] with a = 2i - H
     # and b = 2j - (k - H), and holds no cell that no history reaches
     slabs: dict[int, np.ndarray] = {0: np.ones((1, 1))}
-    # high[a + n, b + n]: a path at (a, b) sits on the high side, by the
-    # kernel's own float formula; a slab's cells are a strided block of it
-    r = np.arange(-n, n + 1)
-    high = (r[:, None] * h + r[None, :] * l) >= 0.0
+    # high[a + n, b + n]: a path at (a, b) takes the high law, by the
+    # kernel's own regime_of_state; a slab's cells are a strided block of it
+    high = kernel.regime_of_state(np.ogrid[-n : n + 1, -n : n + 1]) == 0
     for k in range(n):
         new: dict[int, np.ndarray] = {}
         for H, P in slabs.items():

@@ -298,14 +298,45 @@ TRANSFORMS_CONFIG = {
     ("bounds", dict(BOUNDS_CONFIG, grid=BOUNDS_CONFIG["grid"] + [{"rho": 1.0, "epsilon": "x", "delta": 0.0}])),
     ("bounds", dict(BOUNDS_CONFIG, grid=BOUNDS_CONFIG["grid"] + [{"rho": 1.0, "epsilon": 0.1, "delta": 0.0,
                                                                  "n": "x"}])),
+    # an integer field refuses a fractional part or a boolean rather than truncate it
+    ("rates", dict(RATES_CONFIG, grid=[{"n": 16.5, "M": 1000}])),
+    ("rates", dict(RATES_CONFIG, grid=[{"n": 16, "M": 1000.7}])),
+    ("rates", dict(RATES_CONFIG, seed=3.9)),
+    ("rates", dict(RATES_CONFIG, seed=True)),
+    ("rates", dict(RATES_CONFIG, grid=[{"n": True, "M": 1000}])),
+    ("verify", dict(TRANSFORMS_CONFIG, n=8.5)),
+    ("verify", dict(TRANSFORMS_CONFIG, n=8, count=10.5)),
+    ("verify", dict(LEMMA_CONFIG, corpus_size=2.5)),
 ], ids=["rho", "p", "alpha", "rho-nan", "M", "n-infinite", "grid-entry", "corpus_size", "s", "t_grid-entry",
         "t_grid-scalar", "p_values-string", "transforms-n", "rates-epsilon-string", "rates-epsilon-nan",
-        "lipschitz-n-string", "bounds-epsilon-string", "bounds-table-value-string"])
+        "lipschitz-n-string", "bounds-epsilon-string", "bounds-table-value-string", "rates-n-fractional",
+        "M-fractional", "seed-fractional", "seed-boolean", "rates-n-boolean", "transforms-n-fractional",
+        "count-fractional", "corpus_size-fractional"])
 def test_malformed_number_is_config_error(tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "never"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_integral_floats_and_large_ints_pass_unchanged():
+    cfg = cli.parse_config(dict(RATES_CONFIG, grid=[{"n": 64.0, "M": 2000.0}], seed=2**64 + 1))
+    (_, kernel, m, _), = cfg.points
+    assert (kernel.n, m, cfg.seed) == (64, 2000, 2**64 + 1)
+    assert all(type(v) is int for v in (kernel.n, m, cfg.seed))
+
+
+def test_rate_fit_on_a_zero_reference(tmp_path):
+    # at p = 400, eps^(2p) underflows and <X>_n is 1, so C2 is 0.0 at every
+    # point: the fit is written, with no ratio spread
+    doc = dict(RATES_CONFIG, p=400.0, bounds=["C2"],
+               grid=[{"n": 16, "M": 2000}, {"n": 32, "M": 2000}, {"n": 64, "M": 2000}])
+    out = tmp_path / "out"
+    assert cli.main(["rates", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [r["bounds"]["C2"] for r in manifest["records"]] == [0.0] * 3
+    assert manifest["fit"]["reference"] == "C2"
+    assert math.isnan(manifest["fit"]["ratio_spread"])
 
 
 @pytest.mark.parametrize("command, doc, message", [

@@ -306,6 +306,16 @@ def test_fit_rate_reference_ratio_spread_one():
     assert fit.ratio_spread == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_fit_rate_spread_is_nan_on_a_reference_outside_zero_to_infinity(bad):
+    # C2 is 0.0 where eps^(2p) underflows and <X>_n is 1 exactly; d_hat / 0.0
+    # must not end the run
+    pts = [(x, KolmogorovEstimate(0.01 * x, 10**9, 0.05)) for x in (1.0, 2.0, 4.0)]
+    fit = fit_rate(pts, reference=[1.0, bad, 1.0])
+    assert math.isnan(fit.ratio_spread)
+    assert fit.slope == pytest.approx(1.0, abs=1e-12)
+
+
 def test_fit_rate_exclusions():
     pts = [
         (1.0, KolmogorovEstimate(0.5, 10**6, 0.05)),

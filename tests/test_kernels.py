@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclt_lab as m
-from mclt_lab import kernels, oracles, rng
+from mclt_lab import conditions, kernels, oracles, rng
 from mclt_lab.kernels import (
     ConditionalKernel,
     InvalidKernelError,
@@ -785,6 +785,19 @@ def test_position_sums_left_to_right_in_order_of_first_appearance():
         point = kernels._ChunkPoint(kernel, kernels._PathOutputs(terminal=None), 1)
         point.rows = [np.array([float(s)]) for s in state]
         assert point.regimes().tolist() == [regime]
+    # laws +-1e308 and (+-1e308, +-1.6e308) reach the counts (-2, 2) at step
+    # 5, where the position is -inf + inf, a NaN: its sign bit picks one law
+    # in regime_of_state, the engine and the walk alike, and only law 1
+    # leads from there to (-2, 3), which no other node of level 4 reaches
+    big = StepDistribution(values=(-1.6e308, -1e308, 1e308, 1.6e308), probs=(0.25,) * 4)
+    kernel = _SignSwitchKernel(n=5, regimes=(rademacher_two_point(1e308), big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        regime = int(kernel.regime_of_state((-2, 2)))
+        point = kernels._ChunkPoint(kernel, kernels._PathOutputs(terminal=None), 1)
+        point.rows = [np.array([-2.0]), np.array([2.0])]
+        assert point.regimes().tolist() == [regime]
+        reached = {tuple(s) for s in conditions._walk(kernel)["state"].tolist()}
+    assert ((-2, 3) in reached) == (regime == 1)
 
 
 def test_counts_gather_only_where_a_law_has_no_one_magnitude():

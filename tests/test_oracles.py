@@ -337,10 +337,21 @@ def _full_layout_lattice(d, n, ps):
     return totals
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_lattice_equals_the_walk_where_positions_cancel(n):
+    # h == 2 * l in floats at d = 0.6, so positions cancel to +0.0 and the
+    # regime's tie decides the law, in the lattice as in the walk
+    kernel = VarianceDriftKernel(n, 0.6)
+    assert kernel.high_mag == 2.0 * kernel.low_mag
+    for p in (1.0, 1.5):
+        want = oracles.exact_terminal_moments(kernel, p).mean_var_dev_p
+        assert abs(oracles.variance_drift_mean_abs_deviation(0.6, n, p) - want) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [*range(1, 25), 33, 64, 128])
 def test_lattice_equals_full_layout(n):
     ps = (1.0, 1.5, 2.0, 3.0)
-    for d in (0.1, 0.2, 0.9):
+    for d in (0.1, 0.2, 0.6, 0.9):
         want = _full_layout_lattice(d, n, ps)
         got = [oracles.variance_drift_mean_abs_deviation(d, n, p) for p in ps]
         assert got == want

@@ -46,7 +46,6 @@ from .conditions import WalkGuardExceeded, minimal_delta, minimal_epsilon, verif
 from .distance import KolmogorovEstimate, exact_kolmogorov_discrete, fit_rate, kolmogorov_distance
 from .kernels import (
     KernelError,
-    check_bundle,
     make_kernel,
     sample_paths,
     # unused here; perfbench's tracer wraps this binding and its self-test
@@ -99,7 +98,7 @@ class ExperimentConfig:
 
     ``points``: rates (entry, kernel, M, abscissa), lipschitz (entry, model,
     abscissa), bounds-table the grid.  ``settings``: transforms-check (kernel,
-    count, epsilon or None), lemma-suite (corpus_size, s, t_grid, p_values).
+    count, the padding epsilon), lemma-suite (corpus_size, s, t_grid, p_values).
     """
 
     kind: str
@@ -182,12 +181,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if any(len({abs(v) for v in dist.values}) != 1 for dist in kernel.step_regimes(step)):
                 raise ConfigError(f"kernel reference invalid: a law of step {step} has "
                                   "atoms of more than one |value|, or none")
+        # the padding eps: the config's, else the certified one
+        eps = doc.get("epsilon")
+        if eps is None:
+            eps = _certified_epsilon(kernel, cfg.rho)
         try:
             count = _integer(doc.get("count", 1000))
-            check_bundle(count, kernel.n)
-            eps = None if doc.get("epsilon") is None else float(doc["epsilon"])
-            if eps is not None:
-                check_padding(kernel.n, count, eps)
+            eps = _finite(eps)
+            check_padding(kernel.n, count, eps)
         except (TypeError, ValueError, OverflowError) as exc:  # KernelError is a ValueError
             raise ConfigError(f"transforms-check count or padding invalid: {exc}") from None
         cfg.settings = (kernel, count, eps)
@@ -202,6 +203,8 @@ def _read_json(path: str, what: str):
 
 
 def _finite(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError("not finite")
@@ -323,7 +326,7 @@ def _bounds_grid(ids: tuple[str, ...], grid: list[dict]) -> list[dict]:
             except (TypeError, ValueError, ArithmeticError) as exc:  # BoundParameterError too
                 raise ConfigError(f"{bound_id} at grid point {entry}: {exc}") from None
         for key in entry:
-            _config_value(entry, key, None, float)
+            _config_value(entry, key, None)
     return grid
 
 
@@ -579,7 +582,6 @@ def _run_transforms_check(cfg: ExperimentConfig, stager: OutputStager, threads: 
     notes: list[str] = []
     kernel, count, eps = cfg.settings
     paths = sample_paths(kernel, cfg.seed, count, threads=threads)
-    eps = float(_certified_epsilon(kernel, cfg.rho) if eps is None else eps)
     padded = pad_collection(paths, eps, cfg.seed)
     worst_unit = float(np.max(np.abs(padded.terminal_variances - 1.0)))
     if worst_unit > 1e-9:

@@ -4,8 +4,8 @@ Two conditions are certified for a kernel:
 
 * moment domination: the smallest eps such that
   ``E[|xi_i|^(2+rho) | F] <= eps^rho E[xi_i^2 | F]`` holds at every step and
-  every reachable history (the per-step ratio ``(m_{2+rho}/m_2)^(1/rho)``,
-  with the 0/0 case counting as 0);
+  every reachable history (the largest ``StepDistribution.epsilon(rho)``,
+  ``(m_{2+rho}/m_2)^(1/rho)``, of the laws a step takes);
 * terminal variance proximity: the smallest delta with
   ``|<X>_n - 1| <= delta^2`` over reachable histories.
 
@@ -54,8 +54,7 @@ class ConditionReport:
     """Certified (epsilon, delta) for one kernel.
 
     ``mode`` is always "certified": every reachable history was examined.
-    ``per_step`` carries the worst per-step ratio seen (already raised to the
-    1/rho power for the epsilon part).
+    ``per_step`` carries each step's largest eps over the laws it takes.
     """
 
     rho: float | None
@@ -94,16 +93,6 @@ def _checked_law(step, dist: StepDistribution) -> tuple:
         raise KernelError("exhaustive certification requires an exact-mode kernel")
     atoms = tuple((v, p, abs(v)) for v, p in zip(dist.values, dist.probs) if p != 0.0)
     return dist, dist._m2_cached, atoms
-
-
-def _ratio(dist: StepDistribution, rho: float) -> float:
-    m2 = dist._m2_cached
-    if m2 == 0.0:
-        return 0.0  # degenerate step: the condition is vacuous
-    value = dist.moment(2.0 + rho) / m2
-    if not math.isfinite(value):
-        raise KernelError("non-finite conditional moment ratio")
-    return value
 
 
 def _packed(key: np.ndarray, size: int, column: np.ndarray, span: int) -> tuple[np.ndarray, int]:
@@ -238,14 +227,11 @@ def minimal_epsilon(kernel: ConditionalKernel, rho: float) -> ConditionReport:
     per_step = [0.0] * kernel.n
 
     def visit(step, dist):
-        per_step[step - 1] = max(per_step[step - 1], _ratio(dist, rho))
+        per_step[step - 1] = max(per_step[step - 1], dist.epsilon(rho))
 
     _walk(kernel, visit=visit)
-    per_step_eps = [r ** (1.0 / rho) for r in per_step]
-    epsilon = max(per_step_eps) if per_step_eps else 0.0
-    table = tuple(
-        {"step": i + 1, "epsilon": e} for i, e in enumerate(per_step_eps)
-    )
+    epsilon = max(per_step) if per_step else 0.0
+    table = tuple({"step": i + 1, "epsilon": e} for i, e in enumerate(per_step))
     notes: tuple[str, ...] = ()
     if epsilon > RANGE_LIMIT:
         notes = (f"epsilon {epsilon} exceeds the stated range (0, {RANGE_LIMIT}]",)
@@ -296,22 +282,6 @@ class MomentLemmaReport:
     all_hold: bool
 
 
-def _lemma_epsilon(dist: StepDistribution, s: float, m2: float) -> float:
-    """(E|X|^s / m2)^(1/(s-2)), the least eps of the s-moment hypothesis.
-
-    When E|X|^s is no normal float (it underflows or overflows at large s),
-    the ratio is taken in log space around the largest |atom| A of positive
-    probability: log eps = (s log A + log sum_i p_i (|x_i|/A)^s - log m2) / (s - 2).
-    """
-    ms = dist.moment(s)
-    if 2.0**-1022 <= ms < math.inf:  # the least normal float
-        return (ms / m2) ** (1.0 / (s - 2.0))
-    atoms = [(p, abs(v)) for v, p in zip(dist.values, dist.probs) if p > 0.0 and v != 0.0]
-    top = max(a for _, a in atoms)
-    spread = math.fsum(p * (a / top) ** s for p, a in atoms)
-    return math.exp(math.log(top) * (s / (s - 2.0)) + (math.log(spread) - math.log(m2)) / (s - 2.0))
-
-
 def verify_moment_lemmas(
     dist: StepDistribution,
     s: float,
@@ -335,7 +305,7 @@ def verify_moment_lemmas(
             s=float(s), epsilon=0.0, vacuous=True, interpolation=(),
             variance_cap={"m2": 0.0, "bound": 0.0, "holds": True}, all_hold=True,
         )
-    eps = _lemma_epsilon(dist, s, m2) if epsilon is None else float(epsilon)
+    eps = dist.epsilon(s - 2.0) if epsilon is None else float(epsilon)
     rows = []
     ok = True
     for t in t_grid:

@@ -148,6 +148,32 @@ class StepDistribution:
         except OverflowError:
             return math.inf
 
+    def epsilon(self, rho: float) -> float:
+        """The least eps with E|xi|^(2+rho) <= eps^rho E xi^2, that is
+        ``(m_{2+rho} / m_2)^(1/rho)``; 0 when m_2 is 0, the condition being
+        vacuous there.
+
+        When m_2 or m_{2+rho} of an exact law is no normal float (at large
+        rho m_{2+rho} underflows or overflows), the ratio is taken in log
+        space around the largest |atom| A of positive probability, with
+        S_t = sum_i p_i (|x_i|/A)^t:
+        log eps = log A + (log S_{2+rho} - log S_2) / rho.
+        A sampled law keeps the formula.
+        """
+        m2, moment = self._m2_cached, self.moment(2.0 + rho)
+        # 2^-1022 is the least normal float
+        if self.mode == "sampled" or 2.0**-1022 <= min(m2, moment) and moment < math.inf:
+            return 0.0 if m2 == 0.0 else (moment / m2) ** (1.0 / rho)
+        atoms = [(p, abs(v)) for v, p in zip(self.values, self.probs) if p > 0.0 and v != 0.0]
+        if not atoms:
+            return 0.0
+        top = max(a for _, a in atoms)
+
+        def log_spread(t):
+            return math.log(math.fsum(p * (a / top) ** t for p, a in atoms))
+
+        return math.exp(math.log(top) + (log_spread(2.0 + rho) - log_spread(2.0)) / rho)
+
     @cached_property
     def _cumprobs(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.probs, dtype=float))
@@ -275,10 +301,7 @@ class _IidKernel(ConditionalKernel):
         return (self.dist,)
 
     def certified_epsilon(self, rho):
-        m2 = self.dist.moment(2)
-        if m2 == 0.0:
-            return 0.0
-        return (self.dist.moment(2.0 + rho) / m2) ** (1.0 / rho)
+        return self.dist.epsilon(rho)
 
     def certified_delta(self):
         return math.sqrt(abs(self.n * self.dist.moment(2) - 1.0))

@@ -169,15 +169,19 @@ def test_transforms_check_epsilon_out_of_range_is_config_error(tmp_path, epsilon
     assert not out.exists()
 
 
-def test_transforms_check_padded_length_over_limits_is_config_error(tmp_path):
-    doc = {
-        "kind": "transforms-check",
-        "kernel": {"name": "variance_drift", "params": {"d": 0.2}},
-        "grid": [{"n": 16}],
-        "count": 1,
-        "epsilon": 0.0009,  # 16 + floor(1/eps^2) + 1 = 1234584 steps >= 2^20
-        "seed": 3,
-    }
+@pytest.mark.parametrize("kernel, n, count, epsilon", [
+    # 16 + floor(1/eps^2) + 1 = 1234584 steps >= 2^20
+    ({"name": "variance_drift", "params": {"d": 0.2}}, 16, 1, 0.0009),
+    # no epsilon: the certified one, sqrt(1.2/4) = 0.548, lies past 1/2
+    ({"name": "variance_drift", "params": {"d": 0.2}}, 4, 1, None),
+    # no epsilon: at the certified 1/sqrt(n), 1000 padded paths of 60001
+    # steps exceed the bundle guard
+    ({"name": "iid_rademacher"}, 30000, 1000, None),
+], ids=["epsilon-given", "certified-over-half", "certified-over-bundle-guard"])
+def test_transforms_check_padded_length_over_limits_is_config_error(tmp_path, kernel, n, count, epsilon):
+    doc = {"kind": "transforms-check", "kernel": kernel, "grid": [{"n": n}], "count": count, "seed": 3}
+    if epsilon is not None:
+        doc["epsilon"] = epsilon
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "never"
     assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
@@ -307,11 +311,18 @@ TRANSFORMS_CONFIG = {
     ("verify", dict(TRANSFORMS_CONFIG, n=8.5)),
     ("verify", dict(TRANSFORMS_CONFIG, n=8, count=10.5)),
     ("verify", dict(LEMMA_CONFIG, corpus_size=2.5)),
+    # a float field refuses a boolean rather than read it as 1.0
+    ("rates", dict(RATES_CONFIG, rho=True)),
+    ("rates", dict(RATES_CONFIG, p=True)),
+    ("bounds", dict(BOUNDS_CONFIG, bounds=["BOLT_A"], grid=[{"epsilon": True, "n": 64}])),
+    # a grid value no functional reads is printed, so it must be finite too
+    ("bounds", dict(BOUNDS_CONFIG, grid=[{"rho": 1.0, "epsilon": 0.1, "delta": 0.0, "n": float("inf")}])),
 ], ids=["rho", "p", "alpha", "rho-nan", "M", "n-infinite", "grid-entry", "corpus_size", "s", "t_grid-entry",
         "t_grid-scalar", "p_values-string", "transforms-n", "rates-epsilon-string", "rates-epsilon-nan",
         "lipschitz-n-string", "bounds-epsilon-string", "bounds-table-value-string", "rates-n-fractional",
         "M-fractional", "seed-fractional", "seed-boolean", "rates-n-boolean", "transforms-n-fractional",
-        "count-fractional", "corpus_size-fractional"])
+        "count-fractional", "corpus_size-fractional", "rho-boolean", "p-boolean", "bounds-epsilon-boolean",
+        "bounds-table-value-infinite"])
 def test_malformed_number_is_config_error(tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "never"
@@ -324,6 +335,21 @@ def test_integral_floats_and_large_ints_pass_unchanged():
     (_, kernel, m, _), = cfg.points
     assert (kernel.n, m, cfg.seed) == (64, 2000, 2**64 + 1)
     assert all(type(v) is int for v in (kernel.n, m, cfg.seed))
+
+
+def test_rates_epsilon_finite_where_the_moment_overflows(tmp_path):
+    # 2^2002 is past float range: eps comes from log space, and the manifest
+    # stays JSON, with no Infinity or NaN in it
+    doc = dict(RATES_CONFIG, kernel={"name": "two_point", "params": {"a": 2.0}}, rho=2000.0,
+               grid=[{"n": 4, "M": 1000}])
+    out = tmp_path / "out"
+    assert cli.main(["rates", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} in manifest.json")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["records"][0]["epsilon"] == 2.0
 
 
 def test_rate_fit_on_a_zero_reference(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,9 +79,27 @@ def test_out_of_range_flag():
 
 
 def test_two_point_epsilon_constant_in_rho():
-    k = m.make_kernel("two_point", n=3, a=0.22)
-    values = [minimal_epsilon(k, rho).epsilon for rho in (0.25, 0.5, 1.0, 1.7, 3.0)]
-    assert all(v == pytest.approx(0.22, rel=1e-12) for v in values)
+    # at rho = 400 and 2000, a^(2+rho) leaves the float range on one side or
+    # the other, and at a = 1e-200 and 1e200 so does a^2: eps then comes from
+    # log space
+    for a in (0.22, 2.0, 1e-200, 1e200):
+        k = m.make_kernel("two_point", n=3, a=a)
+        for rho in (0.25, 0.5, 1.0, 1.7, 3.0, 400.0, 2000.0):
+            assert minimal_epsilon(k, rho).epsilon == pytest.approx(a, rel=1e-12), (a, rho)
+            assert k.certified_epsilon(rho) == pytest.approx(a, rel=1e-12), (a, rho)
+
+
+def test_epsilon_nondecreasing_in_rho_and_capped_by_the_largest_atom():
+    # eps(rho) is the L^rho norm of |xi| under the law reweighted by xi^2:
+    # nondecreasing in rho, and never above the largest |atom|
+    rhos = np.geomspace(0.25, 5000.0, 64).tolist()
+    for i in range(300):
+        dist = corpus.random_mean_zero_distribution(13, i)
+        top = max(abs(v) for v, p in zip(dist.values, dist.probs) if p > 0.0)
+        eps = [dist.epsilon(rho) for rho in rhos]
+        assert all(math.isfinite(e) for e in eps), f"corpus item {i}"
+        assert all(b >= a * (1.0 - 1e-12) for a, b in zip(eps, eps[1:])), f"corpus item {i}"
+        assert max(eps) <= top * (1.0 + 1e-12), f"corpus item {i}"
 
 
 # ---------------------------------------------------------------------------

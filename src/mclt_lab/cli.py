@@ -113,9 +113,27 @@ class ExperimentConfig:
     settings: tuple = ()
 
 
+def _non_finite(doc) -> str | None:
+    """The path of the first non-finite number in a JSON document, if any:
+    Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e999``, and the
+    manifest echoes the config, so one in a key nothing reads would still
+    make the manifest invalid JSON."""
+    stack = [("", doc)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, float) and not math.isfinite(node):
+            return path or "the document"
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        stack.extend((f"{path}[{key!r}]", child) for key, child in reversed(list(items)))
+    return None
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    where = _non_finite(doc)
+    if where is not None:
+        raise ConfigError(f"non-finite number at {where}: JSON numbers must be finite")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")

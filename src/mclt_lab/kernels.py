@@ -58,6 +58,9 @@ _REDUCE_BLOCK = 1 << 16
 
 PROB_TOL = 1e-12
 MEAN_TOL = 1e-12
+#: Below this rho, ``StepDistribution.epsilon`` takes an exact law's ratio
+#: in log1p/expm1 form (see there).
+SMALL_RHO = 2.0**-12
 
 
 class KernelError(ValueError):
@@ -91,6 +94,7 @@ class StepDistribution:
     probs: tuple[float, ...] = ()
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
     declared_moment: Callable[[float], float] | None = None
+    declared_log_moment: Callable[[float], float] | None = None  # log E|xi|^t
 
     @property
     def mode(self) -> str:
@@ -153,21 +157,46 @@ class StepDistribution:
         ``(m_{2+rho} / m_2)^(1/rho)``; 0 when m_2 is 0, the condition being
         vacuous there.
 
-        When m_2 or m_{2+rho} of an exact law is no normal float (at large
-        rho m_{2+rho} underflows or overflows), the ratio is taken in log
-        space around the largest |atom| A of positive probability, with
-        S_t = sum_i p_i (|x_i|/A)^t:
-        log eps = log A + (log S_{2+rho} - log S_2) / rho.
-        A sampled law keeps the formula.
+        For an exact law, with A the largest |atom| of positive probability,
+        l_i = log(|x_i| / A) and Q the law reweighted by q_i ~ p_i x_i^2:
+
+        * the 1/rho power magnifies the ratio's rounding by about 1/rho, so
+          below ``SMALL_RHO`` eps = A exp(log1p(y) / rho) with
+          y = E_Q expm1(rho l), which rounds to a few ulps: there
+          rho |l_i| < 0.36 for any two floats, so y > -0.3.  Once
+          rho |l_i| < 2^-53 for every atom, eps is the rho -> 0 limit
+          A exp(E_Q l).  From ``SMALL_RHO`` up the ratio's error stays
+          below 2^-41, and the formula keeps its bits;
+        * when m_2 or m_{2+rho} is no normal float (at large rho m_{2+rho}
+          underflows or overflows), the ratio is taken in log space, with
+          S_t = sum_i p_i (|x_i|/A)^t:
+          log eps = log A + (log S_{2+rho} - log S_2) / rho.
+
+        A sampled law keeps the formula, or where a moment is no normal float
+        takes the difference of its ``declared_log_moment``, if it has one.
         """
         m2, moment = self._m2_cached, self.moment(2.0 + rho)
         # 2^-1022 is the least normal float
-        if self.mode == "sampled" or 2.0**-1022 <= min(m2, moment) and moment < math.inf:
-            return 0.0 if m2 == 0.0 else (moment / m2) ** (1.0 / rho)
+        normal = 2.0**-1022 <= min(m2, moment) and moment < math.inf
+        if self.mode == "sampled":
+            if normal or self.declared_log_moment is None:
+                return 0.0 if m2 == 0.0 else (moment / m2) ** (1.0 / rho)
+            return math.exp((self.declared_log_moment(2.0 + rho) - self.declared_log_moment(2.0)) / rho)
         atoms = [(p, abs(v)) for v, p in zip(self.values, self.probs) if p > 0.0 and v != 0.0]
         if not atoms:
             return 0.0
         top = max(a for _, a in atoms)
+        if rho < SMALL_RHO:
+            ratios = [(p, a / top) for p, a in atoms]
+            # an atom whose q underflows adds nothing
+            weights = [(p * r * r, math.log(r)) for p, r in ratios if p * r * r > 0.0]
+            total = math.fsum(q for q, _ in weights)
+            if rho * max(-l for _, l in weights) < 2.0**-53:
+                return top * math.exp(math.fsum(q * l for q, l in weights) / total)
+            y = math.fsum(q * math.expm1(rho * l) for q, l in weights) / total
+            return top * math.exp(math.log1p(y) / rho)
+        if normal:
+            return (moment / m2) ** (1.0 / rho)
 
         def log_spread(t):
             return math.log(math.fsum(p * (a / top) ** t for p, a in atoms))
@@ -371,13 +400,32 @@ class VarianceDriftKernel(ConditionalKernel):
         return math.sqrt(self.d)
 
 
-def _gaussian_moment(sigma: float) -> Callable[[float], float]:
+def _gaussian_log_moment(sigma: float) -> Callable[[float], float]:
+    def declared(t: float) -> float:
+        # log E|sigma Z|^t for Z standard normal, finite at every t
+        return (t * math.log(sigma) + t / 2.0 * math.log(2.0) + math.lgamma((t + 1.0) / 2.0)
+                - 0.5 * math.log(math.pi))
+
+    return declared
+
+
+def _gaussian_moment(sigma: float, log_moment: Callable[[float], float]) -> Callable[[float], float]:
     def declared(t: float) -> float:
         # E|sigma Z|^t for Z standard normal; t = 2 bypasses the gamma form
         # so conditional variances accumulate without an ulp of drift
         if t == 2.0:
             return sigma * sigma
-        return sigma**t * 2 ** (t / 2.0) * math.gamma((t + 1.0) / 2.0) / math.sqrt(math.pi)
+        scale = sigma**t
+        if scale >= 2.0**-1022:  # a normal float: no digits lost to underflow
+            try:
+                moment = scale * 2 ** (t / 2.0) * math.gamma((t + 1.0) / 2.0) / math.sqrt(math.pi)
+            except OverflowError:  # gamma past the float range
+                moment = math.inf
+            if moment < math.inf:
+                return moment
+        # past the float range of a factor: from log space (OverflowError,
+        # which ``moment`` reads as inf, once the moment itself is past it)
+        return math.exp(log_moment(t))
 
     return declared
 
@@ -426,7 +474,9 @@ def _make_iid_gaussian(n: int) -> ConditionalKernel:
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
         return sigma * ndtri(u)
 
-    dist = StepDistribution(sampler=sampler, declared_moment=_gaussian_moment(sigma))
+    log_moment = _gaussian_log_moment(sigma)
+    dist = StepDistribution(sampler=sampler, declared_moment=_gaussian_moment(sigma, log_moment),
+                            declared_log_moment=log_moment)
     return _IidKernel(f"iid_gaussian(n={n})", n, dist)
 
 
@@ -848,8 +898,8 @@ class _PathOutputs:
     variance: np.ndarray | float = 0.0  # <X>_n
     max_abs: np.ndarray | float | None = None  # max_i |xi_i|
     total_2p: np.ndarray | float | None = None  # sum_i |xi_i|^(2p)
-    increments: np.ndarray | None = None  # (count, n)
-    variances: np.ndarray | None = None  # (count, n + 1)
+    increments: np.ndarray | None = None  # (n, count), step-major
+    variances: np.ndarray | None = None  # (n + 1, count), step-major
 
 
 class _RunningSum:
@@ -1068,8 +1118,8 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
             point.variance.add(table.m2 if table.regimes == 1
                                else table.select(table.m2, regime, gathered))
             if out.increments is not None:
-                out.increments[:, step - 1] = inc
-                out.variances[:, step] = point.variance.value
+                out.increments[step - 1] = inc
+                out.variances[step] = point.variance.value
             if point.max_abs is not None:
                 if table.abs_value is not None:
                     point.max_abs.floor = max(point.max_abs.floor, table.abs_value)
@@ -1147,22 +1197,25 @@ def sample_paths(
     # Each chunk fills arrays of its own, joined below and freed on return.
     # Writing into full-count arrays instead, or freeing the chunk arrays
     # before the joined ones exist, fragmented the heap enough to raise the
-    # peak RSS of perfbench's exact-verify workload by about 35 MB.
+    # peak RSS of perfbench's exact-verify workload by about 35 MB.  The
+    # chunk arrays are step-major, so each step writes a row of each; the
+    # join transposes them into the path-major arrays, C-contiguous, so
+    # that a sum along a path adds pairwise over a contiguous axis.
     pieces = [
         ((kernel,), key, start, size, (_PathOutputs(
             terminal=None,
-            increments=np.empty((size, n)),
-            variances=np.zeros((size, n + 1)),
+            increments=np.empty((n, size)),
+            variances=np.zeros((n + 1, size)),
         ),), 1.0)
         for start, size in _chunks(count, chunk_size)
     ]
     _run_chunks(_simulate_chunk, pieces, threads)
-    outs = [piece[4][0] for piece in pieces]
-    increments = np.concatenate([o.increments for o in outs], axis=0)
-    variances = np.concatenate([o.variances for o in outs], axis=0)
-    sums = np.concatenate(
-        [np.zeros((count, 1)), np.cumsum(increments, axis=1)], axis=1
-    )
+    increments, variances = np.empty((count, n)), np.empty((count, n + 1))
+    for _, _, start, size, (out,), _ in pieces:
+        increments[start : start + size] = out.increments.T
+        variances[start : start + size] = out.variances.T
+    sums = np.zeros((count, n + 1))
+    np.cumsum(increments, axis=1, out=sums[:, 1:])
     return PathCollection(increments=increments, sums=sums, variances=variances)
 
 

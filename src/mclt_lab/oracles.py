@@ -93,30 +93,34 @@ def variance_drift_mean_abs_deviation(d: float, n: int, p: float = 1.0) -> float
     # slabs[H] = P over the reachable (a, b) at level k: a has the parity of
     # H and b that of k - H, so the array is indexed [i, j] with a = 2i - H
     # and b = 2j - (k - H), and holds no cell that no history reaches
-    slabs: dict[int, np.ndarray] = {0: np.ones((1, 1))}
+    slabs = [np.ones((1, 1))]
     # high[a + n, b + n]: a path at (a, b) takes the high law, by the
-    # kernel's own regime_of_state; a slab's cells are a strided block of it
+    # kernel's own regime_of_state; a slab's cells are a strided block of
+    # it, and the halves of P that step high and low are P times a block
+    # of these 0.5/0.0 weights (both products exact)
     high = kernel.regime_of_state(np.ogrid[-n : n + 1, -n : n + 1]) == 0
+    up_w, dn_w = np.where(high, 0.5, 0.0), np.where(high, 0.0, 0.5)
     for k in range(n):
-        new: dict[int, np.ndarray] = {}
-        for H, P in slabs.items():
-            m = high[n - H : n + H + 1 : 2, n - (k - H) : n + (k - H) + 1 : 2]
-            half = P * 0.5
-            up = np.where(m, half, 0.0)
-            dn = np.where(m, 0.0, half)
-            if up.any():
-                # high step: a -> a -/+ 1 is i -> i, i + 1 in slab H+1; b is unchanged
-                tgt = new.setdefault(H + 1, np.zeros((H + 2, k - H + 1)))
-                tgt[0:-1, :] += up
-                tgt[1:, :] += up
-            if dn.any():
-                # low step: b -> b -/+ 1 is j -> j, j + 1 in slab H
-                tgt = new.setdefault(H, np.zeros((H + 1, k - H + 2)))
-                tgt[:, 0:-1] += dn
-                tgt[:, 1:] += dn
+        # slab H of level k + 1 takes the low step of slab H (b -> b -/+ 1,
+        # j -> j, j + 1) and then the high step of slab H - 1 (a -> a -/+ 1,
+        # i -> i, i + 1), so each cell adds dn[j], dn[j - 1], up[i], up[i - 1]
+        # in that order, from H = k down; slab k + 1 has no low step
+        new = [None] * (k + 1) + [np.zeros((k + 2, 1))]
+        for H in range(k, -1, -1):
+            P = slabs[H]
+            cells = (slice(n - H, n + H + 1, 2), slice(n - (k - H), n + (k - H) + 1, 2))
+            up, dn = P * up_w[cells], P * dn_w[cells]
+            t = np.empty((H + 1, k - H + 2))
+            t[:, :-1] = dn
+            t[:, -1] = 0.0
+            t[:, 1:] += dn
+            new[H] = t
+            new[H + 1][:-1] += up
+            new[H + 1][1:] += up
         slabs = new
     total = 0.0
-    for H, P in slabs.items():
+    for H in range(n, -1, -1):
+        P = slabs[H]
         dev = abs(d * (2.0 * H - n) / n)
         # np.sum pairs its terms by position, so the sum runs over the full
         # (2H+1, 2(n-H)+1) layout, with zeros in the unreachable cells

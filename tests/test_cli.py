@@ -352,6 +352,20 @@ def test_rates_epsilon_finite_where_the_moment_overflows(tmp_path):
     assert manifest["records"][0]["epsilon"] == 2.0
 
 
+def test_rates_gaussian_epsilon_finite_where_gamma_overflows(tmp_path):
+    # Gamma(201.5) is past float range: the declared moment comes from log
+    # space, and the manifest stays JSON
+    doc = dict(RATES_CONFIG, kernel={"name": "iid_gaussian"}, rho=400.0, grid=[{"n": 64, "M": 1000}])
+    out = tmp_path / "out"
+    assert cli.main(["rates", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} in manifest.json")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert 1.5 < manifest["records"][0]["epsilon"] < 1.6
+
+
 def test_rate_fit_on_a_zero_reference(tmp_path):
     # at p = 400, eps^(2p) underflows and <X>_n is 1, so C2 is 0.0 at every
     # point: the fit is written, with no ratio spread
@@ -455,9 +469,12 @@ def test_invalid_kernel_table_is_invariant_violation(tmp_path):
     assert not (out / "series.csv").exists()  # partial outputs removed
 
 
-def test_non_finite_kernel_table_is_invariant_violation(tmp_path, capsys):
-    # Python's json reads NaN; the law is refused like any other invalid table
-    doc = {
+@pytest.mark.parametrize("command, doc, where", [
+    # a key nothing reads would be echoed into manifest.json as Infinity
+    ("rates", dict(RATES_CONFIG, note=float("inf")), "['note']"),
+    ("rates", dict(RATES_CONFIG, note={"list": [1.0, float("-inf")]}), "['note']['list'][1]"),
+    # a law with a NaN probability is refused before any kernel is built
+    ("rates", {
         "kind": "rates",
         "kernel": {
             "name": "table",
@@ -465,13 +482,25 @@ def test_non_finite_kernel_table_is_invariant_violation(tmp_path, capsys):
         },
         "grid": [{"n": 1, "M": 1000}],
         "seed": 4,
-    }
-    cfg = write_config(tmp_path, doc)
-    assert "NaN" in cfg.read_text(encoding="utf-8")
-    out = tmp_path / "bad"
-    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "non-finite value or probability" in capsys.readouterr().err
-    assert not (out / "series.csv").exists()
+    }, "['kernel']['params']['steps'][0]['probs'][0]"),
+    ("bounds", dict(BOUNDS_CONFIG, grid=[{"rho": 1.0, "epsilon": 0.1, "delta": 0.0, "x": float("nan")}]),
+     "['grid'][0]['x']"),
+], ids=["unread-key", "unread-nested", "kernel-table-nan", "bounds-grid-nan"])
+def test_non_finite_number_anywhere_is_config_error(tmp_path, capsys, command, doc, where):
+    cfg = write_config(tmp_path, doc)  # Python's json writes and reads NaN and Infinity
+    out = tmp_path / "never"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"non-finite number at {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_json_number_is_config_error(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(RATES_CONFIG)[:-1] + ', "note": 1e999}', encoding="utf-8")
+    assert json.loads(cfg.read_text(encoding="utf-8"))["note"] == float("inf")
+    out = tmp_path / "never"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def _fail_replace_after(monkeypatch, renames: int) -> list:

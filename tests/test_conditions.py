@@ -102,6 +102,63 @@ def test_epsilon_nondecreasing_in_rho_and_capped_by_the_largest_atom():
         assert max(eps) <= top * (1.0 + 1e-12), f"corpus item {i}"
 
 
+def test_gaussian_epsilon_finite_and_nondecreasing_in_rho():
+    # the declared moment of Gamma form overflows from rho = 340 or so at
+    # n = 64; past it the moment, and past the float range eps, come from
+    # log space
+    kernel = m.make_kernel("iid_gaussian", n=64)
+    sigma = 0.125
+    assert kernel.certified_epsilon(1.0) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi) * sigma,
+                                                          rel=1e-14)
+    assert math.isfinite(kernel.certified_epsilon(400.0))
+    rhos = np.geomspace(0.25, 1e5, 200).tolist() + np.linspace(330.0, 350.0, 201).tolist()
+    eps = [kernel.certified_epsilon(rho) for rho in sorted(rhos)]
+    assert all(math.isfinite(e) for e in eps)
+    assert all(b >= a * (1.0 - 1e-12) for a, b in zip(eps, eps[1:]))
+    # E|Z|^(2+rho) ~ (rho/e)^(rho/2) sqrt(2): eps grows like sigma sqrt(rho/e)
+    assert kernel.certified_epsilon(1e5) == pytest.approx(sigma * math.sqrt(1e5 / math.e), rel=1e-3)
+
+
+def test_gaussian_log_moment_agrees_with_the_gamma_form():
+    dist = m.make_kernel("iid_gaussian", n=64).dist
+    for t in (3.0, 4.5, 10.0, 100.0, 300.0):
+        assert math.exp(dist.declared_log_moment(t)) == pytest.approx(dist.moment(t), rel=1e-12)
+    assert dist.moment(2.0) == 0.125**2
+    assert dist.moment(1000.0) == math.inf  # past the float range, from log space
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e-17, 1e-12, 1e-6, 2.0**-12 * (1 - 2.0**-53)])
+def test_single_magnitude_epsilon_at_small_rho(rho):
+    # (m_{2+rho} / m_2)^(1/rho) rounds the ratio before the 1/rho power:
+    # two_point a = 0.5 gave 1.0 at rho = 1e-17 and 0.49996 at 1e-12
+    laws = [rademacher_two_point(a) for a in (0.5, 3.0, 7.0**-0.5, 1e-200, 1e200)]
+    laws.append(StepDistribution(values=(-2.0, 0.0, 2.0), probs=(0.05, 0.9, 0.05)))
+    for law in laws:
+        magnitude = max(abs(v) for v in law.values)
+        assert abs(law.epsilon(rho) - magnitude) <= 2.0 * math.ulp(magnitude), (law, rho)
+
+
+def _decimal_epsilon(dist, rho):
+    """eps(rho) = (E_Q |xi|^rho)^(1/rho) in 400-digit decimal arithmetic."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 400
+        rho = Decimal(rho)
+        weights = [(Decimal(p) * Decimal(v) ** 2, abs(Decimal(v)))
+                   for v, p in zip(dist.values, dist.probs) if p > 0.0 and v != 0.0]
+        total = sum(q for q, _ in weights)
+        mean = sum(q * (rho * a.ln()).exp() for q, a in weights) / total
+        return float((mean.ln() / rho).exp())
+
+
+def test_epsilon_at_small_rho_against_decimal_arithmetic():
+    dist = StepDistribution(values=(-1.5, -0.25, 0.5, 1.5), probs=(0.2, 0.4, 0.2, 0.2))
+    assert dist.check() is None
+    for rho in (1e-300, 1e-17, 1e-12, 1e-6, 1e-4, 0.5, 1.0):
+        assert dist.epsilon(rho) == pytest.approx(_decimal_epsilon(dist, rho), rel=1e-13), rho
+
+
 # ---------------------------------------------------------------------------
 # moment lemmas
 

@@ -412,6 +412,30 @@ def _same_bits(got, want):
     return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
+@pytest.mark.parametrize("name, params", [
+    ("variance_drift", {"n": 24, "d": 0.2}),
+    ("iid_gaussian", {"n": 9}),
+    ("iid_rademacher", {"n": 1}),
+])
+def test_sample_paths_are_contiguous_and_partition_independent(name, params):
+    # chunks fill step-major buffers, and the join transposes them into
+    # C-contiguous path-major arrays: a sum along a path then adds pairwise
+    # over a contiguous axis
+    kernel = m.make_kernel(name, **params)
+    runs = [sample_paths(kernel, 9, 301, chunk_size=chunk, threads=threads)
+            for chunk, threads in ((1 << 16, 1), (7, 1), (64, 3), (300, 2))]
+    for run in runs:
+        for field in ("increments", "variances", "sums"):
+            array = getattr(run, field)
+            assert array.flags.c_contiguous, field
+            assert _same_bits(array, getattr(runs[0], field)), field
+    first = runs[0]
+    assert first.increments.shape == (301, kernel.n)
+    assert first.variances.shape == first.sums.shape == (301, kernel.n + 1)
+    assert not first.sums[:, 0].any() and not first.variances[:, 0].any()
+    assert _same_bits(first.sums[:, 1:], np.cumsum(first.increments, axis=1))
+
+
 @pytest.mark.parametrize("kernel", REFERENCE_KERNELS, ids=lambda k: k.label.split("(")[0])
 def test_engine_matches_scalar_reference(kernel):
     count = 300

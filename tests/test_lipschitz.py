@@ -474,3 +474,49 @@ def test_enumeration_memory_per_outcome(name):
     finally:
         tracemalloc.stop()
     assert peak <= 34 * enum.f_values.size
+
+
+def _reduction_reference(grid, largest):
+    """``np.max`` or ``np.min`` along each row, with a zero result signed by
+    the rule of the column-wise functionals: +0.0 is the larger zero, so a
+    row's max is +0.0 if it holds one and its min -0.0 if it holds one.
+    numpy picks that sign by its SIMD reduction order."""
+    out = (np.max if largest else np.min)(grid, axis=-1)
+    zero = out == 0.0
+    held = ((grid == 0.0) & (np.signbit(grid) != largest)).any(axis=-1)
+    out[zero] = np.where(held[zero], 0.0 if largest else -0.0, -0.0 if largest else 0.0)
+    return out
+
+
+@pytest.mark.parametrize("cols", [1, 2, 7, 8, 9, 20, 33])
+def test_columnwise_max_min_equal_numpy_reductions(cols):
+    draw = np.random.default_rng(cols)
+    grid = draw.normal(size=(3000, cols))
+    grid[draw.random(grid.shape) < 0.3] = 0.5  # ties of equal values
+    grid[draw.random(grid.shape) < 0.05] = 0.0  # zeros of one sign
+    for f, reduce in ((lipschitz.functional_max(), np.max), (lipschitz.functional_min(), np.min)):
+        assert np.array_equal(f(grid).view(np.uint64), reduce(grid, axis=-1).view(np.uint64))
+
+
+@pytest.mark.parametrize("cols", [1, 2, 9, 20])
+def test_columnwise_max_min_sign_signed_zero_ties(cols):
+    draw = np.random.default_rng(cols)
+    grid = draw.choice([0.0, -0.0, 1.0, -1.0], size=(4000, cols))
+    for f, largest in ((lipschitz.functional_max(), True), (lipschitz.functional_min(), False)):
+        got = f(grid)
+        assert np.array_equal(got, (np.max if largest else np.min)(grid, axis=-1))  # as values
+        assert np.array_equal(got.view(np.uint64), _reduction_reference(grid, largest).view(np.uint64))
+        # so the sign does not depend on the order of the coordinates
+        reordered = f(np.ascontiguousarray(grid[:, ::-1]))
+        assert np.array_equal(reordered.view(np.uint64), got.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_enumerated_max_min_equal_numpy_reductions(kind):
+    # one block, many blocks, and a last coordinate wider than a block
+    for seed, sizes in enumerate(CONFIG_SIZES):
+        model = _config_model(kind, sizes, seed)
+        axes = [np.asarray(c.values, dtype=float) for c in model.coords]
+        outcomes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.n)
+        want = _reduction_reference(outcomes, kind == "max").reshape(lipschitz._enumeration(model).dims)
+        assert np.array_equal(lipschitz._enumeration(model).f_values.view(np.uint64), want.view(np.uint64))

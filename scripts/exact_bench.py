@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time of the exact track's three largest per-call costs.
+"""Wall time of the exact track's largest per-call costs.
 
 Times ``oracles.variance_drift_mean_abs_deviation`` (d=0.2, p=1) at n=128
 and 256, the Lipschitz enumeration ``lipschitz._enumeration`` of
@@ -7,8 +7,11 @@ and 256, the Lipschitz enumeration ``lipschitz._enumeration`` of
 before each call), ``max_of_bits``' functional alone on one block of
 2^14 outcome rows as the enumeration lays them out (the enumeration's
 time also follows how many fresh pages its arrays fault in, which varies
-from process to process), and ``kernels.sample_paths`` of ``variance_drift``
-(d=0.2) for 20000 paths of 64 steps.  Each case gets one untimed warm-up
+from process to process), ``kernels.sample_paths`` of ``variance_drift``
+(d=0.2) for 20000 paths of 64 steps, a lemma-suite run over a corpus of
+1000 (``cli.run_experiment``, output bytes hashed), and the exact distance
+of the 2000-law stack of X and X + Y of that corpus' joint laws, padded as
+the smoothing check pads it (``--tiny``: 30 and 60).  Each case gets one untimed warm-up
 call first, and a sha256 of its output, so that two records show whether
 their outputs agree bit for bit.  Writes every sample, the best and the
 median of each, and the machine and library versions to a JSON file;
@@ -22,6 +25,7 @@ import hashlib
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -29,7 +33,8 @@ import numpy as np
 
 from engine_bench import environment
 
-from mclt_lab import lipschitz, oracles
+from mclt_lab import bounds, cli, corpus, lipschitz, oracles
+from mclt_lab.distance import exact_kolmogorov_discrete
 from mclt_lab.kernels import make_kernel, sample_paths
 
 DRIFT = 0.2
@@ -64,11 +69,29 @@ def paths(count, n):
     return lambda: sample_paths(kernel, SEED, count)
 
 
+def lemma_suite(size, out_dir):
+    cfg = cli.parse_config({"kind": "lemma-suite", "corpus_size": size, "seed": SEED})
+
+    def call():
+        out = Path(out_dir) / "lemma-suite"
+        cli.run_experiment(cfg, out)
+        return b"".join((out / name).read_bytes() for name in ("series.csv", "manifest.json"))
+
+    return call
+
+
+def joint_stack(size):
+    support, probs = bounds._stacked_laws(corpus.random_joint_laws(SEED, size))
+    return lambda: exact_kolmogorov_discrete(support, probs)
+
+
 def digest(result) -> str:
-    """sha256 of a call's output: the float, the f tensor and Var f, or the
-    three path arrays."""
+    """sha256 of a call's output: the float, the written files, the array,
+    the f tensor and Var f, or the three path arrays."""
     if isinstance(result, float):
         data = result.hex().encode()
+    elif isinstance(result, bytes):
+        data = result
     elif isinstance(result, np.ndarray):
         data = result.tobytes()
     elif isinstance(result, lipschitz._Enumeration):
@@ -78,14 +101,17 @@ def digest(result) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def cases(tiny: bool):
+def cases(tiny: bool, out_dir):
     lattice_ns, lip_n, (count, n) = ((16, 32), 8, (200, 16)) if tiny else ((128, 256), 20, (20000, 64))
+    size = 30 if tiny else 1000
     for m in lattice_ns:
         yield f"lattice n={m}", lattice(m)
     for name in ("max_of_bits", "rademacher_average"):
         yield f"enumeration {name} n={lip_n}", enumeration(name, lip_n)
     yield f"max_of_bits f, one block n={lip_n}", block_max(lip_n)
     yield f"sample_paths variance_drift {count}x{n}", paths(count, n)
+    yield f"lemma-suite, corpus {size}", lemma_suite(size, out_dir)
+    yield f"exact distance, {2 * size}-law joint stack", joint_stack(size)
 
 
 def main():
@@ -101,7 +127,8 @@ def main():
 
     results = {}
     print(f"{'call':<42} {'best s':>10} {'median s':>10} {'before':>10} {'ratio':>7}  output")
-    for key, call in cases(args.tiny):
+    scratch = tempfile.TemporaryDirectory()
+    for key, call in cases(args.tiny, scratch.name):
         out = digest(call())
         wall = []
         for _ in range(args.repeat):
@@ -117,10 +144,12 @@ def main():
             same = "same" if old["output_sha256"] == out else "DIFFERS"
             line += f" {old['best_wall_s']:>10.4g} {best / old['best_wall_s']:>7.3f}  {same}"
         print(line)
+    scratch.cleanup()
 
     record = {
         "bench": "exact",
-        "what": "exact-track calls: lattice oracle, Lipschitz enumeration, sample_paths; wall s per call",
+        "what": ("exact-track calls: lattice oracle, Lipschitz enumeration, sample_paths, "
+                 "lemma suite, stacked exact distance; wall s per call"),
         "repeat": args.repeat,
         "environment": environment(),
         "calls": results,

@@ -50,7 +50,9 @@ def main():
     if fit is None:
         print("\n" + fit_skipped(manifest))
     else:
-        print(f"\nfitted slope {fit['slope']:.4f}  (r^2 = {fit['r_squared']:.4f})")
+        # r^2 is null in the manifest when fewer than 3 points are kept
+        r2 = "undefined" if fit["r_squared"] is None else f"{fit['r_squared']:.4f}"
+        print(f"\nfitted slope {fit['slope']:.4f}  (r^2 = {r2})")
     print(f"outputs in {Path(args.out).resolve()}")
 
 

@@ -27,10 +27,12 @@ BOLT_B carries the published correction: the L1 branch of the minimum reads
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .distance import exact_kolmogorov_discrete
 
@@ -260,36 +262,67 @@ class SmoothingCheck:
         return self.rhs - self.lhs
 
 
-@lru_cache(maxsize=1)
-def _smoothing_distances(joint: JointLaw) -> tuple[float, float]:
-    """D(X) and D(X + Y) of a valid joint law; they do not depend on p.
-
-    Cached for the latest law (laws are frozen), so checking one law at
-    several p computes them once.  Laws that compare equal, ones that differ
-    only in the sign of a zero included, give the same distances:
-    ``exact_kolmogorov_discrete`` merges atoms by float equality and
-    ``ndtr(-0.0) == ndtr(0.0)``.
-    """
-    joint.validate()
-    sums = [a + b for a, b in zip(joint.x, joint.y)]
-    return (exact_kolmogorov_discrete(joint.x, joint.probs),
-            exact_kolmogorov_discrete(sums, joint.probs))
+def _smoothing_rhs(joint: JointLaw, d_x: float, p: float) -> float:
+    """2 D(X) + 3 (E|Y|^(2p))^(1/(2p+1)), in Python floats."""
+    try:
+        moment = math.fsum(pr * abs(b) ** (2.0 * p) for b, pr in zip(joint.y, joint.probs))
+    except OverflowError:  # E|Y|^(2p) past the float range: the bound holds vacuously
+        moment = math.inf
+    return 2.0 * d_x + 3.0 * moment ** (1.0 / (2.0 * p + 1.0))
 
 
-def verify_smoothing_lemma(joint: JointLaw, p: float) -> SmoothingCheck:
+def _stacked_laws(laws: Sequence[JointLaw]) -> tuple[np.ndarray, np.ndarray]:
+    """The m laws' X (rows 0..m-1) and X + Y (rows m..2m-1) as one stack of
+    (2m, width) supports and probabilities.  A row shorter than the longest
+    law is padded with zero-mass copies of its first atom.
+
+    Each law is checked as ``JointLaw.validate`` checks it; if one fails,
+    the laws are validated one by one, in order, so the first bad law
+    raises its own message."""
+    lengths = [len(law.probs) for law in laws]
+    flat = [np.fromiter(itertools.chain.from_iterable(getattr(law, name) for law in laws), float)
+            for name in ("x", "y", "probs")]
+    x, y, p = flat
+    if not (all(len(law.x) == len(law.y) == n > 0 for law, n in zip(laws, lengths))
+            and all(np.isfinite(a).all() for a in flat) and (p >= 0.0).all()
+            and all(abs(math.fsum(law.probs) - 1.0) <= 1e-12 for law in laws)):
+        for law in laws:
+            law.validate()
+    m = len(laws)
+    real = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    support = np.empty((2 * m, real.shape[1]))
+    probs = np.zeros(support.shape)
+    for rows, values in ((support[:m], x), (support[m:], x + y)):
+        rows[real] = values
+        np.copyto(rows, rows[:, :1], where=~real)
+    probs[:m][real] = p
+    probs[m:] = probs[:m]
+    return support, probs
+
+
+def verify_smoothing_lemma(
+    joint: JointLaw | Sequence[JointLaw], p: float | Sequence[float]
+) -> SmoothingCheck | list[tuple[SmoothingCheck, ...]]:
     """Exact two-sided evaluation of the smoothing inequality
     ``D(X+Y) <= 2 D(X) + 3 ||E[|Y|^(2p) | X]||_1^(1/(2p+1))`` on a finite law.
 
     Both distances come from exact enumeration; the conditional-moment term
     reduces to ``E|Y|^(2p)`` because the conditional expectation is
-    non-negative.
+    non-negative.  A ``JointLaw`` and one p give one ``SmoothingCheck``.  A
+    sequence of laws and a sequence of p give a list with one tuple of
+    checks per law, one check per p, each equal to the one-law check: D(X)
+    and D(X + Y) of all the laws come from one stacked
+    ``exact_kolmogorov_discrete`` call, whatever the number of p.
     """
-    if p < 1.0:
+    if isinstance(joint, JointLaw):
+        return verify_smoothing_lemma((joint,), (p,))[0][0]
+    laws, p_values = tuple(joint), tuple(float(q) for q in p)
+    if any(q < 1.0 for q in p_values):
         raise ValueError("p must be >= 1")
-    d_x, d_sum = _smoothing_distances(joint)
-    try:
-        moment = math.fsum(pr * abs(b) ** (2.0 * p) for b, pr in zip(joint.y, joint.probs))
-    except OverflowError:  # E|Y|^(2p) past the float range: the bound holds vacuously
-        moment = math.inf
-    rhs = 2.0 * d_x + 3.0 * moment ** (1.0 / (2.0 * p + 1.0))
-    return SmoothingCheck(lhs=d_sum, rhs=rhs, p=float(p))
+    if not laws:
+        return []
+    distances = exact_kolmogorov_discrete(*_stacked_laws(laws)).tolist()
+    return [
+        tuple(SmoothingCheck(lhs=d_sum, rhs=_smoothing_rhs(law, d_x, q), p=q) for q in p_values)
+        for law, d_x, d_sum in zip(laws, distances[: len(laws)], distances[len(laws) :])
+    ]

@@ -123,7 +123,8 @@ def _non_finite(doc) -> str | None:
         path, node = stack.pop()
         if isinstance(node, float) and not math.isfinite(node):
             return path or "the document"
-        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, (list, tuple)) else ())
         stack.extend((f"{path}[{key!r}]", child) for key, child in reversed(list(items)))
     return None
 
@@ -544,8 +545,10 @@ def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dic
             fit = {
                 "slope": rate.slope,
                 "intercept": rate.intercept,
-                "r_squared": rate.r_squared,
-                "ratio_spread": rate.ratio_spread,
+                # NaN where undefined (fewer than 3 points kept, or a reference
+                # that is 0 or inf somewhere), written as null: JSON has no NaN
+                "r_squared": rate.r_squared if math.isfinite(rate.r_squared) else None,
+                "ratio_spread": rate.ratio_spread if math.isfinite(rate.ratio_spread) else None,
                 "reference": cfg.bounds[0] if reference is not None else None,
                 "excluded": list(rate.excluded),
             }
@@ -571,17 +574,15 @@ def _run_lemma_suite(cfg: ExperimentConfig, stager: OutputStager) -> dict:
     rows: list[list] = []
     records: list[dict] = []
     failures = []
-    for i in range(size):
-        dist = corpus.random_mean_zero_distribution(cfg.seed, i)
+    for i, dist in enumerate(corpus.random_mean_zero_distributions(cfg.seed, size)):
         report = verify_moment_lemmas(dist, s, t_grid)
         ok = report.all_hold
         rows.append(["moment_interpolation_and_cap", i, "pass" if ok else "FAIL", report.epsilon])
         if not ok:
             failures.append(f"moment lemma failed on corpus distribution {i}")
-    for i in range(size):
-        law = corpus.random_joint_law(cfg.seed, i)
-        for p in p_values:
-            check = verify_smoothing_lemma(law, p)
+    laws = corpus.random_joint_laws(cfg.seed, size)
+    for i, checks in enumerate(verify_smoothing_lemma(laws, p_values)):
+        for p, check in zip(p_values, checks):
             ok = check.margin >= -1e-12
             rows.append(["smoothing", f"{i}/p={p}", "pass" if ok else "FAIL", check.margin])
             if not ok:
@@ -715,7 +716,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1)
             manifest = _run_lipschitz(cfg, stager)
         else:  # pragma: no cover - parse_config guards this
             raise ConfigError(f"unhandled kind {cfg.kind!r}")
-        stager.write_text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        where = _non_finite(manifest)
+        if where is not None:  # JSON has no NaN or Infinity
+            raise InvariantViolation(f"non-finite number at {where} of manifest.json")
+        stager.write_text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True,
+                                                        allow_nan=False) + "\n")
         stager.commit()
         return manifest
     except BaseException:

@@ -15,9 +15,56 @@ from . import rng
 from .bounds import JointLaw
 from .kernels import StepDistribution
 
-__all__ = ["random_mean_zero_distribution", "random_joint_law"]
+__all__ = [
+    "random_mean_zero_distribution",
+    "random_mean_zero_distributions",
+    "random_joint_law",
+    "random_joint_laws",
+]
 
 JOINT_SIDE = 5  # a random joint law has 2..JOINT_SIDE atoms per axis
+
+_MEAN_ZERO_DRAWS = 12
+_JOINT_DRAWS = 2 + 2 * JOINT_SIDE + JOINT_SIDE * JOINT_SIDE
+_JOINT_OFFSET = 1 << 32  # joint laws read paths past the mean-zero ones
+
+
+def _rows(seed: int, first: int, size: int, draws: int) -> list[list[float]]:
+    """The uniforms of corpus paths first .. first+size-1, one row per path.
+
+    One ``rng.uniforms`` call fills them all; each word depends on its own
+    (path, draw) counter alone, so a row is the same whether it is drawn on
+    its own or with others.
+    """
+    key = rng.stream_key(seed, rng.STREAM_CORPUS)
+    paths = np.arange(first, first + size, dtype=np.uint64)[:, None]
+    return rng.uniforms(key, paths, np.arange(draws)).tolist()
+
+
+def _mean_zero_from_row(u: list[float]) -> StepDistribution:
+    k = 2 + int(u[0] * 4.0)  # 2..5 support points
+    values = sorted(-3.0 + 6.0 * x for x in u[1 : 1 + k])
+    raw = [0.05 + x for x in u[6 : 6 + k]]
+    total = math.fsum(raw)
+    probs = [r / total for r in raw]
+    mean = math.fsum(p * v for p, v in zip(probs, values))
+    return StepDistribution(values=tuple(v - mean for v in values), probs=tuple(probs))
+
+
+def _joint_law_from_row(u: list[float]) -> JointLaw:
+    kx = 2 + int(u[0] * (JOINT_SIDE - 1))
+    ky = 2 + int(u[1] * (JOINT_SIDE - 1))
+    xs = [-2.0 + 4.0 * a for a in u[2 : 2 + kx]]
+    ys = [-2.0 + 4.0 * b for b in u[2 + JOINT_SIDE : 2 + JOINT_SIDE + ky]]
+    cells = [c + 0.02 for c in u[2 + 2 * JOINT_SIDE : 2 + 2 * JOINT_SIDE + kx * ky]]
+    total = math.fsum(cells)
+    return JointLaw(x=tuple(a for a in xs for _ in ys), y=tuple(ys) * kx,
+                    probs=tuple(c / total for c in cells))
+
+
+def random_mean_zero_distributions(seed: int, size: int) -> list[StepDistribution]:
+    """Corpus items 0 .. size-1 of ``random_mean_zero_distribution``."""
+    return [_mean_zero_from_row(u) for u in _rows(seed, 0, size, _MEAN_ZERO_DRAWS)]
 
 
 def random_mean_zero_distribution(seed: int, index: int) -> StepDistribution:
@@ -27,34 +74,14 @@ def random_mean_zero_distribution(seed: int, index: int) -> StepDistribution:
     from zero; the support is then recentered so the mean vanishes exactly
     up to one fused summation.
     """
-    key = rng.stream_key(seed, rng.STREAM_CORPUS)
-    u = rng.uniforms(key, index, np.arange(12))
-    k = 2 + int(u[0] * 4.0)  # 2..5 support points
-    values = np.sort(-3.0 + 6.0 * u[1 : 1 + k])
-    raw = 0.05 + u[6 : 6 + k]
-    probs = raw / math.fsum(raw.tolist())
-    mean = math.fsum(p * v for p, v in zip(probs, values))
-    values = values - mean
-    return StepDistribution(values=tuple(values.tolist()), probs=tuple(probs.tolist()))
+    return _mean_zero_from_row(_rows(seed, index, 1, _MEAN_ZERO_DRAWS)[0])
+
+
+def random_joint_laws(seed: int, size: int) -> list[JointLaw]:
+    """Corpus items 0 .. size-1 of ``random_joint_law``."""
+    return [_joint_law_from_row(u) for u in _rows(seed, _JOINT_OFFSET, size, _JOINT_DRAWS)]
 
 
 def random_joint_law(seed: int, index: int) -> JointLaw:
     """A random finite joint law on a grid of at most JOINT_SIDE x JOINT_SIDE atoms."""
-    key = rng.stream_key(seed, rng.STREAM_CORPUS)
-    u = rng.uniforms(key, index + (1 << 32),
-                     np.arange(2 + 2 * JOINT_SIDE + JOINT_SIDE * JOINT_SIDE))
-    kx = 2 + int(u[0] * (JOINT_SIDE - 1))
-    ky = 2 + int(u[1] * (JOINT_SIDE - 1))
-    xs = -2.0 + 4.0 * u[2 : 2 + kx]
-    ys = -2.0 + 4.0 * u[2 + JOINT_SIDE : 2 + JOINT_SIDE + ky]
-    cells = u[2 + 2 * JOINT_SIDE : 2 + 2 * JOINT_SIDE + kx * ky] + 0.02
-    cells = cells / math.fsum(cells.tolist())
-    x_flat = []
-    y_flat = []
-    p_flat = []
-    for i in range(kx):
-        for j in range(ky):
-            x_flat.append(float(xs[i]))
-            y_flat.append(float(ys[j]))
-            p_flat.append(float(cells[i * ky + j]))
-    return JointLaw(x=tuple(x_flat), y=tuple(y_flat), probs=tuple(p_flat))
+    return _joint_law_from_row(_rows(seed, _JOINT_OFFSET + index, 1, _JOINT_DRAWS)[0])

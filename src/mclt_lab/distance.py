@@ -44,7 +44,10 @@ def dkw_halfwidth(count: int, alpha: float) -> float:
         raise ValueError("count must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * count))
+    # 2/alpha overflows below alpha = 2^-1023; its log does not
+    ratio = 2.0 / alpha
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(alpha)
+    return math.sqrt(log_ratio / (2.0 * count))
 
 
 @dataclass(frozen=True)
@@ -112,46 +115,88 @@ _FSUM_BLOCK = 1 << 14
 _TOTAL_MARGIN = 1e-13
 
 
-def exact_kolmogorov_discrete(support, probs) -> float:
-    """Exact sup distance between a finite discrete law and Phi.
-
-    Checks both one-sided limits at every atom: ``F(x) - Phi(x)`` from the
-    right and ``Phi(x) - F(x-)`` from the left.
-    """
-    v = np.asarray(support, dtype=float).ravel()
-    p = np.asarray(probs, dtype=float).ravel()
-    if v.size != p.size or v.size == 0:
-        raise ValueError("support and probabilities must be equal-length and non-empty")
+def _law_error(v: np.ndarray, p: np.ndarray) -> str | None:
+    """Why the one law (v, p) is no probability law, or None if it is one."""
     # NaN fails the sign and total checks below, so it has to be refused here
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
-        raise ValueError("non-finite support value or probability")
+        return "non-finite support value or probability"
     if np.any(p < 0.0):
-        raise ValueError("negative probabilities")
+        return "negative probabilities"
     if not abs(float(np.sum(p)) - 1.0) <= 1e-12 - _TOTAL_MARGIN:
         # fsum is correctly rounded, so feeding it one block's floats at a
         # time gives the total of p.tolist() without a Python float per atom
         blocks = (p[i : i + _FSUM_BLOCK].tolist() for i in range(0, p.size, _FSUM_BLOCK))
         total = math.fsum(itertools.chain.from_iterable(blocks))
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            return f"probabilities sum to {total!r}, not 1"
+    return None
+
+
+def exact_kolmogorov_discrete(support, probs) -> float | np.ndarray:
+    """Exact sup distance between a finite discrete law and Phi.
+
+    Checks both one-sided limits at every atom: ``F(x) - Phi(x)`` from the
+    right and ``Phi(x) - F(x-)`` from the left.  Two equal-shape 2-D arrays
+    are a stack of laws, one per row, and give one distance per row, each
+    with the bits of the one-law call on that row.  Rows of different
+    lengths can be padded with zero-mass copies of one of the row's own
+    atoms: the merged masses keep their bits, since x + 0.0 == x.
+    """
+    v = np.asarray(support, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    stacked = v.ndim == 2 and p.ndim == 2
+    if stacked:
+        p = np.ascontiguousarray(p)  # so np.sum adds each row pairwise
+    else:
+        v, p = v.reshape(1, -1), p.reshape(1, -1)
+    if v.shape != p.shape or v.size == 0:
+        raise ValueError("support and probabilities must be equal-length and non-empty")
+    # each row is checked as the one-law call checks it, and the first row
+    # that fails raises that call's message; most stacks pass as a whole
+    if not (np.isfinite(v).all() and np.isfinite(p).all() and (p >= 0.0).all()
+            and (np.abs(np.sum(p, axis=1) - 1.0) <= 1e-12 - _TOTAL_MARGIN).all()):
+        for row_v, row_p in zip(v, p):
+            error = _law_error(row_v, row_p)
+            if error is not None:
+                raise ValueError(error)
     # merge equal atoms (-0.0 with 0.0 too) so left limits are taken at
-    # distinct points: np.add.at adds each group's probabilities in input
-    # order from 0.0, and unlike np.bincount it does not copy read-only
-    # weights (the laws of lipschitz.exact_distribution are read-only)
-    sv = np.sort(v)
-    keep = np.empty(sv.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(sv[1:], sv[:-1], out=keep[1:])
-    merged_v = sv[keep]
-    del sv, keep  # 9 B per atom, freed before the 8 B index is made
-    merged_p = np.zeros(merged_v.size)
-    np.add.at(merged_p, np.searchsorted(merged_v, v), p)
-    cdf = np.cumsum(merged_p)
+    # distinct points: each atom gets the flat index of its group in the
+    # (laws, groups) merged arrays, and np.add.at adds each group's
+    # probabilities in input order from 0.0; unlike np.bincount it does not
+    # copy read-only weights (the laws of lipschitz.exact_distribution are)
+    if not stacked:
+        # one law, maybe 2^20 atoms with few distinct values: the distinct
+        # values alone are kept, and searchsorted indexes them
+        sv = np.sort(v[0])
+        keep = np.empty(sv.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(sv[1:], sv[:-1], out=keep[1:])
+        merged_v = sv[keep][None, :]
+        del sv, keep  # 9 B per atom, freed before the 8 B index is made
+        index = np.searchsorted(merged_v[0], v[0])
+    else:
+        # many short laws: a stable argsort per row, and each atom indexes
+        # the first sorted copy of its value; the later copies keep 0.0 mass,
+        # so they only repeat the terms of the first one
+        rows, width = v.shape
+        order = np.argsort(v, axis=1, kind="stable")
+        merged_v = np.take_along_axis(v, order, axis=1)
+        first = np.zeros(v.shape, dtype=np.intp)
+        first[:, 1:] = np.where(merged_v[:, 1:] != merged_v[:, :-1], np.arange(1, width), 0)
+        np.maximum.accumulate(first, axis=1, out=first)
+        first += np.arange(0, rows * width, width)[:, None]
+        index = np.empty_like(first)
+        np.put_along_axis(index, order, first, axis=1)
+    merged_p = np.zeros(merged_v.shape)
+    np.add.at(merged_p.reshape(-1), index.reshape(-1), p.reshape(-1))
+    cdf = np.cumsum(merged_p, axis=1)
     phi = ndtr(merged_v)
     # F(x-) is 0 at the first atom and the previous atom's F after it
-    left = np.max(np.abs(cdf[:-1] - phi[1:]), initial=phi[0])
-    d = max(np.max(np.abs(cdf - phi)), left)
-    return float(min(max(d, 0.0), 1.0))
+    d = np.maximum(np.max(np.abs(cdf - phi), axis=1), phi[:, 0])
+    if merged_v.shape[1] > 1:
+        np.maximum(d, np.max(np.abs(cdf[:, :-1] - phi[:, 1:]), axis=1), out=d)
+    np.clip(d, 0.0, 1.0, out=d)
+    return d if stacked else float(d[0])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -263,7 +263,16 @@ def _enumeration(model: LipschitzModel) -> _Enumeration:
         g = np.tensordot(g, weights[k], axes=([k], [0]))
         g_tensors.append(g)
     g_tensors.reverse()  # g_tensors[k] has shape dims[:k]
-    probs = reduce(np.multiply.outer, weights)
+    # outcome weights one coordinate at a time into a contiguous (|P|, d)
+    # buffer, left to right as reduce(np.multiply.outer, weights) multiplies,
+    # but a column per atom instead of an inner loop of d elements
+    probs = weights[0]
+    for w in weights[1:]:
+        out = np.empty((probs.size, w.size))
+        for j, wj in enumerate(w.tolist()):
+            np.multiply(probs, wj, out=out[:, j])
+        probs = out.reshape(-1)
+    probs = probs.reshape(dims)
     # Var f = sum probs * (f - E f)^2, each operation written into one buffer
     spread = np.subtract(f_values, float(g_tensors[0]))
     np.multiply(probs, np.square(spread, out=spread), out=spread)

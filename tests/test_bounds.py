@@ -227,35 +227,80 @@ def test_joint_law_refuses_non_finite_entries(law):
         verify_smoothing_lemma(law, 1.0)
 
 
-def test_smoothing_distances_once_per_law(monkeypatch):
+def _smoothing_reference(law, p):
+    """The per-law, per-p smoothing check: the law validated, then its two
+    one-law distances and the moment in Python floats."""
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    law.validate()
+    sums = [a + b for a, b in zip(law.x, law.y)]
+    d_x = exact_kolmogorov_discrete(law.x, law.probs)
+    d_sum = exact_kolmogorov_discrete(sums, law.probs)
+    try:
+        moment = math.fsum(pr * abs(b) ** (2.0 * p) for b, pr in zip(law.y, law.probs))
+    except OverflowError:
+        moment = math.inf
+    return bounds.SmoothingCheck(lhs=d_sum, rhs=2.0 * d_x + 3.0 * moment ** (1.0 / (2.0 * p + 1.0)),
+                                 p=float(p))
+
+
+def _bits(check):
+    return (check.lhs.hex(), check.rhs.hex(), check.p.hex())
+
+
+def test_smoothing_distances_once_per_stack(monkeypatch):
     calls = []
     original = bounds.exact_kolmogorov_discrete
 
     def counting(support, probs):
-        calls.append(len(support))
+        calls.append(support.shape)
         return original(support, probs)
 
     monkeypatch.setattr(bounds, "exact_kolmogorov_discrete", counting)
-    bounds._smoothing_distances.cache_clear()
-    law = corpus.random_joint_law(23, 5)
-    checks = [verify_smoothing_lemma(law, p) for p in (1.0, 2.0)]
-    assert len(calls) == 2  # D(X) and D(X + Y), not once more per p
-    bounds._smoothing_distances.cache_clear()
-    assert verify_smoothing_lemma(law, 2.0) == checks[1]
-    assert len(calls) == 4
+    laws = corpus.random_joint_laws(23, 40)
+    checks = verify_smoothing_lemma(laws, [1.0, 2.0, 3.5])
+    # D(X) and D(X + Y) of all 40 laws in one call, not once more per p
+    assert calls == [(80, max(len(law.probs) for law in laws))]
+    assert [len(row) for row in checks] == [3] * 40
+
+
+def test_stacked_smoothing_equals_the_per_law_check():
+    laws = corpus.random_joint_laws(5, 300)
+    laws.append(JointLaw(x=(-1.0, 1.0), y=(2.0, -2.0), probs=(0.5, 0.5)))  # moment past float range
+    laws.append(JointLaw(x=(0.0,), y=(0.0,), probs=(1.0,)))  # one atom
+    p_values = [1.0, 1.5, 2.0, 2.0**64]
+    stacked = verify_smoothing_lemma(laws, p_values)
+    assert len(stacked) == len(laws)
+    for law, row in zip(laws, stacked):
+        want = [_smoothing_reference(law, p) for p in p_values]
+        assert [_bits(c) for c in row] == [_bits(c) for c in want]
+        assert _bits(verify_smoothing_lemma(law, p_values[1])) == _bits(want[1])
+
+
+def test_stacked_smoothing_refuses_the_first_invalid_law():
+    good = corpus.random_joint_law(3, 0)
+    negative = JointLaw(x=(0.0, 1.0), y=(0.0, 0.0), probs=(1.2, -0.2))
+    nan = JointLaw(x=(-1.0, 1.0), y=(math.nan, 0.0), probs=(0.5, 0.5))
+    ragged = JointLaw(x=(0.0, 1.0), y=(0.0,), probs=(0.5, 0.5))
+    for stack, message in (([good, negative, nan], "negative joint probabilities"),
+                           ([good, nan, negative], "non-finite joint law value"),
+                           ([good, ragged, nan], "equal-length and non-empty")):
+        with pytest.raises(ValueError, match=message):
+            verify_smoothing_lemma(stack, [1.0])
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        verify_smoothing_lemma([good], [1.0, 0.5])
+    assert verify_smoothing_lemma([], [1.0]) == []
 
 
 def test_smoothing_laws_equal_up_to_signed_zeros():
-    # equal laws share the cached distances; computed apart they agree too
+    # laws that differ only in the sign of a zero give the same distances,
+    # one law at a time and stacked together
     plus = JointLaw(x=(0.0, 0.0, 1.0), y=(0.0, 0.5, -0.0), probs=(0.25, 0.25, 0.5))
     minus = JointLaw(x=(-0.0, 0.0, 1.0), y=(-0.0, 0.5, 0.0), probs=(0.25, 0.25, 0.5))
     assert plus == minus
-    margins = []
-    for law in (plus, minus):
-        bounds._smoothing_distances.cache_clear()
-        margins.append(verify_smoothing_lemma(law, 1.5).margin)
-    margins.append(verify_smoothing_lemma(plus, 1.5).margin)  # cached from minus
-    assert [m.hex() for m in margins] == [margins[0].hex()] * 3
+    margins = [verify_smoothing_lemma(law, 1.5).margin for law in (plus, minus)]
+    margins += [row[0].margin for row in verify_smoothing_lemma([plus, minus], [1.5])]
+    assert [m.hex() for m in margins] == [margins[0].hex()] * 4
 
 
 def _merged_marginal(values, probs):
@@ -292,9 +337,17 @@ def test_smoothing_distances_equal_those_of_merged_marginals(law, p):
     d_x = exact_kolmogorov_discrete(*_merged_marginal(law.x, law.probs))
     sums = [a + b for a, b in zip(law.x, law.y)]
     d_sum = exact_kolmogorov_discrete(*_merged_marginal(sums, law.probs))
-    bounds._smoothing_distances.cache_clear()
     check = verify_smoothing_lemma(law, p)
     moment = math.fsum(pr * abs(b) ** (2.0 * p) for b, pr in zip(law.y, law.probs))
     margin = 2.0 * d_x + 3.0 * moment ** (1.0 / (2.0 * p + 1.0)) - d_sum
-    assert [d.hex() for d in bounds._smoothing_distances(law)] == [d_x.hex(), d_sum.hex()]
+    assert check.lhs.hex() == d_sum.hex()
     assert check.margin.hex() == margin.hex()
+
+
+@settings(max_examples=40)
+@given(laws=st.lists(_joint_laws(), min_size=1, max_size=6),
+       p_values=st.lists(st.sampled_from([1.0, 1.5, 2.0, 7.0]), min_size=1, max_size=3))
+def test_stacked_smoothing_on_drawn_laws(laws, p_values):
+    stacked = verify_smoothing_lemma(laws, p_values)
+    for law, row in zip(laws, stacked):
+        assert [_bits(c) for c in row] == [_bits(_smoothing_reference(law, p)) for p in p_values]

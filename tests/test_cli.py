@@ -368,15 +368,19 @@ def test_rates_gaussian_epsilon_finite_where_gamma_overflows(tmp_path):
 
 def test_rate_fit_on_a_zero_reference(tmp_path):
     # at p = 400, eps^(2p) underflows and <X>_n is 1, so C2 is 0.0 at every
-    # point: the fit is written, with no ratio spread
+    # point: the fit is written, with a null ratio spread, since JSON has no NaN
     doc = dict(RATES_CONFIG, p=400.0, bounds=["C2"],
                grid=[{"n": 16, "M": 2000}, {"n": 32, "M": 2000}, {"n": 64, "M": 2000}])
     out = tmp_path / "out"
     assert cli.main(["rates", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+
+    def refuse(name):
+        raise ValueError(f"{name} in manifest.json")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
     assert [r["bounds"]["C2"] for r in manifest["records"]] == [0.0] * 3
     assert manifest["fit"]["reference"] == "C2"
-    assert math.isnan(manifest["fit"]["ratio_spread"])
+    assert manifest["fit"]["ratio_spread"] is None
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -611,6 +615,24 @@ def test_unexpected_exception_is_not_an_invariant_violation(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_non_finite_manifest_is_invariant_violation(tmp_path, monkeypatch, capsys):
+    # JSON has no NaN or Infinity: a run whose manifest would hold one
+    # writes nothing
+    run = cli._run_bounds_table
+
+    def with_nan(cfg, stager):
+        manifest = run(cfg, stager)
+        manifest["records"][0]["bounds"]["T1"] = math.nan
+        return manifest
+
+    monkeypatch.setattr(cli, "_run_bounds_table", with_nan)
+    out = tmp_path / "never"
+    assert cli.main(["bounds", "--config", str(write_config(tmp_path, BOUNDS_CONFIG)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invariant violation: non-finite number at ['records'][0]['bounds']['T1'] of manifest.json\n")
+    assert not out.exists()
+
+
 def test_bounds_table_run(tmp_path):
     doc = {
         "kind": "bounds-table",
@@ -654,6 +676,28 @@ def test_lemma_suite_at_large_s(tmp_path, s):
         top = max(abs(v) for v, p in zip(law.values, law.probs) if p > 0.0)
         assert status == "pass"
         assert math.isclose(float(eps), top, rel_tol=1e-9 if s > 1e6 else 1e-4)
+
+
+LEMMA_OPTIONS = {"s": 5.5, "t_grid": [2.0, 3.25, 5.0], "p_values": [1.0, 1.25, 4.0]}
+
+
+@pytest.mark.parametrize("seed, options, series_sha, manifest_sha", [
+    (7, {}, "9e10f3c9c65e350050d750e4b6a56c66307df45916438898eef96c11504dcb01",
+     "5ce5dda1e06a614bb7c3c27788b9b50c462d02e4e909b2963739a9db1b40c6d8"),
+    (2024, {}, "3b8fc743a3e5cd0d05ea7c582870006917f0882ba5051db2c071b16e1f3815ee",
+     "2b5355e50e20433661fef0f75173b41d589330f0639c93f6eb8016729d5032bc"),
+    (7, LEMMA_OPTIONS, "e74684416bf28f21c6fb96b3aede966c57117cf0cfedbc18c1ce13a90bd7489a",
+     "c09d3502007d186a157bdd5649069078fb377a40d8a2454e2d08e659fae1cec0"),
+    (2024, LEMMA_OPTIONS, "3f8afce0eb2a78f537b07bdd9dffe4d9a7fc0f6d322901bc0f7ab9cf683819b1",
+     "bc0c92bd1f558177d2162140901ec3d2a3d0dd29bc62c3bd08c76687f11ee4bd"),
+], ids=["seed7", "seed2024", "seed7-options", "seed2024-options"])
+def test_lemma_suite_bytes_are_pinned(tmp_path, seed, options, series_sha, manifest_sha):
+    # the bytes the per-law suite wrote, one corpus draw and one distance at a time
+    doc = {"kind": "lemma-suite", "corpus_size": 30, "seed": seed, **options}
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == series_sha
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == manifest_sha
 
 
 def test_transforms_check_verify(tmp_path):

@@ -119,6 +119,42 @@ def test_gaussian_epsilon_finite_and_nondecreasing_in_rho():
     assert kernel.certified_epsilon(1e5) == pytest.approx(sigma * math.sqrt(1e5 / math.e), rel=1e-3)
 
 
+@pytest.mark.parametrize("rho", [1e-300, 1e-17, 1e-12])
+def test_gaussian_epsilon_at_small_rho(rho):
+    # (L(2 + rho) - L(2)) / rho with L the log moment cancelled to 1.0 at
+    # rho = 1e-17 and 0.1800106 at 1e-12; the limit at rho -> 0 is
+    # sigma exp((psi(3/2) + ln 2) / 2), and at 1e-12 the difference quotient
+    # in 60-digit arithmetic is the reference
+    import mpmath
+
+    with mpmath.workdps(60):
+        sigma = mpmath.mpf(1) / 8
+
+        def log_moment(t):
+            return (t * mpmath.log(sigma) + t / 2 * mpmath.log(2) + mpmath.loggamma((t + 1) / 2)
+                    - mpmath.log(mpmath.pi) / 2)
+
+        if rho < 1e-100:
+            want = sigma * mpmath.exp((2 - mpmath.euler - 2 * mpmath.log(2) + mpmath.log(2)) / 2)
+        else:
+            want = mpmath.exp((log_moment(2 + mpmath.mpf(rho)) - log_moment(2)) / rho)
+    got = m.make_kernel("iid_gaussian", n=64).certified_epsilon(rho)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [m.kernels.SMALL_RHO, 1e-3, 0.5, 1.0, 400.0])
+def test_gaussian_epsilon_keeps_its_bits_from_small_rho_up(rho):
+    # the moment ratio, or where a moment is no normal float the difference
+    # of the declared log moment, as before the small-rho branch
+    dist = m.make_kernel("iid_gaussian", n=64).dist
+    m2, moment = dist.moment(2.0), dist.moment(2.0 + rho)
+    if 2.0**-1022 <= min(m2, moment) and moment < math.inf:
+        want = (moment / m2) ** (1.0 / rho)
+    else:
+        want = math.exp((dist.declared_log_moment(2.0 + rho) - dist.declared_log_moment(2.0)) / rho)
+    assert dist.epsilon(rho).hex() == want.hex()
+
+
 def test_gaussian_log_moment_agrees_with_the_gamma_form():
     dist = m.make_kernel("iid_gaussian", n=64).dist
     for t in (3.0, 4.5, 10.0, 100.0, 300.0):

@@ -146,13 +146,22 @@ def run_main(command: str, doc) -> None:
         assert out.exists() == (code == 0)
 
 
+def _refuse(name):
+    raise ValueError(f"{name} in manifest.json")
+
+
 @pytest.mark.parametrize("kind", EXAMPLES)
 def test_examples_run(kind):
+    # and each writes a manifest without NaN or Infinity, which Python's
+    # json reads but JSON has not
     command, doc = EXAMPLES[kind]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")]) == 0
+        out = Path(tmp) / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_refuse)
+    assert manifest["kind"] == doc["kind"]
 
 
 def test_lipschitz_ratio_past_float_range_is_a_config_error():

@@ -53,6 +53,11 @@ def test_shrinking_two_point_approaches_half():
 def test_dkw_band_formula():
     est = KolmogorovEstimate(d_hat=0.1, count=400, alpha=0.05)
     assert est.dkw_band == pytest.approx(math.sqrt(math.log(40.0) / 800.0), rel=1e-14)
+    # 2/alpha overflows at alpha = 1e-308 (a rates config wrote an infinite
+    # band into manifest.json); the band stays finite
+    for alpha in (1e-308, 5e-324):
+        want = math.sqrt((math.log(2.0) - math.log(alpha)) / 800.0)
+        assert dkw_halfwidth(400, alpha) == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError):
         dkw_halfwidth(0, 0.05)
     with pytest.raises(ValueError):
@@ -155,6 +160,71 @@ def test_sort_and_bin_equals_sorted_scan(atoms):
     probs = weights / weights.sum()
     want = _sorted_scan_reference(support, probs)
     assert exact_kolmogorov_discrete(support, probs).hex() == want.hex()
+
+
+_ATOMS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -1.0, 1.0, 0.25, 1.0 / 3.0]),
+                   st.floats(min_value=-6.0, max_value=6.0))
+
+
+@st.composite
+def _padded_stacks(draw):
+    """Laws as (support, probs) rows of one width: each row is padded with
+    zero-mass copies of one of its own atoms; one row may have 2^12 atoms."""
+    laws = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        atoms = draw(st.lists(st.tuples(_ATOMS, st.integers(min_value=0, max_value=7)),
+                              min_size=1, max_size=12))
+        support = np.array([v for v, _ in atoms])
+        weights = np.array([float(w) for _, w in atoms])
+        if not weights.any():
+            weights[-1] = 1.0
+        laws.append((support, weights / weights.sum()))
+    if draw(st.booleans()):
+        rs = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        support = np.round(rs.normal(size=1 << 12) * 4.0) / 4.0  # many ties
+        support[rs.random(support.size) < 0.05] = -0.0
+        weights = rs.random(support.size)
+        weights[rs.random(support.size) < 0.2] = 0.0
+        laws.insert(draw(st.integers(min_value=0, max_value=len(laws))),
+                    (support, weights / math.fsum(weights.tolist())))
+    width = max(v.size for v, _ in laws)
+    support = np.empty((len(laws), width))
+    probs = np.zeros((len(laws), width))
+    for row, (v, p) in enumerate(laws):
+        pad = v[draw(st.integers(min_value=0, max_value=v.size - 1))]
+        support[row] = np.concatenate([v, np.full(width - v.size, pad)])
+        probs[row, : v.size] = p
+    return laws, support, probs
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=_padded_stacks())
+def test_stacked_distance_equals_the_one_law_call(stack):
+    # row by row and bit for bit, with or without the row's padding
+    laws, support, probs = stack
+    got = exact_kolmogorov_discrete(support, probs)
+    assert got.shape == (len(laws),)
+    for d, (v, p), row_v, row_p in zip(got.tolist(), laws, support, probs):
+        assert d.hex() == exact_kolmogorov_discrete(v, p).hex()
+        assert d.hex() == exact_kolmogorov_discrete(row_v, row_p).hex()
+        assert d.hex() == _sorted_scan_reference(v, p).hex()
+
+
+def test_stacked_distance_refuses_its_first_invalid_row():
+    # each row is checked as the one-law call checks it, in row order
+    good = [0.5, 0.5]
+    for bad_rows, message in (
+        ([[0.7, 0.4], [-0.1, 1.1]], f"probabilities sum to {0.7 + 0.4!r}, not 1"),
+        ([[-0.1, 1.1], [math.nan, 0.5]], "negative probabilities"),
+        ([[math.nan, 0.5], [0.7, 0.4]], "non-finite support value or probability"),
+    ):
+        probs = np.array([good, *bad_rows, good])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exact_kolmogorov_discrete(np.zeros(probs.shape), probs)
+    with pytest.raises(ValueError, match="equal-length"):
+        exact_kolmogorov_discrete(np.zeros((2, 3)), np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="non-empty"):
+        exact_kolmogorov_discrete(np.zeros((2, 0)), np.zeros((2, 0)))
 
 
 @pytest.mark.parametrize("size", [2, 1000, 1 << 17])

@@ -1,5 +1,6 @@
 """Doob decomposition, normalization pair, and the variance sandwich."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -425,6 +426,20 @@ def _config_model(kind, sizes, seed):
     if kind == "weighted_sum":
         f["weights"] = draw.normal(size=len(sizes)).tolist()
     return model_from_config({"coords": coords, "f": f})
+
+
+@pytest.mark.parametrize("model", [
+    make_model("max_of_bits", n=20),
+    _config_model("sum", [3] * 12, 4),
+    _config_model("sum", [2, 5, 1, 3, 4], 8),
+    _config_model("sum", [7], 9),
+], ids=["fair-bits-20", "three-atoms-12", "mixed", "one-coordinate"])
+def test_outcome_weights_equal_the_outer_product(model):
+    # column by column, left to right: the bits of reduce(np.multiply.outer)
+    enum = lipschitz._enumeration(model)
+    want = functools.reduce(np.multiply.outer, enum.weights)
+    assert enum.probs.shape == want.shape
+    assert np.array_equal(enum.probs.view(np.uint64), want.view(np.uint64))
 
 
 # support products below one block, exactly one block (2^14 outcomes), many

@@ -8,16 +8,18 @@ before each call), ``max_of_bits``' functional alone on one block of
 2^14 outcome rows as the enumeration lays them out (the enumeration's
 time also follows how many fresh pages its arrays fault in, which varies
 from process to process), ``kernels.sample_paths`` of ``variance_drift``
-(d=0.2) for 20000 paths of 64 steps, a lemma-suite run over a corpus of
-1000 (``cli.run_experiment``, output bytes hashed), and the exact distance
-of the 2000-law stack of X and X + Y of that corpus' joint laws, padded as
-the smoothing check pads it (``--tiny``: 30 and 60).  Each case gets one untimed warm-up
-call first, and a sha256 of its output, so that two records show whether
+(d=0.2) for 20000 paths of 64 steps and a transforms-check run on the same
+paths, a lemma-suite run over a corpus of 1000 (both ``cli.run_experiment``,
+output bytes hashed), and the exact distance of the 2000-law stack of X and
+X + Y of that corpus' joint laws, padded as the smoothing check pads it
+(``--tiny``: 200 paths of 16 steps, corpus 30, 60 laws).  Each case gets
+one untimed warm-up call first, traced by ``tracemalloc`` for the peak it
+allocates, and a sha256 of its output, so that two records show whether
 their outputs agree bit for bit.  Writes every sample, the best and the
-median of each, and the machine and library versions to a JSON file;
-``--before`` embeds an earlier record of this script (say, at the parent
-commit) and prints the ratio of the best times, which a shared host
-disturbs less than the medians.
+median of each, the traced peak, and the machine and library versions to a
+JSON file; ``--before`` embeds an earlier record of this script (say, at
+the parent commit) and prints the ratio of the best times, which a shared
+host disturbs less than the medians.
 """
 
 import argparse
@@ -27,6 +29,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +72,24 @@ def paths(count, n):
     return lambda: sample_paths(kernel, SEED, count)
 
 
-def lemma_suite(size, out_dir):
-    cfg = cli.parse_config({"kind": "lemma-suite", "corpus_size": size, "seed": SEED})
+def experiment(doc, out_dir):
+    cfg = cli.parse_config({**doc, "seed": SEED})
 
     def call():
-        out = Path(out_dir) / "lemma-suite"
+        out = Path(out_dir) / doc["kind"]
         cli.run_experiment(cfg, out)
         return b"".join((out / name).read_bytes() for name in ("series.csv", "manifest.json"))
 
     return call
+
+
+def transforms_check(count, n, out_dir):
+    return experiment({"kind": "transforms-check", "grid": [{"n": n}], "count": count, "rho": 1.0,
+                       "kernel": {"name": "variance_drift", "params": {"d": DRIFT}}}, out_dir)
+
+
+def lemma_suite(size, out_dir):
+    return experiment({"kind": "lemma-suite", "corpus_size": size}, out_dir)
 
 
 def joint_stack(size):
@@ -110,8 +122,19 @@ def cases(tiny: bool, out_dir):
         yield f"enumeration {name} n={lip_n}", enumeration(name, lip_n)
     yield f"max_of_bits f, one block n={lip_n}", block_max(lip_n)
     yield f"sample_paths variance_drift {count}x{n}", paths(count, n)
+    yield f"transforms-check {count}x{n}", transforms_check(count, n, out_dir)
     yield f"lemma-suite, corpus {size}", lemma_suite(size, out_dir)
     yield f"exact distance, {2 * size}-law joint stack", joint_stack(size)
+
+
+def traced(call):
+    """The call's result and the ``tracemalloc`` peak, in bytes, of what it
+    allocated."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -126,10 +149,13 @@ def main():
     before = json.loads(Path(args.before).read_text())["calls"] if args.before else {}
 
     results = {}
-    print(f"{'call':<42} {'best s':>10} {'median s':>10} {'before':>10} {'ratio':>7}  output")
+    print(f"{'call':<42} {'best s':>10} {'median s':>10} {'peak MB':>8} {'before':>10} "
+          f"{'ratio':>7} {'peak MB':>8}  output")
     scratch = tempfile.TemporaryDirectory()
     for key, call in cases(args.tiny, scratch.name):
-        out = digest(call())
+        result, peak = traced(call)
+        out = digest(result)
+        del result
         wall = []
         for _ in range(args.repeat):
             t0 = time.perf_counter()
@@ -137,19 +163,22 @@ def main():
             wall.append(time.perf_counter() - t0)
         best, median = min(wall), statistics.median(wall)
         results[key] = {"wall_s": wall, "best_wall_s": best, "median_wall_s": median,
-                        "output_sha256": out}
-        line = f"{key:<42} {best:>10.4g} {median:>10.4g}"
+                        "traced_peak_bytes": peak, "output_sha256": out}
+        line = f"{key:<42} {best:>10.4g} {median:>10.4g} {peak / 1e6:>8.2f}"
         old = before.get(key)
         if old is not None:
             same = "same" if old["output_sha256"] == out else "DIFFERS"
-            line += f" {old['best_wall_s']:>10.4g} {best / old['best_wall_s']:>7.3f}  {same}"
+            old_peak = old.get("traced_peak_bytes")  # records before the peak have none
+            line += (f" {old['best_wall_s']:>10.4g} {best / old['best_wall_s']:>7.3f} "
+                     f"{'-' if old_peak is None else f'{old_peak / 1e6:.2f}':>8}  {same}")
         print(line)
     scratch.cleanup()
 
     record = {
         "bench": "exact",
         "what": ("exact-track calls: lattice oracle, Lipschitz enumeration, sample_paths, "
-                 "lemma suite, stacked exact distance; wall s per call"),
+                 "transforms-check, lemma suite, stacked exact distance; wall s per call "
+                 "and the traced peak of the warm-up call"),
         "repeat": args.repeat,
         "environment": environment(),
         "calls": results,

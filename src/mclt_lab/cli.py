@@ -597,31 +597,71 @@ def _run_lemma_suite(cfg: ExperimentConfig, stager: OutputStager) -> dict:
     return _manifest(cfg, records, None, [])
 
 
+#: transforms-check runs its paths in blocks of about this many bytes per
+#: (rows, N) float matrix, N the padded length, and at least one path
+_PATH_BLOCK_BYTES = 1 << 22
+
+
+def _path_blocks(count: int, length: int) -> list[tuple[int, int]]:
+    """(first, size) of the blocks of ``count`` paths padded to ``length``
+    steps: as few as ``_PATH_BLOCK_BYTES`` allows, of equal sizes up to the
+    last, so that no count leaves a nearly empty block behind a full one."""
+    most = max(1, _PATH_BLOCK_BYTES // (8 * length))
+    blocks = -(-count // most)
+    size = -(-count // blocks)
+    return [(first, min(size, count - first)) for first in range(0, count, size)]
+
+
+def _transforms_block(cfg: ExperimentConfig, first: int, size: int, threads: int) -> tuple:
+    """The checks of transforms-check on paths ``first`` to ``first + size -
+    1``, reduced to the block's worst values and its counts, so that no
+    (rows, N) matrix outlives the block."""
+    kernel, _, eps = cfg.settings
+    paths = sample_paths(kernel, cfg.seed, size, threads=threads, first=first)
+    padded = pad_collection(paths, eps, cfg.seed, first)
+    unit_error = np.max(np.abs(padded.terminal_variances - 1.0))
+    report = padding_ratio_report(padded, cfg.rho)
+    failing = np.flatnonzero(~report["holds"])
+    failing_ratio = report["worst_ratio"][failing[0]] if failing.size else None
+    stops = []
+    for variant in (SUP_LE_1, INF_GE_1):
+        stopped = restrict_to_v(paths, variant)
+        stops.append((int(np.sum(stopped.out_of_hypothesis)), stopped.max_residual_in_hypothesis))
+    return unit_error, failing_ratio, np.max(report["worst_ratio"]), stops
+
+
 def _run_transforms_check(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dict:
     notes: list[str] = []
     kernel, count, eps = cfg.settings
-    paths = sample_paths(kernel, cfg.seed, count, threads=threads)
-    padded = pad_collection(paths, eps, cfg.seed)
-    worst_unit = float(np.max(np.abs(padded.terminal_variances - 1.0)))
+    # every path's check is its own, so the paths run in blocks and the
+    # whole run holds one block's matrices; the checks report in the order
+    # of one pass over all paths: unit variance, then the first path whose
+    # ratio fails, then the stopping variants
+    length = kernel.n + math.floor(1.0 / (eps * eps)) + 1
+    blocks = [_transforms_block(cfg, first, size, threads)
+              for first, size in _path_blocks(count, length)]
+    unit_errors, failing_ratios, worst_ratios, stops = zip(*blocks)
+    # np.max propagates a NaN as the maximum over all paths would
+    worst_unit = float(np.max(unit_errors))
     if worst_unit > 1e-9:
         raise InvariantViolation(
             f"padded terminal variance missed 1 by {worst_unit} (> 1e-9)"
         )
-    report = padding_ratio_report(padded, cfg.rho)
-    failing = np.flatnonzero(~report["holds"])
-    if failing.size:
+    failing = [ratio for ratio in failing_ratios if ratio is not None]
+    if failing:
         raise InvariantViolation(
             "padded step violated the moment-domination ratio at eps="
-            f"{eps} (worst ratio {report['worst_ratio'][failing[0]]})"
+            f"{eps} (worst ratio {failing[0]})"
         )
-    worst_ratio = np.max(report["worst_ratio"])
+    worst_ratio = np.max(worst_ratios)
     rows = [["padding_unit_variance", count, "pass", worst_unit],
             ["padding_moment_ratio", count, "pass", worst_ratio]]
     stopped_summary = {}
-    for variant in (SUP_LE_1, INF_GE_1):
-        stopped = restrict_to_v(paths, variant)
-        in_hyp = int(np.sum(~stopped.out_of_hypothesis))
-        worst_resid = stopped.max_residual_in_hypothesis
+    for variant, block_stops in zip((SUP_LE_1, INF_GE_1), zip(*stops)):
+        flagged, residuals = zip(*block_stops)
+        in_hyp = count - sum(flagged)
+        # a block without in-hypothesis paths gives 0.0, below any residual
+        worst_resid = float(np.max(residuals))
         if in_hyp and worst_resid > eps * eps * (1.0 + 1e-12):
             raise InvariantViolation(
                 f"stopped-variance residual {worst_resid} exceeded eps^2={eps*eps} "
@@ -630,7 +670,7 @@ def _run_transforms_check(cfg: ExperimentConfig, stager: OutputStager, threads: 
         rows.append([f"stopped_residual_{variant}", in_hyp, "pass", worst_resid])
         stopped_summary[variant] = {
             "in_hypothesis": in_hyp,
-            "flagged_out_of_hypothesis": int(np.sum(stopped.out_of_hypothesis)),
+            "flagged_out_of_hypothesis": sum(flagged),
             "max_residual_in_hypothesis": worst_resid,
         }
     records = [{

@@ -1209,15 +1209,20 @@ def sample_paths(
     count: int,
     chunk_size: int = DEFAULT_CHUNK,
     threads: int = 1,
+    first: int = 0,
 ) -> PathCollection:
-    """Simulate ``count`` full paths.
+    """Simulate ``count`` full paths, replicates ``first`` to ``first +
+    count - 1``.
 
-    Deterministic in (kernel, seed, count) and independent of chunking and
-    thread assignment: replicate j always consumes the words of its own
-    counter stream.
+    Deterministic in (kernel, seed, first, count) and independent of
+    chunking and thread assignment: replicate j always consumes the words of
+    its own counter stream, so row i is row ``first + i`` of any collection
+    that holds replicate ``first + i``.
     """
     _check_run((kernel,), count)
     check_bundle(count, kernel.n)
+    if first < 0:
+        raise KernelError("first must be >= 0")
     key = rng.stream_key(seed, rng.STREAM_SIMULATION)
     n = kernel.n
     # Each chunk fills arrays of its own, joined below and freed on return.
@@ -1228,7 +1233,7 @@ def sample_paths(
     # join transposes them into the path-major arrays, C-contiguous, so
     # that a sum along a path adds pairwise over a contiguous axis.
     pieces = [
-        ((kernel,), key, start, size, (_PathOutputs(
+        ((kernel,), key, first + start, size, (_PathOutputs(
             terminal=None,
             increments=np.empty((n, size)),
             variances=np.zeros((n + 1, size)),
@@ -1238,6 +1243,7 @@ def sample_paths(
     _run_chunks(_simulate_chunk, pieces, threads)
     increments, variances = np.empty((count, n)), np.empty((count, n + 1))
     for _, _, start, size, (out,), _ in pieces:
+        start -= first
         increments[start : start + size] = out.increments.T
         variances[start : start + size] = out.variances.T
     sums = np.zeros((count, n + 1))

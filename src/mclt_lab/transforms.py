@@ -88,8 +88,11 @@ def check_padding(n: int, count: int, epsilon: float) -> None:
     kernels.check_bundle(count, total_length)
 
 
-def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCollection:
-    """Pad every path of a collection; path i uses padding stream i.
+def pad_collection(paths: PathCollection, epsilon: float, seed: int,
+                   first: int = 0) -> PaddedCollection:
+    """Pad every path of a collection; row i is path ``first + i`` and uses
+    padding stream ``first + i``, so a block of a collection pads to the
+    same rows, bit for bit, as the whole.
 
     ``epsilon`` must lie in (0, 1/2] and should be (at least) the kernel's
     certified moment-domination eps; smaller values leave the kept original
@@ -97,6 +100,8 @@ def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCo
     surface.
     """
     check_padding(paths.increments.shape[1], len(paths), epsilon)
+    if first < 0:
+        raise ValueError("first must be >= 0")
     increments, variances = paths.increments, paths.variances
     count, n = increments.shape
     eps2 = epsilon * epsilon
@@ -110,14 +115,14 @@ def pad_collection(paths: PathCollection, epsilon: float, seed: int) -> PaddedCo
     if np.any(r > budget):
         raise AssertionError("internal invariant violation: pad count exceeds budget")
     residual = np.sqrt(np.maximum(1.0 - v_tau - r * eps2, 0.0))
-    # one sign word per pad and one for the residual: path j reads padding
-    # counters 0..r_j of its own stream
+    # one sign word per pad and one for the residual: row j reads padding
+    # counters 0..r_j of stream first + j
     draws = r + 1
     ends = np.cumsum(draws)
     owner = np.repeat(rows, draws)
     step = np.arange(ends[-1]) - np.repeat(ends - draws, draws)
     key = rng.stream_key(seed, rng.STREAM_PADDING)
-    signs = np.where(rng.uniforms(key, owner, step) < 0.5, -1.0, 1.0)
+    signs = np.where(rng.uniforms(key, owner + first, step) < 0.5, -1.0, 1.0)
     magnitude = np.full(ends[-1], epsilon)
     magnitude[ends - 1] = residual
     total_length = n + budget + 1

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -741,22 +742,47 @@ TRANSFORMS_PINNED = {
 }
 
 
-@pytest.mark.parametrize("rho, series_sha, records_sha", [
+TRANSFORMS_PINNED_SHAS = [
     (1.0, "4249e56761f58fc6845b9b6c63fcc0afbbc66802489650c5ca1c97c45e8fc56e",
      "1ad390114db729cbea7d71695d96a69fa9fc4a9b0956a351d1e40d223191c5d7"),
     (1.5, "014de56989c3cbefb7636a4b53f1af3edc61eec6ee6a273137382b9adb21d12b",
      "76a18d7ede1be48763f813b1c3e14004716bc4a7c062636aac64981bcf9ff566"),
+]
+# (paths per block, threads); None keeps the module's block, which holds all
+# 2000 paths.  One-path blocks run once: each is one chunk, so a pool adds
+# nothing to threads=1, and 2000 blocks take about 5 s
+TRANSFORMS_BLOCKS = [(None, 1), (1, 1), (7, 1), (7, 2), (4001, 1), (4001, 2)]
+
+
+def _block_bytes(doc: dict, rows: int) -> int:
+    """A ``cli._PATH_BLOCK_BYTES`` that puts ``rows`` paths of ``doc`` in a block."""
+    kernel, _, eps = cli.parse_config(doc).settings
+    return rows * 8 * (kernel.n + math.floor(1.0 / (eps * eps)) + 1)
+
+
+@pytest.mark.parametrize("rho, series_sha, records_sha, rows, threads", [
+    pytest.param(*shas, rows, threads, id="-".join(map(str, shas))
+                 + ("" if rows is None else f"-block{rows}-threads{threads}"))
+    for shas in TRANSFORMS_PINNED_SHAS for rows, threads in TRANSFORMS_BLOCKS
+    if rows != 1 or shas[0] == 1.0
 ])
-def test_transforms_check_bytes_are_pinned(tmp_path, rho, series_sha, records_sha):
-    cfg = write_config(tmp_path, {**TRANSFORMS_PINNED, "rho": rho})
+def test_transforms_check_bytes_are_pinned(tmp_path, monkeypatch, rho, series_sha, records_sha,
+                                           rows, threads):
+    # the paths run in blocks, and a block's rows are the same rows of the
+    # whole collection, bit for bit, whatever the block and the threads
+    doc = {**TRANSFORMS_PINNED, "rho": rho}
+    if rows is not None:
+        monkeypatch.setattr(cli, "_PATH_BLOCK_BYTES", _block_bytes(doc, rows))
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    argv = ["verify", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
+    assert cli.main(argv) == 0
     assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == series_sha
     records = json.loads((out / "manifest.json").read_text())["records"]
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == records_sha
 
 
-def test_transforms_check_undersized_epsilon_message(tmp_path, capsys, monkeypatch):
+def _assert_undersized_epsilon_messages(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {**TRANSFORMS_PINNED, "rho": 1.0, "epsilon": 0.1})
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
     # the first failing path's worst ratio; the largest over all paths ends in ...169
@@ -774,6 +800,33 @@ def test_transforms_check_undersized_epsilon_message(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "pad_collection", inflated)
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
     assert "padded terminal variance missed 1" in capsys.readouterr().err
+
+
+def test_transforms_check_undersized_epsilon_message(tmp_path, capsys, monkeypatch):
+    _assert_undersized_epsilon_messages(tmp_path, capsys, monkeypatch)
+
+
+def test_transforms_check_undersized_epsilon_message_in_blocks(tmp_path, capsys, monkeypatch):
+    # every block fails both checks; the unit-variance check still reports
+    # first, over all paths, and then the first failing path's ratio
+    doc = {**TRANSFORMS_PINNED, "rho": 1.0, "epsilon": 0.1}
+    monkeypatch.setattr(cli, "_PATH_BLOCK_BYTES", _block_bytes(doc, 7))
+    _assert_undersized_epsilon_messages(tmp_path, capsys, monkeypatch)
+
+
+def test_transforms_check_memory_is_one_block_and_a_few_bytes_per_path(tmp_path):
+    # the whole collection took about 5.4 KB per path at n=64; a run in
+    # blocks holds one block's matrices and keeps a few values per block
+    peaks = []
+    for count in (4096, 16384):
+        cfg = cli.parse_config({**TRANSFORMS_PINNED, "count": count, "rho": 1.0})
+        tracemalloc.start()
+        try:
+            cli.run_experiment(cfg, tmp_path / str(count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 32 * (16384 - 4096), peaks
 
 
 def test_plot_data(tmp_path):

@@ -434,6 +434,14 @@ def test_sample_paths_are_contiguous_and_partition_independent(name, params):
     assert first.variances.shape == first.sums.shape == (301, kernel.n + 1)
     assert not first.sums[:, 0].any() and not first.variances[:, 0].any()
     assert _same_bits(first.sums[:, 1:], np.cumsum(first.increments, axis=1))
+    # a block [s, s + k) is rows s..s+k-1 of the whole collection
+    for start, size in ((0, 1), (0, 300), (1, 7), (150, 13), (294, 7), (300, 1)):
+        block = sample_paths(kernel, 9, size, chunk_size=5, first=start)
+        for field in ("increments", "variances", "sums"):
+            assert _same_bits(getattr(block, field), getattr(first, field)[start : start + size]), \
+                (field, start, size)
+    with pytest.raises(KernelError, match="first"):
+        sample_paths(kernel, 9, 1, first=-1)
 
 
 @pytest.mark.parametrize("kernel", REFERENCE_KERNELS, ids=lambda k: k.label.split("(")[0])

@@ -234,6 +234,16 @@ def test_matrix_padding_matches_per_path_reference(kernel, epsilon, all_hold):
         assert not padded.pad_count.any()
     for report in reports.values():
         assert report["holds"].all() == all_hold
+    # a block [s, s + k) pads to rows s..s+k-1 of the whole collection
+    for start, size in ((0, 1), (0, 299), (1, 7), (150, 13), (293, 7), (299, 1)):
+        block = pad_collection(sample_paths(kernel, seed=31, count=size, first=start),
+                               epsilon, 31, start)
+        rows = slice(start, start + size)
+        for field in ("increments", "step_scales", "tau", "pad_count", "residual"):
+            assert _bits(getattr(block, field)) == _bits(getattr(padded, field)[rows]), \
+                (field, start, size)
+    with pytest.raises(ValueError, match="first"):
+        pad_collection(paths, epsilon, 31, -1)
 
 
 @settings(max_examples=40)

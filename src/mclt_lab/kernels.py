@@ -928,24 +928,6 @@ class _PathOutputs:
     variances: np.ndarray | None = None  # (n + 1, count), step-major
 
 
-class _RunningSum:
-    """A per-path running sum that stays one float while it is the same on
-    every path, and becomes a row with the first value that differs between
-    paths.  Either way every path adds the same floats in the same order."""
-
-    __slots__ = ("value", "count")
-
-    def __init__(self, count: int):
-        self.value = 0.0  # every path's sum, or the row of them
-        self.count = count
-
-    def add(self, value) -> None:
-        """Add ``value``: a float for every path, or one per path."""
-        if isinstance(self.value, float) and not isinstance(value, float):
-            self.value = np.full(self.count, self.value)
-        self.value += value
-
-
 class _RunningMax:
     """max_i |xi_i| per path: a floor that every path's maximum has reached,
     and a row only while some path may lie above it.
@@ -993,9 +975,11 @@ class _ChunkPoint:
 
     def __init__(self, kernel: ConditionalKernel, out: _PathOutputs, count: int):
         self.kernel, self.out = kernel, out
-        self.variance = _RunningSum(count)
+        # <X>_n and sum |xi|^(2p) per path: one float while every path has the
+        # same sum; the first row added (float + row) makes a row of their own
+        self.variance = 0.0
         self.max_abs = None if out.max_abs is None else _RunningMax(count)
-        self.total_2p = None if out.total_2p is None else _RunningSum(count)
+        self.total_2p = None if out.total_2p is None else 0.0
         init = kernel.initial_state()
         self.rows = None if init is None else [np.zeros(count) for _ in init]
         if init is not None:
@@ -1056,7 +1040,7 @@ class _ChunkPoint:
         follower's results; the follower asks for the same sums."""
         if out.terminal is not None:
             np.multiply(self.out.terminal, link.atom, out=out.terminal)
-        out.variance = self.variance.value * link.m2
+        out.variance = self.variance * link.m2
         if self.max_abs is not None:
             floor, row = self.max_abs.floor, self.max_abs.row
             if row is None:
@@ -1065,14 +1049,14 @@ class _ChunkPoint:
                 out.max_abs = np.maximum(row, floor)
                 out.max_abs *= link.atom
         if self.total_2p is not None:
-            out.total_2p = self.total_2p.value * link.pow2p
+            out.total_2p = self.total_2p * link.pow2p
 
     def finish(self) -> None:
-        self.out.variance = self.variance.value
+        self.out.variance = self.variance
         if self.max_abs is not None:
             self.out.max_abs = self.max_abs.result()
         if self.total_2p is not None:
-            self.out.total_2p = self.total_2p.value
+            self.out.total_2p = self.total_2p
 
 
 def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
@@ -1095,8 +1079,7 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
     variance and |xi|^(2p), then the counts' update (``_ChunkPoint``).
 
     Sums that are the same on every path stay Python floats, and max |xi|
-    keeps a floor that every path has reached (``_RunningSum``,
-    ``_RunningMax``).
+    keeps a floor that every path has reached (``_RunningMax``).
     """
     links = [None] * len(kernels) if links is None else links
     ctr_base = rng.path_counter_base(np.arange(start, start + count, dtype=np.uint64))
@@ -1141,11 +1124,11 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
             gathered = None if scratch is None else scratch.view(np.float64)
             if out.terminal is not None:
                 out.terminal += inc
-            point.variance.add(table.m2 if table.regimes == 1
+            point.variance += (table.m2 if table.regimes == 1
                                else table.select(table.m2, regime, gathered))
             if out.increments is not None:
                 out.increments[step - 1] = inc
-                out.variances[step] = point.variance.value
+                out.variances[step] = point.variance
             if point.max_abs is not None:
                 if table.abs_value is not None:
                     point.max_abs.floor = max(point.max_abs.floor, table.abs_value)
@@ -1153,14 +1136,14 @@ def _simulate_chunk(kernels, key, start, count, outs, p, links=None):
                     point.max_abs.take(inc, gathered, table.sampler is None)
             if point.total_2p is not None:
                 if table.sampler is not None:
-                    point.total_2p.add(np.abs(inc) ** (2.0 * p))
+                    point.total_2p += np.abs(inc) ** (2.0 * p)
                 elif table.abs_value is not None:
-                    point.total_2p.add(table.pow2p[0])
+                    point.total_2p += table.pow2p[0]
                 elif fair:
-                    point.total_2p.add(table.select(table.pow2p, regime, gathered))
+                    point.total_2p += table.select(table.pow2p, regime, gathered)
                 else:
-                    point.total_2p.add(np.take(table.pow2p, gather.view(np.intp),
-                                               out=gathered, mode="clip"))
+                    point.total_2p += np.take(table.pow2p, gather.view(np.intp),
+                                              out=gathered, mode="clip")
             if point.rows is not None:
                 point.advance(table, inc, gather)
             for follower in point.followers.get(step, ()):
@@ -1174,7 +1157,8 @@ def _chunks(count: int, chunk_size: int):
 
 
 def _run_chunks(fn, pieces, threads: int):
-    if threads <= 1:
+    # a single piece runs inline: a pool would only add its start and join
+    if threads <= 1 or len(pieces) == 1:
         return [fn(*piece) for piece in pieces]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, *piece) for piece in pieces]

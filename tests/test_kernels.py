@@ -956,6 +956,19 @@ def test_terminal_statistics_are_chunk_and_thread_invariant(name, params, p):
             assert getattr(other, field) == getattr(first, field), field
 
 
+def test_one_chunk_runs_without_a_pool(monkeypatch):
+    kernel = m.make_kernel("variance_drift", n=16, d=0.2)
+    alone = sample_paths(kernel, 3, 700)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one chunk")
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", no_pool)
+    pooled = sample_paths(kernel, 3, 700, threads=2)
+    for field in ("increments", "sums", "variances"):
+        assert _same_bits(getattr(pooled, field), getattr(alone, field)), field
+
+
 @pytest.mark.parametrize("name, params", [
     ("variance_drift", {"n": 4, "d": 0.2}),
     ("iid_gaussian", {"n": 4}),  # continuous increments

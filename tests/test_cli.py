@@ -937,6 +937,36 @@ def test_lipschitz_run(tmp_path):
     assert ds[0] > ds[1] > ds[2]
 
 
+def test_rates_bytes_are_pinned(tmp_path):
+    # three points, T1 and C2, with a rate fit: series.csv and the whole manifest
+    cfg = write_config(tmp_path, RATES_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+            == "27933833640110f580846911c4c007d955dd21872226c14d1d7d327d052262f5")
+    assert (hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+            == "c421a1dd3ae1dcb0002d8a219d9310e55b873cb30511ef96936a07eba928131e")
+
+
+@pytest.mark.parametrize("model, series_sha, records_sha", [
+    ("rademacher_average", "f364450f4879f80d4a347ac6e5c2b457dea226fcdc6749d7830aa0c03a5b7748",
+     "48d64924c4217f043dc10478ac21bd36f0d6486ef3e45674091afafaeb9ca934"),
+    # lower metrics identically zero: no epsilon_n, so every bound fails
+    ("max_of_bits", "dacf479d50a1e49f7cde1617e8f449217be8bc17a6e3922cd58d5eb13a9c9e49",
+     "f4b029f7997dcfa29e9646da41e9a7d91bedab3d952cee54802bfa545ab2b8f1"),
+])
+def test_lipschitz_bytes_are_pinned(tmp_path, model, series_sha, records_sha):
+    # T1 fails at n=1 (epsilon 1 is out of its range) and BOLT_A at every
+    # point (lipschitz has no n parameter)
+    doc = {"kind": "lipschitz", "model": {"name": model, "params": {}},
+           "grid": [{"n": 1}, {"n": 4}, {"n": 6}], "rho": 1.0, "bounds": ["T1", "BOLT_A"], "seed": 1}
+    out = tmp_path / "out"
+    assert cli.main(["lipschitz", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == series_sha
+    records = json.loads((out / "manifest.json").read_text())["records"]
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == records_sha
+
+
 def test_threads_env_cap(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, RATES_CONFIG)
     out1, out2 = tmp_path / "e1", tmp_path / "e2"

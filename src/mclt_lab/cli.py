@@ -441,23 +441,15 @@ def _certified_epsilon(kernel, rho: float) -> float:
     return minimal_epsilon(kernel, rho).epsilon if eps is None else eps
 
 
-def _bound_columns(cfg, entry, kernel, stats, eps, delta, notes):
-    params = {
-        "rho": cfg.rho,
-        "p": cfg.p,
-        "n": float(kernel.n),
-        "epsilon": eps,
-        "delta": delta,
-        "var_dev_p": stats.mean_var_dev_p,
-        "max_inc_2p": stats.mean_max_inc_2p,
-        "sum_inc_2p": stats.mean_total_inc_2p,
-        "var_dev_linf": stats.max_var_dev,
-    }
-    if cfg.p == 1.0:
-        params["var_dev_l1"] = stats.mean_var_dev_p
+def _bound_columns(cfg, entry, params: dict, notes: list[str]) -> dict:
+    """Each functional of ``cfg.bounds`` at ``params``; one that fails is
+    None, with a note.  An epsilon of None is a lipschitz model's degenerate
+    metrics."""
     values = {}
     for bound_id in cfg.bounds:
         try:
+            if params["epsilon"] is None:
+                raise BoundParameterError("epsilon_n unavailable (degenerate metrics)")
             values[bound_id] = evaluate_rate(bound_id, params)
             for note in evaluation_notes(bound_id, params):
                 if note not in notes:
@@ -466,6 +458,16 @@ def _bound_columns(cfg, entry, kernel, stats, eps, delta, notes):
             values[bound_id] = None
             notes.append(f"{bound_id} at grid point {entry}: {exc}")
     return values
+
+
+def _distance_output(cfg, stager: OutputStager, rows: list[list], records: list[dict],
+                     fit: dict | None, notes: list[str]) -> dict:
+    """Write series.csv of a distance run, each row followed by its record's
+    bound columns, and return its manifest."""
+    rows = [row + [record["bounds"][b] for b in cfg.bounds] for row, record in zip(rows, records)]
+    header = _DISTANCE_COLUMNS + list(cfg.bounds)
+    stager.write_text("series.csv", _csv(header, rows, comment=f"log_convention={LOG_CONVENTION}"))
+    return _manifest(cfg, records, fit, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +529,22 @@ def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dic
             }
             est = kolmogorov_distance(stats.terminal, alpha=cfg.alpha)
             record.update(d_hat=est.d_hat, dkw_band=est.dkw_band, dkw_lo=est.lower, dkw_hi=est.upper)
-            record["bounds"] = bound_values = _bound_columns(cfg, entry, kernel, stats, eps, delta, notes)
+            params = {
+                "rho": cfg.rho,
+                "p": cfg.p,
+                "n": float(kernel.n),
+                "epsilon": eps,
+                "delta": delta,
+                "var_dev_p": stats.mean_var_dev_p,
+                "max_inc_2p": stats.mean_max_inc_2p,
+                "sum_inc_2p": stats.mean_total_inc_2p,
+                "var_dev_linf": stats.max_var_dev,
+            }
+            if cfg.p == 1.0:
+                params["var_dev_l1"] = stats.mean_var_dev_p
+            record["bounds"] = _bound_columns(cfg, entry, params, notes)
             records.append(record)
-            rows.append([abscissa, m, est.d_hat, est.lower, est.upper, eps, delta]
-                        + [bound_values[b] for b in cfg.bounds])
+            rows.append([abscissa, m, est.d_hat, est.lower, est.upper, eps, delta])
     fit = None
     if len(records) >= 3:
         points = [
@@ -554,9 +568,7 @@ def _run_rates(cfg: ExperimentConfig, stager: OutputStager, threads: int) -> dic
             }
         except ValueError as exc:
             notes.append(f"rate fit skipped: {exc}")
-    header = _DISTANCE_COLUMNS + list(cfg.bounds)
-    stager.write_text("series.csv", _csv(header, rows, comment=f"log_convention={LOG_CONVENTION}"))
-    return _manifest(cfg, records, fit, notes)
+    return _distance_output(cfg, stager, rows, records, fit, notes)
 
 
 def _run_bounds_table(cfg: ExperimentConfig, stager: OutputStager) -> dict:
@@ -637,9 +649,8 @@ def _run_transforms_check(cfg: ExperimentConfig, stager: OutputStager, threads: 
     # whole run holds one block's matrices; the checks report in the order
     # of one pass over all paths: unit variance, then the first path whose
     # ratio fails, then the stopping variants
-    length = kernel.n + math.floor(1.0 / (eps * eps)) + 1
     blocks = [_transforms_block(cfg, first, size, threads)
-              for first, size in _path_blocks(count, length)]
+              for first, size in _path_blocks(count, check_padding(kernel.n, count, eps))]
     unit_errors, failing_ratios, worst_ratios, stops = zip(*blocks)
     # np.max propagates a NaN as the maximum over all paths would
     worst_unit = float(np.max(unit_errors))
@@ -708,16 +719,6 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
                 f"{model.label}: lower sandwich failed (diagnostic, not asserted): "
                 f"lower={sandwich.lower} > var={sandwich.variance}"
             )
-        bound_values = {}
-        for bound_id in cfg.bounds:
-            params_b = {"rho": cfg.rho, "epsilon": eps_n, "delta": delta_n}
-            try:
-                if eps_n is None:
-                    raise BoundParameterError("epsilon_n unavailable (degenerate metrics)")
-                bound_values[bound_id] = evaluate_rate(bound_id, params_b)
-            except BoundParameterError as exc:
-                bound_values[bound_id] = None
-                notes.append(f"{bound_id} at {entry}: {exc}")
         records.append({
             "grid_point": abscissa,
             "model": model.label,
@@ -729,15 +730,11 @@ def _run_lipschitz(cfg: ExperimentConfig, stager: OutputStager) -> dict:
             "sandwich_lower": sandwich.lower,
             "sandwich_upper": sandwich.upper,
             "lower_holds": sandwich.lower_holds,
-            "bounds": bound_values,
+            "bounds": _bound_columns(cfg, entry, {"rho": cfg.rho, "epsilon": eps_n, "delta": delta_n},
+                                     notes),
         })
-        rows.append(
-            [abscissa, len(support), d_exact, d_exact, d_exact, eps_n, delta_n]
-            + [bound_values[b] for b in cfg.bounds]
-        )
-    header = _DISTANCE_COLUMNS + list(cfg.bounds)
-    stager.write_text("series.csv", _csv(header, rows, comment=f"log_convention={LOG_CONVENTION}"))
-    return _manifest(cfg, records, None, notes)
+        rows.append([abscissa, len(support), d_exact, d_exact, d_exact, eps_n, delta_n])
+    return _distance_output(cfg, stager, rows, records, None, notes)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> dict:

@@ -27,6 +27,7 @@ from .kernels import (
     InvalidKernelError,
     KernelError,
     StepDistribution,
+    _per_value,
     # unused here; perfbench's tracer wraps this binding and its self-test
     # asserts that it does
     sample_paths,
@@ -88,7 +89,7 @@ def _checked_law(step, dist: StepDistribution) -> tuple:
     probability)``, once the law is known valid and exact-mode."""
     reason = dist._check_cached
     if reason is not None:
-        raise InvalidKernelError(step, (), reason)
+        raise InvalidKernelError(step, reason)
     if dist.mode != "exact":
         raise KernelError("exhaustive certification requires an exact-mode kernel")
     atoms = tuple((v, p, abs(v)) for v, p in zip(dist.values, dist.probs) if p != 0.0)
@@ -213,13 +214,6 @@ def _walk(kernel: ConditionalKernel, carry=(), key=None, visit=None) -> dict[str
     return level
 
 
-def _rounded(acc: np.ndarray) -> np.ndarray:
-    """Python's ``round(acc, 14)``, taken once per distinct value:
-    ``np.round`` rounds differently."""
-    values, inverse = np.unique(acc, return_inverse=True)
-    return np.array([round(v, 14) for v in values.tolist()])[inverse]
-
-
 def minimal_epsilon(kernel: ConditionalKernel, rho: float) -> ConditionReport:
     """Smallest eps satisfying the moment-domination condition at this rho."""
     if rho <= 0.0:
@@ -244,7 +238,8 @@ def minimal_epsilon(kernel: ConditionalKernel, rho: float) -> ConditionReport:
 def minimal_delta(kernel: ConditionalKernel) -> ConditionReport:
     """Smallest delta with |<X>_n - 1| <= delta^2 over reachable histories."""
     # merged on the state and <X> to 14 decimals: the first <X> reached stands for its class
-    acc = _walk(kernel, carry=("acc",), key=lambda children: (_rounded(children["acc"]),))["acc"]
+    acc = _walk(kernel, carry=("acc",),
+                key=lambda children: (_per_value(lambda v: round(v, 14), children["acc"]),))["acc"]
     dev = float(np.abs(acc - 1.0).max())
     if dev < 1e-12:
         # summation dust on kernels whose variance path is constant 1; the

@@ -70,15 +70,13 @@ class KernelError(ValueError):
 class InvalidKernelError(KernelError):
     """A step distribution violated its invariants.
 
-    Carries the offending step index and the realized history that produced
-    the bad distribution.
+    Carries the offending step index.
     """
 
-    def __init__(self, step: int, history, reason: str):
+    def __init__(self, step: int, reason: str):
         self.step = step
-        self.history = tuple(np.asarray(history, dtype=float).tolist())
         self.reason = reason
-        super().__init__(f"invalid kernel at step {step}: {reason} (history={self.history})")
+        super().__init__(f"invalid kernel at step {step}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -335,9 +333,6 @@ class _IidKernel(ConditionalKernel):
         self.n = int(n)
         self.dist = dist
 
-    def law_from_state(self, step, state):
-        return self.dist
-
     def step_regimes(self, step):
         return (self.dist,)
 
@@ -361,9 +356,6 @@ class TableKernel(ConditionalKernel):
         self.label = label
         self.n = len(steps)
         self.steps = tuple(steps)
-
-    def law_from_state(self, step, state):
-        return self.steps[step - 1]
 
     def step_regimes(self, step):
         return (self.steps[step - 1],)
@@ -393,9 +385,6 @@ class VarianceDriftKernel(ConditionalKernel):
         self.high_mag = math.sqrt((1.0 + d) / n)
         self.low_mag = math.sqrt((1.0 - d) / n)
         self._regimes = (rademacher_two_point(self.high_mag), rademacher_two_point(self.low_mag))
-
-    def law_from_state(self, step, state):
-        return self._regimes[self.regime_of_state(state)]
 
     def step_regimes(self, step):
         return self._regimes
@@ -745,7 +734,7 @@ def _step_table(step: int, laws: tuple[StepDistribution, ...], p: float) -> _Ste
         if reason is not None:
             if len(laws) > 1:
                 reason = f"{reason} (regime {k})"
-            raise InvalidKernelError(step, (), reason)
+            raise InvalidKernelError(step, reason)
     if any(dist.mode == "sampled" for dist in laws):
         if len(laws) > 1:
             raise KernelError(f"step {step}: a sampled-mode law must be the step's only regime")
@@ -1359,3 +1348,13 @@ def _joined(parts, field: str) -> np.ndarray:
 def _block_sum(block: np.ndarray, power: float = 1.0) -> float:
     """``np.sum(block ** power)``, the same floats whichever array holds the block."""
     return float(np.sum(block if power == 1.0 else block**power))
+
+
+def _per_value(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` of every entry of ``x`` in Python floats, called once per
+    distinct value: numpy's array forms (``np.power``, ``np.round``) can
+    differ from Python's in the last bit."""
+    values = np.unique(x)
+    # searchsorted keeps the shape of x (numpy 1.24's inverse is flat) and
+    # takes half the time of return_inverse's argsort
+    return np.array([fn(v) for v in values.tolist()])[np.searchsorted(values, x)]

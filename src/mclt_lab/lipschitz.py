@@ -351,8 +351,6 @@ def _metric_moment(coord: CoordinateDistribution, metric: Metric, power: float) 
 class EpsilonDelta:
     epsilon_n: float
     delta_n: float
-    numerator: float
-    denominator_sq: float
 
 
 def epsilon_delta_n(model: LipschitzModel) -> EpsilonDelta:
@@ -376,8 +374,6 @@ def epsilon_delta_n(model: LipschitzModel) -> EpsilonDelta:
     return EpsilonDelta(
         epsilon_n=float(epsilon_n),
         delta_n=float(delta_n),
-        numerator=float(numerator),
-        denominator_sq=float(denom_sq),
     )
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conditions import _walk
-from .kernels import ConditionalKernel, VarianceDriftKernel
+from .kernels import ConditionalKernel, VarianceDriftKernel, _per_value
 
 __all__ = [
     "exact_terminal_moments",
@@ -56,13 +56,6 @@ def _counted_sum(counts: np.ndarray, terms: np.ndarray) -> float:
     return float(sum(w * Fraction(t) for w, t in zip(weights.tolist(), values.tolist())))
 
 
-def _powered(x: np.ndarray, exponent: float) -> np.ndarray:
-    """``x ** exponent`` in Python floats, taken once per distinct value:
-    ``np.power`` and libm's ``pow`` can differ in the last bit."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([v**exponent for v in values.tolist()])[inverse]
-
-
 def exact_terminal_moments(kernel: ConditionalKernel, p: float = 1.0) -> ExactTerminalMoments:
     """Exact moments over every history of an exact-mode kernel.
 
@@ -73,8 +66,9 @@ def exact_terminal_moments(kernel: ConditionalKernel, p: float = 1.0) -> ExactTe
                   key=lambda children: (children["acc"], children["prob"], children["top"]))
     dev = np.abs(nodes["acc"] - 1.0)
     return ExactTerminalMoments(
-        mean_var_dev_p=_counted_sum(nodes["count"], nodes["prob"] * _powered(dev, p)),
-        mean_max_inc_2p=_counted_sum(nodes["count"], nodes["prob"] * _powered(nodes["top"], 2.0 * p)),
+        mean_var_dev_p=_counted_sum(nodes["count"], nodes["prob"] * _per_value(lambda v: v**p, dev)),
+        mean_max_inc_2p=_counted_sum(nodes["count"],
+                                     nodes["prob"] * _per_value(lambda v: v**(2.0 * p), nodes["top"])),
         max_var_dev=float(dev.max()),
         leaves=int(nodes["count"].sum()),
     )

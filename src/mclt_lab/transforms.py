@@ -73,10 +73,11 @@ class PaddedCollection:
         return total
 
 
-def check_padding(n: int, count: int, epsilon: float) -> None:
-    """Reject padding ``count`` paths of length ``n`` at ``epsilon`` unless
-    eps lies in (0, 1/2], the padded length N = n + floor(1/eps^2) + 1 fits
-    the per-path draw budget, and ``count * N`` fits the bundle memory guard
+def check_padding(n: int, count: int, epsilon: float) -> int:
+    """The padded length N = n + floor(1/eps^2) + 1 of paths of length ``n``
+    at ``epsilon``, the only place that computes it.  Padding ``count`` such
+    paths is refused unless eps lies in (0, 1/2], N fits the per-path draw
+    budget, and ``count * N`` fits the bundle memory guard
     (``kernels.check_bundle``)."""
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
@@ -86,6 +87,7 @@ def check_padding(n: int, count: int, epsilon: float) -> None:
     if total_length >= rng.MAX_DRAWS_PER_PATH:
         raise ValueError("padded length exceeds the per-path draw budget")
     kernels.check_bundle(count, total_length)
+    return total_length
 
 
 def pad_collection(paths: PathCollection, epsilon: float, seed: int,
@@ -99,20 +101,19 @@ def pad_collection(paths: PathCollection, epsilon: float, seed: int,
     steps outside the padded ratio guarantee, which the ratio report will
     surface.
     """
-    check_padding(paths.increments.shape[1], len(paths), epsilon)
-    if first < 0:
-        raise ValueError("first must be >= 0")
     increments, variances = paths.increments, paths.variances
     count, n = increments.shape
+    total_length = check_padding(n, count, epsilon)
+    if first < 0:
+        raise ValueError("first must be >= 0")
     eps2 = epsilon * epsilon
-    budget = math.floor(1.0 / eps2)
     rows = np.arange(count)
     tau = _stop_indices(variances, SUP_LE_1)
     v_tau = variances[rows, tau]
     if np.any(v_tau > 1.0):
         raise AssertionError("internal invariant violation: <X>_tau > 1")
     r = np.floor((1.0 - v_tau) / eps2).astype(np.int64)
-    if np.any(r > budget):
+    if np.any(r > total_length - n - 1):
         raise AssertionError("internal invariant violation: pad count exceeds budget")
     residual = np.sqrt(np.maximum(1.0 - v_tau - r * eps2, 0.0))
     # one sign word per pad and one for the residual: row j reads padding
@@ -125,7 +126,6 @@ def pad_collection(paths: PathCollection, epsilon: float, seed: int,
     signs = np.where(rng.uniforms(key, owner + first, step) < 0.5, -1.0, 1.0)
     magnitude = np.full(ends[-1], epsilon)
     magnitude[ends - 1] = residual
-    total_length = n + budget + 1
     padded = np.zeros((count, total_length))
     scales = np.zeros((count, total_length))
     kept = np.arange(n) < tau[:, None]
@@ -159,21 +159,18 @@ def padding_ratio_report(padded: PaddedCollection, rho: float) -> dict:
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     scales, eps = padded.step_scales, padded.epsilon
-    values = np.unique(scales)
     unit = eps**rho
     with np.errstate(over="ignore"):  # a ratio past float range is inf
         if unit > 0.0:
-            # m**rho (= E|xi|^(2+rho) / E[xi^2]) in Python floats, once per
-            # distinct scale: np.power can differ from it in the last ulp
-            powers = np.array([m**rho for m in values.tolist()])
+            # m**rho (= E|xi|^(2+rho) / E[xi^2]) in Python floats
+            powers = kernels._per_value(lambda m: m**rho, scales)
         else:  # eps**rho underflows to 0: compare (m/eps)**rho with 1
-            powers, unit = (values / eps) ** rho, 1.0
+            powers, unit = (scales / eps) ** rho, 1.0
         ratios = powers / unit
-    cell = np.searchsorted(values, scales)
-    holds = ~(powers > unit * (1.0 + RATIO_TOL))[cell].any(axis=1)
-    equality_steps = np.count_nonzero((powers == unit)[cell], axis=1)
+    holds = ~(powers > unit * (1.0 + RATIO_TOL)).any(axis=1)
+    equality_steps = np.count_nonzero(powers == unit, axis=1)
     # a NaN scale (from a variance dip in the kept steps) fails no comparison
-    worst_ratio = np.fmax.reduce(ratios[cell], axis=1, initial=0.0)
+    worst_ratio = np.fmax.reduce(ratios, axis=1, initial=0.0)
     return {
         "holds": holds,
         "worst_ratio": worst_ratio,

@@ -756,8 +756,8 @@ TRANSFORMS_BLOCKS = [(None, 1), (1, 1), (7, 1), (7, 2), (4001, 1), (4001, 2)]
 
 def _block_bytes(doc: dict, rows: int) -> int:
     """A ``cli._PATH_BLOCK_BYTES`` that puts ``rows`` paths of ``doc`` in a block."""
-    kernel, _, eps = cli.parse_config(doc).settings
-    return rows * 8 * (kernel.n + math.floor(1.0 / (eps * eps)) + 1)
+    kernel, count, eps = cli.parse_config(doc).settings
+    return rows * 8 * cli.check_padding(kernel.n, count, eps)
 
 
 @pytest.mark.parametrize("rho, series_sha, records_sha, rows, threads", [
@@ -963,8 +963,18 @@ def test_lipschitz_bytes_are_pinned(tmp_path, model, series_sha, records_sha):
     out = tmp_path / "out"
     assert cli.main(["lipschitz", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == series_sha
-    records = json.loads((out / "manifest.json").read_text())["records"]
-    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == records_sha
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert hashlib.sha256(json.dumps(manifest["records"], sort_keys=True).encode()).hexdigest() == records_sha
+    # a failing bound is noted as the rates runner notes it
+    if model == "max_of_bits":
+        want = [note for n in (1, 4, 6) for note in (
+            f"max_of_bits(n={n}): lower metrics identically zero (degenerate)",
+            f"T1 at grid point {{'n': {n}}}: epsilon_n unavailable (degenerate metrics)",
+            f"BOLT_A at grid point {{'n': {n}}}: epsilon_n unavailable (degenerate metrics)")]
+    else:
+        want = ["T1 at grid point {'n': 1}: T1: epsilon 1.0 outside the stated range (0, 0.5]"] + [
+            f"BOLT_A at grid point {{'n': {n}}}: BOLT_A requires parameter 'n'" for n in (1, 4, 6)]
+    assert manifest["notes"] == want
 
 
 def test_threads_env_cap(tmp_path, monkeypatch):

@@ -98,7 +98,7 @@ def test_non_finite_law_rejected(values, probs):
     with pytest.raises(InvalidKernelError) as err:
         sample_terminal(TableKernel([rademacher_two_point(0.5), bad]), seed=1, count=1000)
     assert err.value.step == 2
-    assert "non-finite" in str(err.value)
+    assert str(err.value) == "invalid kernel at step 2: non-finite value or probability"
 
 
 def test_variance_drift_terminal_variance_band():
@@ -994,3 +994,19 @@ def test_pooled_sums_reduce_per_path_values_over_fixed_blocks(name, params):
         assert np.array_equal(stats.terminal, paths.sums[:, -1])
         assert (stats.sum_var_dev_p, stats.sum_var_dev_2p, stats.sum_max_inc_2p,
                 stats.sum_total_inc_2p, stats.max_var_dev) == expected
+
+
+def test_per_value_calls_once_per_distinct_value_and_keeps_the_shape():
+    calls = []
+
+    def power(v):
+        calls.append(v)
+        return v**1.5
+
+    x = np.array([[0.3, 0.7, 0.3], [math.nan, 0.7, math.nan]])
+    out = kernels._per_value(power, x)
+    assert out.shape == x.shape and out.dtype == np.float64
+    assert calls[:2] == [0.3, 0.7] and len(calls) == 3 and math.isnan(calls[2])
+    assert out[0].tolist() == [0.3**1.5, 0.7**1.5, 0.3**1.5]
+    assert np.isnan(out[1, [0, 2]]).all() and out[1, 1] == 0.7**1.5
+    assert kernels._per_value(power, np.empty((0, 3))).shape == (0, 3)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mclt_lab import conditions, oracles
+from mclt_lab import conditions, kernels, oracles
 from mclt_lab.kernels import (
     ConditionalKernel,
     InvalidKernelError,
@@ -153,7 +153,7 @@ _REFERENCE_KEYS = {
 }
 _ARRAY_KEYS = {
     (): None,
-    ("acc",): lambda children: (conditions._rounded(children["acc"]),),
+    ("acc",): lambda children: (kernels._per_value(lambda v: round(v, 14), children["acc"]),),
     ("acc", "prob", "top", "count"): lambda children: (children["acc"], children["prob"],
                                                        children["top"]),
 }
@@ -293,7 +293,7 @@ def test_delta_key_rounds_as_python_does():
     acc = np.array([1.463181716739735, 0.604083035178035, 1.4447045555986051, 1.0])
     want = [round(v, 14) for v in acc.tolist()]
     assert np.round(acc, 14).tolist() != want
-    assert conditions._rounded(acc).tolist() == want
+    assert kernels._per_value(lambda v: round(v, 14), acc).tolist() == want
 
 
 def test_certification_at_sizes_the_dict_walk_could_not_afford():

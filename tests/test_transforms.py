@@ -14,6 +14,7 @@ from mclt_lab.transforms import (
     INF_GE_1,
     RATIO_TOL,
     SUP_LE_1,
+    check_padding,
     pad_collection,
     padding_ratio_report,
     restrict_to_v,
@@ -60,6 +61,25 @@ def test_padding_epsilon_range_enforced():
     for eps in (0.0, -0.1, 0.6):
         with pytest.raises(ValueError):
             pad_collection(paths, epsilon=eps, seed=1)
+
+
+# the last eps inside the per-path draw budget at n = 1, N = 2^20 - 1,
+# and the first outside it, N = 2^20
+_EPS_INSIDE = 1.0 / math.sqrt(rng.MAX_DRAWS_PER_PATH - 2.5)
+_EPS_OUTSIDE = 1.0 / math.sqrt(rng.MAX_DRAWS_PER_PATH - 1.5)
+
+
+@pytest.mark.parametrize("n, eps", [(1, 0.5), (3, 0.2), (16, 0.25), (64, 0.137), (5, 0.1),
+                                    (1, _EPS_INSIDE)])
+def test_check_padding_returns_the_padded_length(n, eps):
+    paths = sample_paths(m.make_kernel("iid_rademacher", n=n), seed=4, count=2)
+    length = check_padding(n, 2, eps)
+    assert length == n + math.floor(1.0 / (eps * eps)) + 1
+    assert pad_collection(paths, eps, seed=1).increments.shape == (2, length)
+    if eps == _EPS_INSIDE:
+        assert length == rng.MAX_DRAWS_PER_PATH - 1
+        with pytest.raises(ValueError, match="draw budget"):
+            check_padding(n, 2, _EPS_OUTSIDE)
 
 
 def test_residual_stays_below_epsilon():

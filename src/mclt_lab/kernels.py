@@ -333,6 +333,9 @@ class _IidKernel(ConditionalKernel):
         self.n = int(n)
         self.dist = dist
 
+    def law_from_state(self, step, state):
+        return self.dist
+
     def step_regimes(self, step):
         return (self.dist,)
 
@@ -356,6 +359,9 @@ class TableKernel(ConditionalKernel):
         self.label = label
         self.n = len(steps)
         self.steps = tuple(steps)
+
+    def law_from_state(self, step, state):
+        return self.steps[step - 1]
 
     def step_regimes(self, step):
         return (self.steps[step - 1],)
@@ -385,6 +391,9 @@ class VarianceDriftKernel(ConditionalKernel):
         self.high_mag = math.sqrt((1.0 + d) / n)
         self.low_mag = math.sqrt((1.0 - d) / n)
         self._regimes = (rademacher_two_point(self.high_mag), rademacher_two_point(self.low_mag))
+
+    def law_from_state(self, step, state):
+        return self._regimes[self.regime_of_state(state)]
 
     def step_regimes(self, step):
         return self._regimes
@@ -1355,6 +1364,5 @@ def _per_value(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     distinct value: numpy's array forms (``np.power``, ``np.round``) can
     differ from Python's in the last bit."""
     values = np.unique(x)
-    # searchsorted keeps the shape of x (numpy 1.24's inverse is flat) and
-    # takes half the time of return_inverse's argsort
+    # searchsorted keeps the shape of x: numpy 1.24's inverse is flat
     return np.array([fn(v) for v in values.tolist()])[np.searchsorted(values, x)]
